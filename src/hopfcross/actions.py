@@ -1,9 +1,10 @@
 """Transpositions, braided module (co)algebras and entwining structures.
 
-Builds the iterated braids c^m_n and sc_n by their defining recursions, the
-module-coalgebra structure on tensor powers of H, the Aut(G)-graded
-transposition of the group variant, and the two-variable polynomial action
-on k[Y] with its validity analysis.
+Builds the iterated braids c^m_n and sc_n (slot permutations when the braid
+is the flip, their defining recursions otherwise), the module-coalgebra
+structure on tensor powers of H, the Aut(G)-graded transposition of the
+group variant, and the two-variable polynomial action on k[Y] with its
+validity analysis.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .exact import (Element, KSPACE, LinMap, NotInvertible, Slot, Space,
                     TruncationOverflow, apply_at, invert_linmap, rat,
                     slot_permutation, tensor)
 from .hopf import (CheckResult, HopfData, Report, build_truncated_poly_hopf,
-                   check_equal_on, GroupSpec)
+                   check_equal_on, flip_braid, GroupSpec)
 
 
 class InvalidGradation(Exception):
@@ -141,9 +142,17 @@ class ModuleCoalgebraData:
         self.counit = counit        # C -> k
         self.s = s                  # H (x) C -> C (x) H
         self.rho = rho              # H (x) C -> C
-        self.varsigma = varsigma    # braid of C (c^n_n on tensor powers)
+        self._varsigma = varsigma   # a LinMap, or a function building it
         self.kind = kind            # grouplike | graded_connected | other
         self.name = name
+
+    @property
+    def varsigma(self) -> LinMap:
+        """The braid of C (c^n_n on tensor powers); when it was given as a
+        function, that function runs on the first read."""
+        if not isinstance(self._varsigma, LinMap):
+            self._varsigma = self._varsigma()
+        return self._varsigma
 
     def counit_value(self, label) -> Fraction:
         return self.counit.columns[label].scalar_value()
@@ -160,8 +169,32 @@ class EntwiningData:
 # ---------------------------------------------------------------------------
 # iterated braids (Notations 1.9)
 
+def braid_is_flip(h: HopfData) -> bool:
+    """Whether h.braid has exactly the columns of the flip; decided once per
+    HopfData.  An involutive braid need not be the flip, so the
+    involutive_braid flag is not consulted."""
+    return h.derived("braid_is_flip", lambda: h.braid == flip_braid(h.space))
+
+
 def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
-    """c^m_n: H^m (x) H^n -> H^n (x) H^m by the defining recursion."""
+    """c^m_n: H^m (x) H^n -> H^n (x) H^m.
+
+    For the flip braid the defining recursion reduces to the slot
+    permutation (m..m+n-1, 0..m-1), which is built directly; any other
+    braid goes through `braid_cross_recursive`.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("arities must be >= 1")
+    if m == 1 and n == 1:
+        return h.braid
+    if braid_is_flip(h):
+        return slot_permutation(h.power(m + n),
+                                tuple(range(m, m + n)) + tuple(range(m)))
+    return braid_cross_recursive(m, n, h)
+
+
+def braid_cross_recursive(m: int, n: int, h: HopfData) -> LinMap:
+    """c^m_n by the defining recursion, for any braid (the reference path)."""
     if m < 1 or n < 1:
         raise ValueError("arities must be >= 1")
     c = h.braid
@@ -170,15 +203,15 @@ def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
     dom = h.power(m + n)
     cod = dom
     if m == 1:
-        inner = braid_cross(1, n - 1, h)
+        inner = braid_cross_recursive(1, n - 1, h)
 
         def col(lab):
             x = Element.basis_vector(dom, lab)
             x = apply_at(c, x, 0)
             return apply_at(inner, x, 1)
     else:
-        tail = braid_cross(1, n, h)
-        head = braid_cross(m - 1, n, h)
+        tail = braid_cross_recursive(1, n, h)
+        head = braid_cross_recursive(m - 1, n, h)
 
         def col(lab):
             x = Element.basis_vector(dom, lab)
@@ -189,12 +222,28 @@ def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
 
 
 def braid_shuffle(n: int, h: HopfData) -> LinMap:
-    """sc_n: H^2n -> H^2n; carries the odd-position entries to the right."""
+    """sc_n: H^2n -> H^2n; carries the odd-position entries to the right.
+
+    For the flip braid this is the slot permutation (1, 3, ..., 0, 2, ...),
+    built directly; any other braid goes through `braid_shuffle_recursive`.
+    """
     if n < 1:
         raise ValueError("arity must be >= 1")
     if n == 1:
         return h.braid
-    inner = braid_shuffle(n - 1, h)
+    if braid_is_flip(h):
+        return slot_permutation(h.power(2 * n), tuple(range(1, 2 * n, 2))
+                                + tuple(range(0, 2 * n, 2)))
+    return braid_shuffle_recursive(n, h)
+
+
+def braid_shuffle_recursive(n: int, h: HopfData) -> LinMap:
+    """sc_n by the defining recursion, for any braid (the reference path)."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    if n == 1:
+        return h.braid
+    inner = braid_shuffle_recursive(n - 1, h)
     dom = h.power(2 * n)
 
     def col(lab):
@@ -206,25 +255,92 @@ def braid_shuffle(n: int, h: HopfData) -> LinMap:
     return LinMap.from_function(dom, dom, col)
 
 
-def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
-    """H^n as a left H-braided module coalgebra (Example-style structure)."""
+def tensor_power_comul(h: HopfData, n: int) -> LinMap:
+    """The comultiplication of H^n, (H (x) sc_{n-1} (x) H) o Delta^(x)n.
+
+    For the flip braid sc_{n-1} only reorders slots, so each column is built
+    directly from the per-slot coproduct columns, first factors then second
+    factors; any other braid goes through `tensor_power_comul_shuffled`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n == 1:
+        return h.comul
+    if not braid_is_flip(h):
+        return tensor_power_comul_shuffled(h, n)
     C = h.power(n)
     CC = C.tensor(C)
+    budget = CC.budget
+    H2 = h.comul.codomain
+    parts = {lab[0]: [(pair, c, H2.degree(pair))
+                      for pair, c in col.coeffs.items()]
+             for lab, col in h.comul.columns.items()}
 
+    def col(lab):
+        factors = []
+        for atom in reversed(lab):
+            terms = parts.get(atom)
+            if terms is None:
+                raise TruncationOverflow("no column for %r" % ((atom,),))
+            factors.append(terms)
+        out = {}
+        # slot 0 varies fastest, the order apply_at slot by slot produces
+        for combo in itertools.product(*factors):
+            combo = combo[::-1]
+            if budget is not None and sum(t[2] for t in combo) > budget:
+                raise TruncationOverflow("label exceeds budget")
+            coeff = 1
+            for _, c, _ in combo:
+                coeff = coeff * c
+            out[tuple(t[0][0] for t in combo)
+                + tuple(t[0][1] for t in combo)] = coeff
+        return Element(CC, out, validate=False)
+
+    return LinMap.from_function(C, CC, col)
+
+
+def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:
+    """Delta of H^n by Delta on every slot, then the recursive sc_{n-1} on
+    the middle slots, for any braid (the reference path)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1:
-        comul = h.comul
-    else:
-        shuffle = braid_shuffle(n - 1, h)
+        return h.comul
+    C = h.power(n)
+    shuffle = braid_shuffle_recursive(n - 1, h)
 
-        def comul_col(lab):
-            x = Element.basis_vector(C, lab)
-            for i in range(n - 1, -1, -1):
-                x = apply_at(h.comul, x, i)
-            return apply_at(shuffle, x, 1)
+    def comul_col(lab):
+        x = Element.basis_vector(C, lab)
+        for i in range(n - 1, -1, -1):
+            x = apply_at(h.comul, x, i)
+        return apply_at(shuffle, x, 1)
 
-        comul = LinMap.from_function(C, CC, comul_col)
+    return LinMap.from_function(C, C.tensor(C), comul_col)
+
+
+def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
+    """H^n as a left H-braided module coalgebra (Example-style structure).
+
+    The comultiplication (see `tensor_power_comul`), counit, s = c^1_n and
+    the action rho on the first slot are built once per HopfData and shared
+    by every call; each call returns its own ModuleCoalgebraData over them,
+    so changing one's attributes leaves the others alone.  varsigma = c^n_n
+    is built lazily, on its first read (only the entwining and
+    psi-compatibility checks use it), and then shared too.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    comul, counit, s, rho, kind = h.derived(
+        ("tensor_power", n), lambda: _tensor_power_maps(h, n))
+    return ModuleCoalgebraData(
+        h, h.power(n), comul, counit, s, rho,
+        lambda: h.derived(("varsigma", n), lambda: braid_cross(n, n, h)),
+        kind=kind, name="%s^%d" % (h.name, n))
+
+
+def _tensor_power_maps(h: HopfData, n: int):
+    C = h.power(n)
+    comul = tensor_power_comul(h, n)
 
     def counit_col(lab):
         v = Fraction(1)
@@ -243,7 +359,6 @@ def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
         return apply_at(h.mul, x, 0)
 
     rho = LinMap.from_function(HC, C, rho_col)
-    varsigma = braid_cross(n, n, h)
 
     graded = any(s_.degrees for s_ in h.space.slots)
     kind = "graded_connected" if graded else "grouplike"
@@ -254,8 +369,7 @@ def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
             if h.comul.apply(x) != tensor(x, x):
                 kind = "other"
                 break
-    return ModuleCoalgebraData(h, C, comul, counit, s, rho, varsigma,
-                               kind=kind, name="%s^%d" % (h.name, n))
+    return comul, counit, s, rho, kind
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,9 @@ def cmd_crossed_product(args, out):
 def presentation_relations_from_spec(spec, mad):
     from .workbench import classify_Q
     from .actions import PolyActionSpec
-    p = spec.payload
-    Q = [[rat(x) for x in row] for row in p["Q"]]
+    Q, beta1, beta2 = spec.poly2
     qinfo = classify_Q(Q)
-    aspec = PolyActionSpec(Q, [rat(x) for x in p.get("beta1", [])],
-                           [rat(x) for x in p.get("beta2", [])])
+    aspec = PolyActionSpec(Q, beta1, beta2)
     return presentation_relations(qinfo["case"], qinfo, aspec, "")
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, apply_at, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
-                      ModuleCoalgebraData, braid_cross, example_entwining,
+                      ModuleCoalgebraData, example_entwining,
                       tensor_power_coalgebra)
 
 
@@ -231,7 +231,7 @@ def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData, budget=None):
     """The one-H form: s o (H (x) f) = (f (x) H) o c^1_n."""
     C = f.coalgebra
     n = C.space.arity
-    c1n = braid_cross(1, n, mad.hopf)
+    c1n = tensor_power_coalgebra(mad.hopf, n).s
     HC = mad.hopf.space.tensor(C.space)
     for lab in HC.basis():
         if budget is not None and HC.degree(lab) > budget:

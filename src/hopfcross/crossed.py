@@ -11,7 +11,8 @@ import itertools
 from fractions import Fraction
 
 from .exact import (Element, LinMap, Slot, Space,
-                    TruncationOverflow, apply_at, solve, tensor)
+                    TruncationOverflow, add_basis_term, apply_at, solve,
+                    tensor)
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
                           convolve)
@@ -200,13 +201,13 @@ class CrossedProductAlgebra(AlgebraData):
     def coaction(self, x: Element) -> Element:
         """A (x) Delta, landing in (A#H) (x) H."""
         out_space = self.space.tensor(self.mad.hopf.space)
-        out = Element.zero(out_space)
+        out = {}
         for (pair,), v in x.coeffs.items():
             a, hh = pair
             dh = self.mad.hopf.comul.columns[(hh,)]
             for (h1, h2), w in dh.coeffs.items():
-                out = out + v * w * Element.basis_vector(out_space, ((a, h1), h2))
-        return out
+                add_basis_term(out, out_space, ((a, h1), h2), v * w)
+        return Element(out_space, out, validate=False)
 
     def hat_transposition(self) -> LinMap:
         """s_hat = (A (x) c) o (s (x) H): H (x) (A#H) -> (A#H) (x) H."""
@@ -222,10 +223,10 @@ class CrossedProductAlgebra(AlgebraData):
                 h.space.tensor(self._AH), (hh, a, l))
             x = apply_at(mad.s, x, 0)
             x = apply_at(h.braid, x, 1)
-            out = Element.zero(cod)
+            out = {}
             for (aa, l1, h1), v in x.coeffs.items():
-                out = out + v * Element.basis_vector(cod, ((aa, l1), h1))
-            return out
+                add_basis_term(out, cod, ((aa, l1), h1), v)
+            return Element(cod, out, validate=False)
 
         return LinMap.from_function(dom, cod, col)
 
@@ -284,24 +285,27 @@ def verify_crossed_product(cp: CrossedProductAlgebra, budget=None) -> Report:
     s_hat = cp.hat_transposition()
     out_space = cp.space.tensor(h.space)
 
+    def column(f, lab):
+        # f applied to a basis tensor: a label past the budget has no column
+        col = f.columns.get(lab)
+        if col is None:
+            raise TruncationOverflow("no column for label %r" % (lab,))
+        return col
+
     def twisted_mul(x, y):
         # (p1 (x) h1)(p2 (x) h2) = p1 s_hat(h1 (x) p2) ... (x) ... h2
-        out = Element.zero(out_space)
+        out = {}
         for (p1, h1), v in x.coeffs.items():
             for (p2, h2), u in y.coeffs.items():
-                cross = s_hat.apply(tensor(
-                    Element.basis_vector(h.space, (h1,)),
-                    Element.basis_vector(cp.space, (p2,))))
+                cross = column(s_hat, (h1, p2))
                 for (p2b, h1b), w in cross.coeffs.items():
-                    prod_p = cp.multiply(Element.basis_vector(cp.space, (p1,)),
-                                         Element.basis_vector(cp.space, (p2b,)))
-                    prod_h = h.multiply(Element.basis_vector(h.space, (h1b,)),
-                                        Element.basis_vector(h.space, (h2,)))
+                    prod_p = column(cp.mul, (p1, p2b))
+                    prod_h = column(h.mul, (h1b, h2))
                     for (pp,), vv in prod_p.coeffs.items():
                         for (hh2,), ww in prod_h.coeffs.items():
-                            out = out + v * w * u * vv * ww * \
-                                Element.basis_vector(out_space, (pp, hh2))
-        return out
+                            add_basis_term(out, out_space, (pp, hh2),
+                                           v * w * u * vv * ww)
+        return Element(out_space, out, validate=False)
 
     def co_lhs(t):
         return cp.coaction(cp.mul.apply(e(sq, t)))

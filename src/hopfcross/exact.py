@@ -108,6 +108,16 @@ class Space:
             return False
         return self.budget is None or self.degree(label) <= self.budget
 
+    def label_error(self, label):
+        """The exception for a label outside this space: TruncationOverflow
+        when only the budget excludes it, SpaceMismatch otherwise."""
+        if self.budget is not None and len(label) == self.arity \
+                and all(p in s for s, p in zip(self.slots, label)) \
+                and self.degree(label) > self.budget:
+            return TruncationOverflow(
+                "label %r exceeds budget %s" % (label, self.budget))
+        return SpaceMismatch("label %r not in %r" % (label, self))
+
     def basis(self):
         """Iterate all labels within budget, degree-aware (no blind product)."""
         if self.budget is None:
@@ -170,12 +180,7 @@ class Element:
             if c == 0:
                 continue
             if validate and not space.contains(lab):
-                if space.budget is not None and len(lab) == space.arity \
-                        and all(p in s for s, p in zip(space.slots, lab)) \
-                        and space.degree(lab) > space.budget:
-                    raise TruncationOverflow(
-                        "label %r exceeds budget %s" % (lab, space.budget))
-                raise SpaceMismatch("label %r not in %r" % (lab, space))
+                raise space.label_error(lab)
             clean[lab] = c
         self.coeffs = clean
 
@@ -245,6 +250,32 @@ class Element:
         return " + ".join(bits)
 
 
+def add_into(out, coeffs, scale):
+    """out += scale * coeffs on label -> Fraction dicts, in place.
+
+    Entries that cancel are removed as they cancel, so the result (and its
+    order) is that of summing `scale * Element` terms one at a time.
+    """
+    for lab, c in coeffs.items():
+        v = out.get(lab, 0) + scale * c
+        if v:
+            out[lab] = v
+        else:
+            out.pop(lab, None)
+
+
+def add_basis_term(out, space, lab, c):
+    """out += c * Element.basis_vector(space, lab), in place on a coefficient
+    dict, with the cancellation rule of `add_into`."""
+    if not space.contains(lab):
+        raise space.label_error(lab)
+    v = out.get(lab, 0) + c
+    if v:
+        out[lab] = v
+    else:
+        out.pop(lab, None)
+
+
 def _label_key(label):
     return tuple(repr(p) for p in label)
 
@@ -301,13 +332,16 @@ class LinMap:
     def apply(self, elt: Element) -> Element:
         if elt.space != self.domain:
             raise SpaceMismatch("element not in domain")
-        out = Element.zero(self.codomain)
+        cod = self.codomain
+        out = {}
         for lab, c in elt.coeffs.items():
             col = self.columns.get(lab)
             if col is None:
                 raise TruncationOverflow("no column for label %r" % (lab,))
-            out = out + c * col
-        return out
+            if col.space is not cod and col.space != cod:
+                raise SpaceMismatch("adding elements of different spaces")
+            add_into(out, col.coeffs, c)
+        return Element(cod, out, validate=False)
 
     def __call__(self, elt):
         return self.apply(elt)
@@ -315,9 +349,9 @@ class LinMap:
     def __eq__(self, other):
         return (isinstance(other, LinMap) and self.domain == other.domain
                 and self.codomain == other.codomain
+                and self.columns.keys() == other.columns.keys()
                 and all(self.columns[l] == other.columns[l]
-                        for l in self.columns)
-                and self.columns.keys() == other.columns.keys())
+                        for l in self.columns))
 
     def __repr__(self):
         return "LinMap(%r -> %r)" % (self.domain, self.codomain)
@@ -499,7 +533,9 @@ def kernel_image_quotient(f: LinMap):
     pivot_set = set(pivots)
     coker = [cod_labels[i] for i in range(len(cod_labels)) if i not in pivot_set]
 
-    assert len(kernel) + len(image) == len(dom_labels)
+    if len(kernel) + len(image) != len(dom_labels):
+        raise ArithmeticError("rank-nullity fails: kernel %d + image %d != %d"
+                              % (len(kernel), len(image), len(dom_labels)))
     return kernel, image, coker
 
 

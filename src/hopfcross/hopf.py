@@ -92,7 +92,12 @@ def check_equal_on(report, name, labels, lhs, rhs, max_witness=3):
 
 
 class HopfData:
-    """Structure constants of a braided bialgebra, plus verified flags."""
+    """Structure constants of a braided bialgebra, plus verified flags.
+
+    The structure maps are fixed once constructed: what is derived from them
+    (the tensor powers H^n and their maps, whether the braid is the flip) is
+    built on first request and kept with the instance, see `derived`.
+    """
 
     def __init__(self, name, space, mul, unit, comul, counit, antipode=None,
                  braid=None, cocommutative=False, involutive_braid=False):
@@ -106,6 +111,13 @@ class HopfData:
         self.braid = braid                  # H (x) H -> H (x) H
         self.cocommutative = cocommutative
         self.involutive_braid = involutive_braid
+        self._derived = {}
+
+    def derived(self, key, build):
+        """build(), computed on the first request for key and then shared."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def power(self, n):
         """The space H^(x)n (H^0 = k)."""

@@ -34,17 +34,26 @@ class NotJordanForm(Exception):
 # the workbench input format
 
 class WorkbenchSpec:
-    """A single self-describing document; all rationals are 'p/q' strings."""
+    """A single self-describing document; all rationals are 'p/q' strings.
+
+    A poly2 payload is checked here, at load time, and kept parsed as
+    `poly2` = (Q, beta1, beta2).
+    """
 
     def __init__(self, kind, payload, budget, tasks=None):
         if kind not in ("group", "lie", "poly2"):
             raise InputError("unknown kind %r" % kind)
-        if budget is not None and budget < 1:
-            raise InputError("budget must be >= 1")
+        if budget is not None:
+            if isinstance(budget, bool) or not isinstance(budget, int):
+                raise InputError("budget must be an integer, got %r"
+                                 % (budget,))
+            if budget < 1:
+                raise InputError("budget must be >= 1")
         self.kind = kind
         self.payload = payload
         self.budget = budget
         self.tasks = tasks or []
+        self.poly2 = _parse_poly2(payload) if kind == "poly2" else None
 
     @staticmethod
     def load(path):
@@ -61,6 +70,36 @@ class WorkbenchSpec:
             raise InputError("spec document needs a 'kind'")
         return WorkbenchSpec(doc["kind"], doc.get("payload", {}),
                              doc.get("budget"), doc.get("tasks"))
+
+
+def _spec_rational(x, where):
+    """An exact rational from a spec document: an integer or a 'p/q' string."""
+    if not isinstance(x, bool):
+        try:
+            return rat(x)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InputError("%s: %r is not an exact rational (write an integer or "
+                     "a 'p/q' string)" % (where, x))
+
+
+def _parse_poly2(payload):
+    if not isinstance(payload, dict):
+        raise InputError("poly2 payload must be an object")
+    if "Q" not in payload:
+        raise InputError("poly2 payload needs Q")
+    Q = payload["Q"]
+    if not (isinstance(Q, list) and len(Q) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in Q)):
+        raise InputError("Q must be a 2x2 matrix, got %r" % (Q,))
+    Q = [[_spec_rational(x, "Q") for x in row] for row in Q]
+    betas = []
+    for key in ("beta1", "beta2"):
+        beta = payload.get(key, [])
+        if not isinstance(beta, list):
+            raise InputError("%s must be a list of rationals" % key)
+        betas.append([_spec_rational(x, key) for x in beta])
+    return Q, betas[0], betas[1]
 
 
 def build_group_instance(spec: WorkbenchSpec):
@@ -114,18 +153,17 @@ def build_group_instance(spec: WorkbenchSpec):
     return mad.hopf, mad
 
 
-def build_poly2_instance(spec: WorkbenchSpec):
-    p = spec.payload
-    try:
-        Q = [[rat(x) for x in row] for row in p["Q"]]
-    except KeyError:
-        raise InputError("poly2 payload needs Q")
-    beta1 = [rat(x) for x in p.get("beta1", [])]
-    beta2 = [rat(x) for x in p.get("beta2", [])]
-    N = spec.budget
-    if N is None:
+def poly2_data(spec: WorkbenchSpec):
+    """(Q, beta1, beta2, budget) of a poly2 spec."""
+    if spec.kind != "poly2":
+        raise InputError("this needs a poly2 spec, not %r" % spec.kind)
+    if spec.budget is None:
         raise InputError("poly2 spec needs a budget")
-    return build_poly_action(Q, beta1, beta2, N)
+    return spec.poly2 + (spec.budget,)
+
+
+def build_poly2_instance(spec: WorkbenchSpec):
+    return build_poly_action(*poly2_data(spec))
 
 
 def build_lie_instance(spec: WorkbenchSpec):
@@ -267,11 +305,7 @@ class ClassificationReport:
 
 
 def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
-    p = spec.payload
-    Q = [[rat(x) for x in row] for row in p["Q"]]
-    beta1 = [rat(x) for x in p.get("beta1", [])]
-    beta2 = [rat(x) for x in p.get("beta2", [])]
-    N = spec.budget
+    Q, beta1, beta2, N = poly2_data(spec)
     qinfo = classify_Q(Q)
     case = qinfo["case"]
 
@@ -436,12 +470,8 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
                                   assoc_budget=None):
     """Instantiate the commutator parameter, rebuild A #_f H and verify the
     emitted relations inside the constructed algebra."""
-    p = spec.payload
-    Q = [[rat(x) for x in row] for row in p["Q"]]
-    beta1 = [rat(x) for x in p.get("beta1", [])]
-    beta2 = [rat(x) for x in p.get("beta2", [])]
     N = spec.budget
-    mad = build_poly_action(Q, beta1, beta2, N)
+    mad = build_poly2_instance(spec)
     ctx = SweedlerContext(mad)
     A = mad.algebra
 

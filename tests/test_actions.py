@@ -4,13 +4,17 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import Element, LinMap, tensor
-from hopfcross.hopf import GroupSpec, build_truncated_poly_hopf
+from hopfcross.hopf import (GroupSpec, HopfData, build_group_algebra,
+                            build_truncated_poly_hopf)
 from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
                                action_module_algebra, braid_cross,
-                               braid_shuffle, build_graded_transposition,
+                               braid_cross_recursive, braid_is_flip,
+                               braid_shuffle, braid_shuffle_recursive,
+                               build_graded_transposition,
                                build_poly_action, example_entwining,
                                graded_module_algebra, matrix_order,
                                poly_algebra, tensor_power_coalgebra,
+                               tensor_power_comul, tensor_power_comul_shuffled,
                                trivial_module_algebra, verify_entwining,
                                verify_module_algebra, verify_module_coalgebra,
                                PolyActionSpec)
@@ -72,6 +76,103 @@ def test_braid_cross_invertible(z2):
     c12 = braid_cross(1, 2, z2)
     inv = invert_linmap(c12)
     assert compose(inv, c12) == LinMap.identity(c12.domain)
+
+
+# ---------------------------------------------------------------------------
+# the flip shortcut against the defining recursions
+
+
+FLIP_INSTANCES = [
+    pytest.param(lambda: build_group_algebra(GroupSpec.cyclic(3)), id="kZ3"),
+    pytest.param(lambda: build_truncated_poly_hopf(2, 3), id="kX1X2-N3"),
+    pytest.param(lambda: build_truncated_poly_hopf(2, 4), id="kX1X2-N4"),
+]
+
+
+@pytest.mark.parametrize("build", FLIP_INSTANCES)
+def test_flip_shortcut_matches_recursions(build):
+    h = build()
+    assert braid_is_flip(h)
+    for m, n in itertools.product((1, 2, 3), repeat=2):
+        assert braid_cross(m, n, h) == braid_cross_recursive(m, n, h), (m, n)
+    for n in (1, 2, 3):
+        assert braid_shuffle(n, h) == braid_shuffle_recursive(n, h), n
+
+
+@pytest.mark.parametrize("build", FLIP_INSTANCES)
+def test_direct_comul_matches_shuffled_construction(build):
+    h = build()
+    for n in (1, 2, 3):
+        direct = tensor_power_comul(h, n)
+        ref = tensor_power_comul_shuffled(h, n)
+        assert direct == ref, n
+        # same terms in the same order, so downstream sums are unchanged
+        for lab, col in ref.columns.items():
+            assert list(direct.columns[lab].coeffs) == list(col.coeffs)
+
+
+def _scaled_flip_hopf(q, N):
+    """Graded k[X] with the braid c(x (x) y) = q^{|x||y|} y (x) x."""
+    h = build_truncated_poly_hopf(1, N)
+    H2 = h.space.tensor(h.space)
+
+    def col(lab):
+        x, y = lab
+        return Element.basis_vector(H2, (y, x),
+                                    Fraction(q) ** (sum(x) * sum(y)))
+
+    braid = LinMap.from_function(H2, H2, col)
+    return HopfData("k[X] scaled flip", h.space, h.mul, h.unit, h.comul,
+                    h.counit, h.antipode, braid, cocommutative=True,
+                    involutive_braid=q * q == 1)
+
+
+# q = -1 gives an involutive braid that is not the flip
+@pytest.mark.parametrize("q", [2, -1])
+def test_non_flip_braid_goes_through_the_recursion(q):
+    # closed form: c^m_n = q^{(sum |x_i|)(sum |y_j|)} times the block swap
+    h = _scaled_flip_hopf(q, 3)
+    assert not braid_is_flip(h)
+    for m, n in itertools.product((1, 2, 3), repeat=2):
+        dom = h.power(m + n)
+
+        def closed(lab, m=m, dom=dom):
+            xs, ys = lab[:m], lab[m:]
+            scale = Fraction(q) ** (sum(map(sum, xs)) * sum(map(sum, ys)))
+            return Element.basis_vector(dom, ys + xs, scale)
+
+        assert braid_cross(m, n, h) == LinMap.from_function(dom, dom, closed)
+
+
+def test_tensor_powers_share_maps_but_not_attributes(poly24):
+    a = tensor_power_coalgebra(poly24, 2)
+    b = tensor_power_coalgebra(poly24, 2)
+    assert a is not b
+    assert a.comul is b.comul and a.s is b.s and a.rho is b.rho
+    a.kind = "other"
+    assert b.kind == "graded_connected"
+    assert tensor_power_coalgebra(poly24, 2).kind == "graded_connected"
+    # varsigma is built on first read, once, and equals c^2_2
+    assert a.varsigma is b.varsigma
+    assert a.varsigma == braid_cross_recursive(2, 2, poly24)
+
+
+def test_varsigma_is_built_on_first_read(monkeypatch):
+    import hopfcross.actions as actions
+    calls = []
+    real = actions.braid_cross
+
+    def counting(m, n, h):
+        calls.append((m, n))
+        return real(m, n, h)
+
+    monkeypatch.setattr(actions, "braid_cross", counting)
+    h = build_truncated_poly_hopf(2, 3)
+    C = tensor_power_coalgebra(h, 2)
+    assert (2, 2) not in calls
+    assert C.varsigma == braid_cross_recursive(2, 2, h)
+    assert tensor_power_coalgebra(h, 2).varsigma is C.varsigma
+    assert calls.count((2, 2)) == 1
 
 
 def test_tensor_power_n1_recovers_h(z2):

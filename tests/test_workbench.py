@@ -202,3 +202,52 @@ def test_cli_input_error_exit_code():
     assert code == 2
     code, out = run_cli("verify", fixture("cocycle_trivial.json"))
     assert code == 2           # not a spec document
+
+
+def _poly2_spec_file(tmp_path, Q=(("1", "0"), ("0", "1")), beta1=("0", "1"),
+                     budget=4):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "kind": "poly2", "budget": budget,
+        "payload": {"Q": [list(row) for row in Q], "beta1": list(beta1),
+                    "beta2": ["0"]}}))
+    return str(path)
+
+
+def test_cli_rejects_non_square_Q(tmp_path):
+    # a 2x3 Q used to pass verify silently
+    spec = _poly2_spec_file(tmp_path, Q=((1, 0, 0), (0, 1, 0)))
+    code, out = run_cli("verify", spec)
+    assert code == 2
+    assert out.startswith("input error:") and "2x2" in out
+
+
+def test_cli_rejects_float_coefficient(tmp_path):
+    spec = _poly2_spec_file(tmp_path, beta1=("0", 0.5))
+    code, out = run_cli("verify", spec)
+    assert code == 2
+    assert out.startswith("input error:") and "0.5" in out
+
+
+def test_cli_rejects_zero_denominator(tmp_path):
+    spec = _poly2_spec_file(tmp_path, beta1=("0", "1/0"))
+    code, out = run_cli("verify", spec)
+    assert code == 2
+    assert out.startswith("input error:") and "1/0" in out
+
+
+def test_cli_rejects_string_budget(tmp_path):
+    spec = _poly2_spec_file(tmp_path, budget="6")
+    code, out = run_cli("verify", spec)
+    assert code == 2
+    assert out.startswith("input error:") and "budget" in out
+
+
+def test_cli_classify_needs_a_budgeted_poly2_spec(tmp_path):
+    code, out = run_cli("classify", fixture("heisenberg.json"))
+    assert code == 2 and out.startswith("input error:")
+    spec = tmp_path / "no_budget.json"
+    spec.write_text(json.dumps({"kind": "poly2",
+                                "payload": {"Q": [[1, 0], [0, 1]]}}))
+    code, out = run_cli("classify", str(spec))
+    assert code == 2 and "budget" in out
