@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import Element, TruncationOverflow, nullspace, tensor
-from .hopf import HopfData, LieSpec
+from .hopf import CheckResult, HopfData, LieSpec, Report
 from .actions import ModuleAlgebraData
 
 HALF = Fraction(1, 2)
@@ -34,18 +34,6 @@ def _dadd(out, key, val):
         out.pop(key, None)
     else:
         out[key] = v
-
-
-def _dscale(d, c):
-    return {k: c * v for k, v in d.items()} if c != 0 else {}
-
-
-def _dsum(*ds):
-    out = {}
-    for d in ds:
-        for k, v in d.items():
-            _dadd(out, k, v)
-    return out
 
 
 class CEAlgebra:
@@ -90,13 +78,6 @@ class CEAlgebra:
         total = {}
         for w, c in self.expand_t(tuple(word)).items():
             for mono, v in self._nf_z(w).items():
-                _dadd(total, mono, c * v)
-        return total
-
-    def nf_elt(self, d):
-        total = {}
-        for w, c in d.items():
-            for mono, v in self.nf(w).items():
                 _dadd(total, mono, c * v)
         return total
 
@@ -342,6 +323,33 @@ class CEAlgebra:
         return out
 
 
+def verify_resolution_identities(ce: CEAlgebra, budget=None):
+    """d o d = 0, and gamma d + d gamma = p on each p-component, on the
+    monomials of homological degree <= 3 and PBW degree <= min(budget, 3)."""
+    report = Report("resolution identities")
+    res = CheckResult("ce.d_squared_zero")
+    res2 = CheckResult("ce.homotopy_scaling")
+    for n in range(0, min(3, ce.r) + 1):
+        for mono in ce.monomials(n, min(budget or 3, 3)):
+            res.checked += 1
+            if ce.differential(ce.differential({mono: Fraction(1)})):
+                res.failures.append(mono)
+            for p, part in ce.p_decompose({mono: Fraction(1)}).items():
+                res2.checked += 1
+                tot = {}
+                for d in (ce.gamma(ce.differential(part)),
+                          ce.differential(ce.gamma(part))):
+                    for k, v in d.items():
+                        tot[k] = tot.get(k, Fraction(0)) + v
+                want = {k: p * v for k, v in part.items()}
+                if {k: v for k, v in tot.items() if v} != \
+                        {k: v for k, v in want.items() if v}:
+                    res2.failures.append(mono)
+    report.add(res)
+    report.add(res2)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # the transposition s_D induced by an alpha matrix
 
@@ -412,10 +420,13 @@ class CETransposition:
 
     def cross(self, mono, a_elt: Element):
         """s_D(mono (x) a): a dict {ce-mono: Element of A}."""
-        word = self.ce.mono_word(mono)
+        return self.cross_word(self.ce.mono_word(mono), a_elt)
+
+    def cross_word(self, word, a_elt: Element):
+        """s_D(word (x) a) for a word in the letters, in normal form."""
         state = {(): a_elt}
         # cross letters from the right; the leftmost alpha is applied last
-        for letter in reversed(word):
+        for letter in reversed(tuple(word)):
             kind, i = letter
             nxt = {}
             for suffix, val in state.items():
@@ -440,25 +451,6 @@ class CETransposition:
         r = self.ce.r
         pairs = [(i, j) for i in range(r) for j in range(r)]
 
-        def cross_word(word, a_elt):
-            out = {}
-            state = {(): a_elt}
-            for letter in reversed(tuple(word)):
-                kind, i = letter
-                nxt = {}
-                for suffix, val in state.items():
-                    for j in range(r):
-                        img = self.alpha[i][j].apply(val)
-                        if img.is_zero():
-                            continue
-                        key = ((kind, j),) + suffix
-                        nxt[key] = nxt.get(key, Element.zero(val.space)) + img
-                state = nxt
-            for w2, val in state.items():
-                for mono2, c in self.ce.nf(w2).items():
-                    out[mono2] = out.get(mono2, Element.zero(val.space)) + c * val
-            return {m: v for m, v in out.items() if not v.is_zero()}
-
         def eq(d1, d2):
             keys = set(d1) | set(d2)
             zero = Element.zero(A.space)
@@ -469,24 +461,24 @@ class CETransposition:
             for i, j in pairs:
                 br = self.ce.lie.bracket(i, j)
                 # (1) Y_i Y_j = Y_j Y_i + 1/2 Y_[i,j]
-                lhs = cross_word((("Y", i), ("Y", j)), a)
-                rhs = cross_word((("Y", j), ("Y", i)), a)
+                lhs = self.cross_word((("Y", i), ("Y", j)), a)
+                rhs = self.cross_word((("Y", j), ("Y", i)), a)
                 for g, c in br.items():
-                    for m, v in cross_word((("Y", g),), a).items():
+                    for m, v in self.cross_word((("Y", g),), a).items():
                         rhs[m] = rhs.get(m, Element.zero(A.space)) + HALF * c * v
                 if not eq(lhs, rhs):
                     return False
                 # (4) e_i Y_j = Y_j e_i + 1/2 e_[i,j]
-                lhs = cross_word((("E", i), ("Y", j)), a)
-                rhs = cross_word((("Y", j), ("E", i)), a)
+                lhs = self.cross_word((("E", i), ("Y", j)), a)
+                rhs = self.cross_word((("Y", j), ("E", i)), a)
                 for g, c in br.items():
-                    for m, v in cross_word((("E", g),), a).items():
+                    for m, v in self.cross_word((("E", g),), a).items():
                         rhs[m] = rhs.get(m, Element.zero(A.space)) + HALF * c * v
                 if not eq(lhs, rhs):
                     return False
             # (6) e_i^2 = 0
             for i in range(r):
-                if cross_word((("E", i), ("E", i)), a):
+                if self.cross_word((("E", i), ("E", i)), a):
                     return False
         return True
 
@@ -494,15 +486,10 @@ class CETransposition:
 # ---------------------------------------------------------------------------
 # the functor Xi on the resolution
 
-def s_invariants_window(mad: ModuleAlgebraData, window=None):
-    """Basis of sA = {a : s(h (x) a) = a (x) h}, restricted to a window."""
-    from .sweedler import invariant_subspace
-    return invariant_subspace(mad, window=window)
-
-
 def center_of_invariants(mad: ModuleAlgebraData, window=None):
-    from .sweedler import center_subspace, intersect_spans
-    sA = s_invariants_window(mad, window)
+    """Basis of Z(sA), sA = {a : s(h (x) a) = a (x) h}, within a window."""
+    from .sweedler import center_subspace, intersect_spans, invariant_subspace
+    sA = invariant_subspace(mad, window=window)
     zc = center_subspace(mad.algebra, within=sA)
     out = intersect_spans(mad.algebra.space, sA, zc)
     if window is None:
@@ -604,13 +591,13 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
 
 
 def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
-                              values_by_S, zdict, cap=None):
+                              values_by_S, zdict, project=False):
     """Evaluate the bimodule map determined by values on {e_S} at an element.
 
     f(Y^a e_S Z^b) = (x^a) . values[S] . eps(x^b); the trivial right action
-    kills every monomial with b != 0.
+    kills every monomial with b != 0.  A monomial whose value leaves the
+    budget raises TruncationOverflow, or is dropped when project=True.
     """
-    from .hopf import _word_of
     A = mad.algebra
     out = Element.zero(A.space)
     for (a, S, b), c in zdict.items():
@@ -620,11 +607,16 @@ def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
         if val is None or val.is_zero():
             continue
         acc = val
-        for i in reversed(range(len(a))):
-            for _ in range(a[i]):
-                acc = mad.act(Element.basis_vector(
-                    mad.hopf.space, (tuple(1 if t == i else 0
-                                           for t in range(len(a))),)), acc)
+        try:
+            for i in reversed(range(len(a))):
+                for _ in range(a[i]):
+                    acc = mad.act(Element.basis_vector(
+                        mad.hopf.space, (tuple(1 if t == i else 0
+                                               for t in range(len(a))),)), acc)
+        except TruncationOverflow:
+            if not project:
+                raise
+            continue
         out = out + c * acc
     return out
 
@@ -651,32 +643,11 @@ def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
                 if not project:
                     raise
                 overflow = True
-                val = _evaluate_projected(ce, mad, f, d_mono)
+                val = evaluate_bimodule_cochain(ce, mad, f, d_mono,
+                                                project=True)
             img[S] = val
         images.append(img)
     return images, overflow
-
-
-def _evaluate_projected(ce, mad, values_by_S, zdict):
-    A = mad.algebra
-    out = Element.zero(A.space)
-    for (a, S, b), c in zdict.items():
-        if sum(b) != 0:
-            continue
-        val = values_by_S.get(S)
-        if val is None or val.is_zero():
-            continue
-        acc = val
-        try:
-            for i in reversed(range(len(a))):
-                for _ in range(a[i]):
-                    acc = mad.act(Element.basis_vector(
-                        mad.hopf.space, (tuple(1 if t == i else 0
-                                               for t in range(len(a))),)), acc)
-        except TruncationOverflow:
-            continue
-        out = out + c * acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +806,6 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
     Conditions involving the Hopf leg are imposed against the Lie generators;
     together with multiplicativity of the transposition this covers all of H.
     """
-    from .hopf import Report, CheckResult
     mad = trans.mad
     A = mad.algebra
     report = Report("bimodule transposition on degree %d" % n)

@@ -12,20 +12,22 @@ import random
 import sys
 from fractions import Fraction
 
-from .exact import Element, rat
-from .hopf import (LieSpec, verify_antipode, verify_braided_bialgebra)
+from .exact import Element, LinMap
+from .hopf import verify_antipode, verify_braided_bialgebra
 from .actions import InvalidAction, verify_module_algebra
-from .convolution import ConvMap
+from .convolution import ConvMap, conv_equal
 from .sweedler import (SweedlerContext, additive_coboundary, conv_exp,
                        conv_log, differential, gimel, barr_differential, h0)
-from .ce import CEAlgebra, CETransposition, xi_space, xi_differential_matrix
-from .crossed import (check_cocycle_conditions, trivial_cocycle,
-                      CrossedProductAlgebra, verify_crossed_product)
+from .ce import (BarComparison, CEAlgebra, verify_resolution_identities,
+                 xi_space, xi_differential_matrix)
+from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
+                      verify_crossed_product)
 from .workbench import (InputError, NotJordanForm,
                         WorkbenchSpec, build_group_instance,
                         build_lie_instance, build_poly2_instance,
-                        classify_crossed_products, poly_alpha_maps,
-                        presentation_relations, xi2_cocycle)
+                        ce_transposition, classify_crossed_products,
+                        cocycle_from_doc, presentation_relations,
+                        transport_cochain, xi_cohomology_dim)
 
 OK, FAIL, BADINPUT, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -50,10 +52,7 @@ def _report_doc(reports):
     return {"ok": ok, "lines": lines, "checks": checks}
 
 
-def cmd_verify(args, out):
-    spec = WorkbenchSpec.load(args.spec)
-    if args.budget:
-        spec.budget = args.budget
+def cmd_verify(spec, args, out):
     reports = []
     if spec.kind == "group":
         hopf, mad = build_group_instance(spec)
@@ -70,39 +69,14 @@ def cmd_verify(args, out):
         lie, hopf = build_lie_instance(spec)
         reports.append(verify_braided_bialgebra(hopf, budget=spec.budget))
         reports.append(verify_antipode(hopf, budget=spec.budget))
-        ce = CEAlgebra(lie)
-        from .hopf import Report, CheckResult
-        rep = Report("resolution identities")
-        res = CheckResult("ce.d_squared_zero")
-        res2 = CheckResult("ce.homotopy_scaling")
-        for n in range(0, min(3, lie.dim) + 1):
-            for mono in ce.monomials(n, min(spec.budget or 3, 3)):
-                res.checked += 1
-                if ce.differential(ce.differential({mono: Fraction(1)})):
-                    res.failures.append(mono)
-                for p, part in ce.p_decompose({mono: Fraction(1)}).items():
-                    res2.checked += 1
-                    tot = {}
-                    for d in (ce.gamma(ce.differential(part)),
-                              ce.differential(ce.gamma(part))):
-                        for k, v in d.items():
-                            tot[k] = tot.get(k, Fraction(0)) + v
-                    want = {k: p * v for k, v in part.items()}
-                    if {k: v for k, v in tot.items() if v} != \
-                            {k: v for k, v in want.items() if v}:
-                        res2.failures.append(mono)
-        rep.add(res)
-        rep.add(res2)
-        reports.append(rep)
+        reports.append(verify_resolution_identities(CEAlgebra(lie),
+                                                    spec.budget))
     doc = _report_doc(reports)
     _emit(doc, args.format, out)
     return OK if doc["ok"] else FAIL
 
 
-def cmd_cohomology(args, out):
-    spec = WorkbenchSpec.load(args.spec)
-    if args.budget:
-        spec.budget = args.budget
+def cmd_cohomology(spec, args, out):
     lines = []
     data = {"degree": args.degree}
     code = OK
@@ -118,55 +92,22 @@ def cmd_cohomology(args, out):
             lines.append("degree %d: multiplicative complex; predicates "
                          "available, dimensions not linearizable" % args.degree)
             data["note"] = "predicates only"
+    elif spec.kind != "poly2":
+        raise InputError("cohomology dimensions: use poly2 or group kinds")
     else:
-        if spec.kind == "poly2":
-            mad = build_poly2_instance(spec)
-        else:
-            raise InputError("cohomology dimensions: use poly2 or group kinds")
-        ce = CEAlgebra(LieSpec.abelian(2))
-        trans = CETransposition(ce, mad, poly_alpha_maps(mad))
-        window = spec.budget - 1
-        xs = [xi_space(ce, n, trans, window=window) for n in (0, 1, 2)]
+        mad = build_poly2_instance(spec)
         if args.degree > 2:
             lines.append("degree %d: the resolution has length 2; H^n = 0"
                          % args.degree)
             data["H_dim"] = 0
         else:
-            from .exact import rref
-            A = mad.algebra
-            a_labels = list(A.space.basis())
-            aidx = {l: i for i, l in enumerate(a_labels)}
-
-            def rank(images, e_sets):
-                rows = []
-                for img in images:
-                    row = {}
-                    for si, S in enumerate(e_sets):
-                        for l, v in img.get(S, Element.zero(A.space)).coeffs.items():
-                            if A.space.degree(l) > window:
-                                continue    # outside the cokernel window
-                            row[si * len(a_labels) + aidx[l]] = v
-                    rows.append(row)
-                _, piv = rref(rows)
-                return len(piv)
-
-            n = args.degree
-            if n < 2:
-                hi_imgs, of_hi = xi_differential_matrix(ce, trans, xs[n], xs[n + 1], n + 1)
-                rank_hi = rank(hi_imgs, xs[n + 1].e_sets)
-            else:
-                rank_hi, of_hi = 0, False
-            kernel = xs[n].dim - rank_hi
-            if n > 0:
-                lo_imgs, of_lo = xi_differential_matrix(ce, trans, xs[n - 1], xs[n], n)
-                rank_lo = rank(lo_imgs, xs[n].e_sets)
-            else:
-                rank_lo, of_lo = 0, False
-            data["H_dim"] = kernel - rank_lo
+            window = spec.budget - 1
+            data["H_dim"], overflow = xi_cohomology_dim(mad, args.degree,
+                                                        window)
             data["window"] = window
             lines.append("H^%d dimension at window %d: %d"
-                         % (n, window, data["H_dim"]))
-            if of_hi or of_lo:
+                         % (args.degree, window, data["H_dim"]))
+            if overflow:
                 lines.append("caveat: differential met the truncation boundary")
                 code = INCONCLUSIVE
     doc = {"ok": True, "lines": lines, **data}
@@ -174,38 +115,14 @@ def cmd_cohomology(args, out):
     return code
 
 
-def cmd_crossed_product(args, out):
-    spec = WorkbenchSpec.load(args.spec)
-    if args.budget:
-        spec.budget = args.budget
+def cmd_crossed_product(spec, args, out):
     if spec.kind != "poly2":
         raise InputError("crossed-product builds need a poly2 spec")
     with open(args.cocycle) as fh:
         cdoc = json.load(fh)
     mad = build_poly2_instance(spec)
     ctx = SweedlerContext(mad)
-    kind = cdoc.get("kind", "trivial")
-    if kind == "trivial":
-        f = trivial_cocycle(ctx)
-    elif kind == "xi2":
-        b = Element(mad.algebra.space,
-                    {(i,): rat(c) for i, c in enumerate(cdoc["b"]) if rat(c) != 0})
-        f = xi2_cocycle(ctx, b) if not b.is_zero() else trivial_cocycle(ctx)
-    elif kind == "table":
-        C2 = ctx.domain(2)
-        table = {}
-        for key, val in cdoc["values"].items():
-            u, v = key.split("|")
-            lab = (tuple(int(x) for x in u.split(",")),
-                   tuple(int(x) for x in v.split(",")))
-            table[lab] = Element(mad.algebra.space,
-                                 {(int(e),): rat(c) for e, c in val.items()})
-        e2 = ctx.unit_cochain(2)
-        f = ConvMap.from_function(C2, mad.algebra,
-                                  lambda lab: table.get(lab, e2(lab)))
-    else:
-        raise InputError("unknown cocycle kind %r" % kind)
-    coc = check_cocycle_conditions(ctx, f)
+    coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, cdoc))
     lines = ["cocycle flags: %r" % coc]
     if not coc.all_flags:
         _emit({"ok": False, "lines": lines, "flags": repr(coc)}, args.format, out)
@@ -213,27 +130,15 @@ def cmd_crossed_product(args, out):
     cp = CrossedProductAlgebra(ctx, coc)
     rep = verify_crossed_product(cp, budget=args.budget)
     lines.extend(rep.summary().splitlines())
-    qinfo_rels = presentation_relations_from_spec(spec, mad)
+    relations = presentation_relations(mad.poly_spec)
     lines.append("presentation:")
-    lines.extend("  " + r for r in qinfo_rels)
-    doc = {"ok": rep.ok, "lines": lines, "relations": qinfo_rels}
+    lines.extend("  " + r for r in relations)
+    doc = {"ok": rep.ok, "lines": lines, "relations": relations}
     _emit(doc, args.format, out)
     return OK if rep.ok else FAIL
 
 
-def presentation_relations_from_spec(spec, mad):
-    from .workbench import classify_Q
-    from .actions import PolyActionSpec
-    Q, beta1, beta2 = spec.poly2
-    qinfo = classify_Q(Q)
-    aspec = PolyActionSpec(Q, beta1, beta2)
-    return presentation_relations(qinfo["case"], qinfo, aspec, "")
-
-
-def cmd_classify(args, out):
-    spec = WorkbenchSpec.load(args.spec)
-    if args.budget:
-        spec.budget = args.budget
+def cmd_classify(spec, args, out):
     report = classify_crossed_products(spec)
     if args.format == "json":
         out.write(report.as_json() + "\n")
@@ -242,10 +147,7 @@ def cmd_classify(args, out):
     return OK
 
 
-def cmd_compare(args, out):
-    spec = WorkbenchSpec.load(args.spec)
-    if args.budget:
-        spec.budget = args.budget
+def cmd_compare(spec, args, out):
     rng = random.Random(args.seed)
     lines = []
     ok = True
@@ -325,7 +227,6 @@ def _random_additive(rng, ctx, n):
             if rng.random() < 0.4:
                 vals[al] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         cols[lab] = Element(A.space, vals)
-    from .exact import LinMap
     return ConvMap(C, A, LinMap(C.space, A.space, cols))
 
 
@@ -350,33 +251,26 @@ def _random_group_cochain(rng, ctx, n):
                 if moved not in vals:
                     vals[moved] = c
                     stack.append(moved)
-    from .exact import LinMap
     cols = {lab: vals[lab] * A.unit for lab in vals}
     return ConvMap(C, A, LinMap(C.space, A.space, cols))
 
 
 def _bar_vs_resolution(ctx, lines):
     """Transported cocycle/coboundary verdicts agree between the two sides."""
-    from .hopf import LieSpec
-    from .ce import (BarComparison, CEAlgebra, CETransposition,
-                     evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
-    from .workbench import poly_alpha_maps, xi2_cocycle
     mad = ctx.mad
     N = mad.algebra.space.budget
-    ce = CEAlgebra(LieSpec.abelian(2))
-    trans = CETransposition(ce, mad, poly_alpha_maps(mad))
+    ce, trans = ce_transposition(mad)
     xi1 = xi_space(ce, 1, trans, window=N - 1)
     xi2 = xi_space(ce, 2, trans, window=N - 1)
     imgs, _ = xi_differential_matrix(ce, trans, xi1, xi2, 2)
     # every d2-image class transports to an additive coboundary on the bar side
     bc = BarComparison(ce, mad.hopf)
     agree = True
-    from .convolution import conv_equal
     skipped_total = 0
     for f1, img in zip(xi1.basis[:3], imgs[:3]):
         b = img[(0, 1)]
-        g2 = _transport(ctx, ce, bc, mad, {(0, 1): b})     # Xi(D2) -> C^2_s
-        g1 = _transport(ctx, ce, bc, mad, {(0,): f1[(0,)], (1,): f1[(1,)]})
+        g2 = transport_cochain(ctx, ce, bc, {(0, 1): b})     # Xi(D2) -> C^2_s
+        g1 = transport_cochain(ctx, ce, bc, {(0,): f1[(0,)], (1,): f1[(1,)]})
         same, _, skipped = conv_equal(additive_coboundary(ctx, g1), g2)
         skipped_total += skipped
         if not same:
@@ -386,21 +280,6 @@ def _bar_vs_resolution(ctx, lines):
                  "%s" % (agree, " [skipped (budget): %d]" % skipped_total
                          if skipped_total else ""))
     return agree
-
-
-def _transport(ctx, ce, bc, mad, values):
-    from .ce import evaluate_bimodule_cochain
-    n = len(next(iter(values)))
-    C = ctx.domain(n)
-    A = mad.algebra
-
-    def fn(lab):
-        if any(sum(a) == 0 for a in lab):
-            return Element.zero(A.space)
-        zdict = bc.Phi((bc.unit_atom, lab, bc.unit_atom))
-        return evaluate_bimodule_cochain(ce, mad, values, zdict)
-
-    return ConvMap.from_function(C, A, fn, partial=True)
 
 
 def build_parser():
@@ -443,7 +322,14 @@ def main(argv=None, out=None):
         "compare": cmd_compare,
     }[args.command]
     try:
-        return handler(args, out)
+        if getattr(args, "degree", 0) < 0:
+            raise InputError("--degree must be >= 0")
+        if getattr(args, "samples", 1) < 1:
+            raise InputError("--samples must be >= 1")
+        spec = WorkbenchSpec.load(args.spec)
+        if args.budget is not None:
+            spec.set_budget(args.budget)
+        return handler(spec, args, out)
     except (InputError, NotJordanForm, InvalidAction, FileNotFoundError,
             json.JSONDecodeError) as exc:
         out.write("input error: %s\n" % exc)

@@ -15,6 +15,7 @@ from .exact import (Element, KSPACE, LinMap, NotInvertible,
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
                       ModuleCoalgebraData, example_entwining,
                       tensor_power_coalgebra)
+from .hopf import compare_on
 
 
 class NotConvolutionInvertible(Exception):
@@ -103,17 +104,9 @@ def conv_equal(f: ConvMap, g: ConvMap):
     Missing columns mark values whose computation left the degree budget;
     they are reported, never silently treated as zero.
     """
-    checked = skipped = 0
-    for lab in f.coalgebra.space.basis():
-        a = f.values.columns.get(lab)
-        b = g.values.columns.get(lab)
-        if a is None or b is None:
-            skipped += 1
-            continue
-        checked += 1
-        if a != b:
-            return False, checked, skipped
-    return True, checked, skipped
+    res = compare_on(f.coalgebra.space, lambda x, t: f(t), lambda x, t: g(t),
+                     first_failure=True)
+    return res.passed, res.checked, res.skipped
 
 
 def conv_unit(coalgebra, algebra) -> ConvMap:
@@ -138,13 +131,6 @@ def convolve(f: ConvMap, g: ConvMap) -> ConvMap:
     return ConvMap(C, f.algebra,
                    LinMap.from_function(C.space, f.algebra.space, column,
                                         partial=True))
-
-
-def conv_power(f: ConvMap, n: int) -> ConvMap:
-    out = conv_unit(f.coalgebra, f.algebra)
-    for _ in range(n):
-        out = convolve(out, f)
-    return out
 
 
 def conv_inverse(f: ConvMap) -> ConvMap:
@@ -193,12 +179,11 @@ def conv_inverse(f: ConvMap) -> ConvMap:
 
     e = conv_unit(C, A)
     for side in (convolve(f, inv), convolve(inv, f)):
-        for lab in C.space.basis():
-            try:
-                if side(lab) != e(lab):
-                    raise NotConvolutionInvertible("inverse check failed", lab)
-            except TruncationOverflow:
-                continue
+        res = compare_on(C.space, lambda x, t: side(t), lambda x, t: e(t),
+                         first_failure=True)
+        if not res.passed:
+            raise NotConvolutionInvertible("inverse check failed",
+                                           res.failures[0])
     f._inverse = inv
     inv._inverse = f
     return inv
@@ -207,82 +192,51 @@ def conv_inverse(f: ConvMap) -> ConvMap:
 # ---------------------------------------------------------------------------
 # psi-compatibility and psi-centrality
 
+def _verdict(res, witness):
+    if witness:
+        return res.passed, res.failures[0] if res.failures else None
+    return res.passed
+
+
 def is_psi_compatible(f: ConvMap, ent: EntwiningData, budget=None,
                       witness=False):
     """psi o (C (x) f) = (f (x) C) o varsigma, exactly on every basis label."""
     C = ent.coalgebra
     nc = C.space.arity
-    CC = C.space.tensor(C.space)
-    for lab in CC.basis():
-        if budget is not None and CC.degree(lab) > budget:
-            continue
-        x = Element.basis_vector(CC, lab)
-        try:
-            lhs = ent.psi.apply(apply_at(f.values, x, nc))
-            rhs = apply_at(f.values, C.varsigma.apply(x), 0)
-        except TruncationOverflow:
-            continue
-        if lhs != rhs:
-            return (False, lab) if witness else False
-    return (True, None) if witness else True
+    res = compare_on(C.space.tensor(C.space),
+                     lambda x, t: ent.psi.apply(apply_at(f.values, x, nc)),
+                     lambda x, t: apply_at(f.values, C.varsigma.apply(x), 0),
+                     budget, first_failure=True)
+    return _verdict(res, witness)
 
 
 def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData, budget=None):
     """The one-H form: s o (H (x) f) = (f (x) H) o c^1_n."""
     C = f.coalgebra
-    n = C.space.arity
-    c1n = tensor_power_coalgebra(mad.hopf, n).s
-    HC = mad.hopf.space.tensor(C.space)
-    for lab in HC.basis():
-        if budget is not None and HC.degree(lab) > budget:
-            continue
-        x = Element.basis_vector(HC, lab)
-        try:
-            lhs = mad.s.apply(apply_at(f.values, x, 1))
-            rhs = apply_at(f.values, c1n.apply(x), 0)
-        except TruncationOverflow:
-            continue
-        if lhs != rhs:
-            return False
-    return True
+    c1n = tensor_power_coalgebra(mad.hopf, C.space.arity).s
+    return compare_on(mad.hopf.space.tensor(C.space),
+                      lambda x, t: mad.s.apply(apply_at(f.values, x, 1)),
+                      lambda x, t: apply_at(f.values, c1n.apply(x), 0),
+                      budget, first_failure=True).passed
 
 
 def is_psi_central(f: ConvMap, ent: EntwiningData, budget=None, witness=False):
     """mu_A o (A (x) f) o psi = mu_A o (f (x) A), exactly on every label."""
     C, A = ent.coalgebra, ent.algebra
-    nc = C.space.arity
-    CA = C.space.tensor(A.space)
-    for lab in CA.basis():
-        if budget is not None and CA.degree(lab) > budget:
-            continue
-        x = Element.basis_vector(CA, lab)
-        try:
-            lhs = A.mul.apply(apply_at(f.values, ent.psi.apply(x), 1))
-            rhs = A.mul.apply(apply_at(f.values, x, 0))
-        except TruncationOverflow:
-            continue
-        if lhs != rhs:
-            return (False, lab) if witness else False
-    return (True, None) if witness else True
+    res = compare_on(C.space.tensor(A.space),
+                     lambda x, t: A.mul.apply(apply_at(f.values, ent.psi.apply(x), 1)),
+                     lambda x, t: A.mul.apply(apply_at(f.values, x, 0)),
+                     budget, first_failure=True)
+    return _verdict(res, witness)
 
 
 def is_h_linear(f: ConvMap, mad: ModuleAlgebraData, rho_C: LinMap,
                 budget=None):
     """f(h . x) = h . f(x) for the first-slot action on the domain."""
-    C = f.coalgebra
-    HC = mad.hopf.space.tensor(C.space)
-    for lab in HC.basis():
-        if budget is not None and HC.degree(lab) > budget:
-            continue
-        x = Element.basis_vector(HC, lab)
-        try:
-            lhs = f.values.apply(rho_C.apply(x))
-            rhs = mad.rho.apply(apply_at(f.values, x, 1))
-        except TruncationOverflow:
-            continue
-        if lhs != rhs:
-            return False
-    return True
+    return compare_on(mad.hopf.space.tensor(f.coalgebra.space),
+                      lambda x, t: f.values.apply(rho_C.apply(x)),
+                      lambda x, t: mad.rho.apply(apply_at(f.values, x, 1)),
+                      budget, first_failure=True).passed
 
 
 def transfer_TAC(f: ConvMap) -> LinMap:

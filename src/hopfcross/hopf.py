@@ -74,20 +74,57 @@ class Report:
         return "Report(%s, ok=%s)" % (self.title, self.ok)
 
 
-def check_equal_on(report, name, labels, lhs, rhs, max_witness=3):
-    """Compare two label->Element evaluators on every label; overflow skips."""
+def compare_on(space, lhs, rhs, budget=None, sample=None, name="",
+               max_witness=3, first_failure=False) -> CheckResult:
+    """The comparison loop behind every identity check.
+
+    lhs and rhs are called as side(x, t) on each label t of space of degree
+    <= budget (the first `sample` such labels when sample is given) and its
+    basis vector x.  A label whose evaluation raises TruncationOverflow is
+    skipped and counted; every other label is checked, and up to max_witness
+    failing labels are kept as witnesses.  With first_failure=True the loop
+    stops at the first failure.
+    """
     res = CheckResult(name)
-    for lab in labels:
+    labels = space.basis()
+    if budget is not None:
+        labels = (t for t in labels if space.degree(t) <= budget)
+    for t in itertools.islice(labels, sample):
+        x = Element.basis_vector(space, t)
         try:
-            a = lhs(lab)
-            b = rhs(lab)
+            a, b = lhs(x, t), rhs(x, t)
         except TruncationOverflow:
             res.skipped += 1
             continue
         res.checked += 1
         if a != b:
             if len(res.failures) < max_witness:
-                res.failures.append(lab)
+                res.failures.append(t)
+            if first_failure:
+                break
+    return res
+
+
+def check_equal_on(report, name, space, lhs, rhs, budget=None, sample=None):
+    """Check lhs = rhs on the basis of space within the degree budget.
+
+    lhs and rhs are called as side(x, t) on each label t of degree <= budget
+    (the first `sample` such labels when sample is given) and its basis
+    vector x.  Labels whose evaluation leaves the budget are counted as
+    skipped, never as passing.  The CheckResult, with at most three failing
+    labels as witnesses, is added to report and returned.
+    """
+    return report.add(compare_on(space, lhs, rhs, budget, sample, name=name))
+
+
+def check_invertible(report, name, f: LinMap):
+    """One check that f is bijective; a failure keeps the NotInvertible
+    message (a dimension mismatch or the first singular degree block)."""
+    res = CheckResult(name, checked=1)
+    try:
+        invert_linmap(f)
+    except NotInvertible as exc:
+        res.failures.append(str(exc))
     return report.add(res)
 
 
@@ -434,116 +471,99 @@ def verify_braided_bialgebra(h: HopfData, budget=None) -> Report:
     mul, comul, counit, c = h.mul, h.comul, h.counit, h.braid
     unit = h.unit
 
-    def within(space):
-        if budget is None:
-            return space.basis()
-        return (t for t in space.basis() if space.degree(t) <= budget)
-
-    def e(space, lab):
-        return Element.basis_vector(space, lab)
-
-    check_equal_on(report, "algebra.associativity", within(H3),
-                   lambda t: mul.apply(apply_at(mul, e(H3, t), 0)),
-                   lambda t: mul.apply(apply_at(mul, e(H3, t), 1)))
-    check_equal_on(report, "algebra.unit", within(H),
-                   lambda t: mul.apply(tensor(unit, e(H, t))),
-                   lambda t: e(H, t))
-    check_equal_on(report, "algebra.unit_right", within(H),
-                   lambda t: mul.apply(tensor(e(H, t), unit)),
-                   lambda t: e(H, t))
-    check_equal_on(report, "coalgebra.coassociativity", within(H),
-                   lambda t: apply_at(comul, comul.apply(e(H, t)), 0),
-                   lambda t: apply_at(comul, comul.apply(e(H, t)), 1))
-    check_equal_on(report, "coalgebra.counit", within(H),
-                   lambda t: apply_at(counit, comul.apply(e(H, t)), 0),
-                   lambda t: e(H, t))
-    check_equal_on(report, "coalgebra.counit_right", within(H),
-                   lambda t: apply_at(counit, comul.apply(e(H, t)), 1),
-                   lambda t: e(H, t))
-    check_equal_on(report, "epsilon.algebra_map", within(H2),
-                   lambda t: counit.apply(mul.apply(e(H2, t))),
-                   lambda t: Element.scalar(h.counit_value(t[0]) * h.counit_value(t[1])))
+    check_equal_on(report, "algebra.associativity", H3,
+                   lambda x, t: mul.apply(apply_at(mul, x, 0)),
+                   lambda x, t: mul.apply(apply_at(mul, x, 1)), budget)
+    check_equal_on(report, "algebra.unit", H,
+                   lambda x, t: mul.apply(tensor(unit, x)),
+                   lambda x, t: x, budget)
+    check_equal_on(report, "algebra.unit_right", H,
+                   lambda x, t: mul.apply(tensor(x, unit)),
+                   lambda x, t: x, budget)
+    check_equal_on(report, "coalgebra.coassociativity", H,
+                   lambda x, t: apply_at(comul, comul.apply(x), 0),
+                   lambda x, t: apply_at(comul, comul.apply(x), 1), budget)
+    check_equal_on(report, "coalgebra.counit", H,
+                   lambda x, t: apply_at(counit, comul.apply(x), 0),
+                   lambda x, t: x, budget)
+    check_equal_on(report, "coalgebra.counit_right", H,
+                   lambda x, t: apply_at(counit, comul.apply(x), 1),
+                   lambda x, t: x, budget)
+    check_equal_on(report, "epsilon.algebra_map", H2,
+                   lambda x, t: counit.apply(mul.apply(x)),
+                   lambda x, t: Element.scalar(h.counit_value(t[0]) * h.counit_value(t[1])),
+                   budget)
     rep = CheckResult("eta.coalgebra_map", checked=1)
     if comul.apply(unit) != tensor(unit, unit) or counit.apply(unit) != Element.scalar(1):
         rep.failures.append("unit")
     report.add(rep)
 
     # compatibility of the braid with multiplication and unit, both slots
-    check_equal_on(report, "braid.mul_compat_slot1", within(H3),
-                   lambda t: c.apply(apply_at(mul, e(H3, t), 0)),
-                   lambda t: apply_at(mul, apply_at(c, apply_at(c, e(H3, t), 1), 0), 1))
-    check_equal_on(report, "braid.mul_compat_slot2", within(H3),
-                   lambda t: c.apply(apply_at(mul, e(H3, t), 1)),
-                   lambda t: apply_at(mul, apply_at(c, apply_at(c, e(H3, t), 0), 1), 0))
-    check_equal_on(report, "braid.unit_compat_slot1", within(H),
-                   lambda t: c.apply(tensor(unit, e(H, t))),
-                   lambda t: tensor(e(H, t), unit))
-    check_equal_on(report, "braid.unit_compat_slot2", within(H),
-                   lambda t: c.apply(tensor(e(H, t), unit)),
-                   lambda t: tensor(unit, e(H, t)))
+    check_equal_on(report, "braid.mul_compat_slot1", H3,
+                   lambda x, t: c.apply(apply_at(mul, x, 0)),
+                   lambda x, t: apply_at(mul, apply_at(c, apply_at(c, x, 1), 0), 1),
+                   budget)
+    check_equal_on(report, "braid.mul_compat_slot2", H3,
+                   lambda x, t: c.apply(apply_at(mul, x, 1)),
+                   lambda x, t: apply_at(mul, apply_at(c, apply_at(c, x, 0), 1), 0),
+                   budget)
+    check_equal_on(report, "braid.unit_compat_slot1", H,
+                   lambda x, t: c.apply(tensor(unit, x)),
+                   lambda x, t: tensor(x, unit), budget)
+    check_equal_on(report, "braid.unit_compat_slot2", H,
+                   lambda x, t: c.apply(tensor(x, unit)),
+                   lambda x, t: tensor(unit, x), budget)
 
     # compatibility of the braid with comultiplication and counit, both slots
-    check_equal_on(report, "braid.comul_compat_slot1", within(H2),
-                   lambda t: apply_at(comul, c.apply(e(H2, t)), 1),
-                   lambda t: apply_at(c, apply_at(c, apply_at(comul, e(H2, t), 0), 1), 0))
-    check_equal_on(report, "braid.comul_compat_slot2", within(H2),
-                   lambda t: apply_at(comul, c.apply(e(H2, t)), 0),
-                   lambda t: apply_at(c, apply_at(c, apply_at(comul, e(H2, t), 1), 0), 1))
-    check_equal_on(report, "braid.counit_compat_slot1", within(H2),
-                   lambda t: apply_at(counit, c.apply(e(H2, t)), 1),
-                   lambda t: Element(H, {(t[1],): h.counit_value(t[0])}, validate=False))
-    check_equal_on(report, "braid.counit_compat_slot2", within(H2),
-                   lambda t: apply_at(counit, c.apply(e(H2, t)), 0),
-                   lambda t: Element(H, {(t[0],): h.counit_value(t[1])}, validate=False))
+    check_equal_on(report, "braid.comul_compat_slot1", H2,
+                   lambda x, t: apply_at(comul, c.apply(x), 1),
+                   lambda x, t: apply_at(c, apply_at(c, apply_at(comul, x, 0), 1), 0),
+                   budget)
+    check_equal_on(report, "braid.comul_compat_slot2", H2,
+                   lambda x, t: apply_at(comul, c.apply(x), 0),
+                   lambda x, t: apply_at(c, apply_at(c, apply_at(comul, x, 1), 0), 1),
+                   budget)
+    check_equal_on(report, "braid.counit_compat_slot1", H2,
+                   lambda x, t: apply_at(counit, c.apply(x), 1),
+                   lambda x, t: Element(H, {(t[1],): h.counit_value(t[0])}, validate=False),
+                   budget)
+    check_equal_on(report, "braid.counit_compat_slot2", H2,
+                   lambda x, t: apply_at(counit, c.apply(x), 0),
+                   lambda x, t: Element(H, {(t[0],): h.counit_value(t[1])}, validate=False),
+                   budget)
 
-    def delta_mu_rhs(t):
-        x = apply_at(comul, e(H2, t), 0)          # Delta (x) H
+    def delta_mu_rhs(x, t):
+        x = apply_at(comul, x, 0)                 # Delta (x) H
         x = apply_at(comul, x, 2)                 # Delta (x) Delta
         x = apply_at(c, x, 1)                     # H (x) c (x) H
         x = apply_at(mul, x, 0)
         return apply_at(mul, x, 1)
 
-    check_equal_on(report, "bialgebra.delta_mu_twisted", within(H2),
-                   lambda t: comul.apply(mul.apply(e(H2, t))),
-                   delta_mu_rhs)
+    check_equal_on(report, "bialgebra.delta_mu_twisted", H2,
+                   lambda x, t: comul.apply(mul.apply(x)),
+                   delta_mu_rhs, budget)
 
-    check_equal_on(report, "braid.yang_baxter", within(H3),
-                   lambda t: apply_at(c, apply_at(c, apply_at(c, e(H3, t), 0), 1), 0),
-                   lambda t: apply_at(c, apply_at(c, apply_at(c, e(H3, t), 1), 0), 1))
+    check_equal_on(report, "braid.yang_baxter", H3,
+                   lambda x, t: apply_at(c, apply_at(c, apply_at(c, x, 0), 1), 0),
+                   lambda x, t: apply_at(c, apply_at(c, apply_at(c, x, 1), 0), 1),
+                   budget)
 
-    rep = CheckResult("braid.bijective", checked=1)
-    try:
-        invert_linmap(c)
-    except NotInvertible as exc:
-        rep.failures.append(str(exc))
-    report.add(rep)
+    check_invertible(report, "braid.bijective", c)
 
     # flags are verified both ways: the flag must match what the data does
-    _verify_flag(report, "flags.cocommutative", h.cocommutative, within(H),
-                 lambda t: c.apply(comul.apply(e(H, t))),
-                 lambda t: comul.apply(e(H, t)))
-    _verify_flag(report, "flags.involutive_braid", h.involutive_braid, within(H2),
-                 lambda t: c.apply(c.apply(e(H2, t))),
-                 lambda t: e(H2, t))
+    for name, flag, space, lhs, rhs in (
+            ("flags.cocommutative", h.cocommutative, H,
+             lambda x, t: c.apply(comul.apply(x)),
+             lambda x, t: comul.apply(x)),
+            ("flags.involutive_braid", h.involutive_braid, H2,
+             lambda x, t: c.apply(c.apply(x)),
+             lambda x, t: x)):
+        res = report.add(compare_on(space, lhs, rhs, budget, name=name,
+                                    first_failure=True))
+        holds = res.passed
+        res.failures = [] if holds == flag else [
+            "flag %s but identity holds=%s" % (flag, holds)]
     return report
-
-
-def _verify_flag(report, name, flag, labels, lhs, rhs):
-    res = CheckResult(name)
-    holds = True
-    for lab in labels:
-        try:
-            a, b = lhs(lab), rhs(lab)
-        except TruncationOverflow:
-            res.skipped += 1
-            continue
-        res.checked += 1
-        if a != b:
-            holds = False
-            break
-    if holds != flag:
-        res.failures.append("flag %s but identity holds=%s" % (flag, holds))
-    report.add(res)
 
 
 def verify_antipode(h: HopfData, budget=None) -> Report:
@@ -556,27 +576,18 @@ def verify_antipode(h: HopfData, budget=None) -> Report:
     H = h.space
     S, mul, comul = h.antipode, h.mul, h.comul
 
-    def within(space):
-        if budget is None:
-            return space.basis()
-        return (t for t in space.basis() if space.degree(t) <= budget)
-
-    def eta_eps(t):
+    def eta_eps(x, t):
         return h.counit_value(t[0]) * h.unit
 
-    check_equal_on(report, "antipode.left_inverse", within(H),
-                   lambda t: mul.apply(apply_at(S, comul.apply(
-                       Element.basis_vector(H, t)), 0)),
-                   eta_eps)
-    check_equal_on(report, "antipode.right_inverse", within(H),
-                   lambda t: mul.apply(apply_at(S, comul.apply(
-                       Element.basis_vector(H, t)), 1)),
-                   eta_eps)
+    check_equal_on(report, "antipode.left_inverse", H,
+                   lambda x, t: mul.apply(apply_at(S, comul.apply(x), 0)),
+                   eta_eps, budget)
+    check_equal_on(report, "antipode.right_inverse", H,
+                   lambda x, t: mul.apply(apply_at(S, comul.apply(x), 1)),
+                   eta_eps, budget)
     if h.cocommutative:
         # (H (x) S) o Delta o S = (S (x) H) o Delta, used in the iota_n proof
-        check_equal_on(report, "antipode.cocommutative_twist", within(H),
-                       lambda t: apply_at(S, comul.apply(S.apply(
-                           Element.basis_vector(H, t))), 1),
-                       lambda t: apply_at(S, comul.apply(
-                           Element.basis_vector(H, t)), 0))
+        check_equal_on(report, "antipode.cocommutative_twist", H,
+                       lambda x, t: apply_at(S, comul.apply(S.apply(x)), 1),
+                       lambda x, t: apply_at(S, comul.apply(x), 0), budget)
     return report

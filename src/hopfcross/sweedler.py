@@ -18,6 +18,7 @@ from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
 from .convolution import (ConvMap, conv_inverse, conv_unit, convolve,
                           hom_psi_subspace, unit_coalgebra)
+from .hopf import compare_on
 
 
 class SeriesPreconditionViolated(Exception):
@@ -272,21 +273,17 @@ def is_crossed_homomorphism(ctx: SweedlerContext, f: ConvMap) -> bool:
     """f(hl) = f(h_(1)) (h_(2) . f(l)), exactly on basis pairs."""
     mad = ctx.mad
     h = mad.hopf
-    H2 = h.space.tensor(h.space)
-    for lab in H2.basis():
-        x = Element.basis_vector(H2, lab)
-        try:
-            lhs = f.values.apply(h.mul.apply(x))
-            y = apply_at(h.comul, x, 0)             # h1 (x) h2 (x) l
-            y = apply_at(f.values, y, 2)            # h1 (x) h2 (x) f(l)
-            y = apply_at(mad.rho, y, 1)             # h1 (x) h2.f(l)
-            y = apply_at(f.values, y, 0)
-            rhs = mad.algebra.mul.apply(y)
-        except TruncationOverflow:
-            continue
-        if lhs != rhs:
-            return False
-    return True
+
+    def rhs(x, t):
+        y = apply_at(h.comul, x, 0)             # h1 (x) h2 (x) l
+        y = apply_at(f.values, y, 2)            # h1 (x) h2 (x) f(l)
+        y = apply_at(mad.rho, y, 1)             # h1 (x) h2.f(l)
+        y = apply_at(f.values, y, 0)
+        return mad.algebra.mul.apply(y)
+
+    return compare_on(h.space.tensor(h.space),
+                      lambda x, t: f.values.apply(h.mul.apply(x)), rhs,
+                      first_failure=True).passed
 
 
 def is_inner(ctx: SweedlerContext, f: ConvMap):
@@ -540,64 +537,6 @@ class AdditiveComplex:
             if vec[j]:
                 cols[cl] = cols[cl] + vec[j] * Element.basis_vector(A.space, al)
         return ConvMap(C, A, LinMap(C.space, A.space, cols))
-
-    def from_convmap(self, n, f: ConvMap):
-        c_labels, a_labels = self.grid(n)
-        var = {(cl, al): j for j, (cl, al) in
-               enumerate(itertools.product(c_labels, a_labels))}
-        vec = [Fraction(0)] * len(var)
-        for cl in f.coalgebra.space.basis():
-            col = f(cl)
-            if col.is_zero():
-                continue
-            if cl not in set(c_labels):
-                raise ValueError("cochain supported on a scalar-slot tuple")
-            for al, v in col.coeffs.items():
-                vec[var[(cl, al)]] = v
-        return vec
-
-    def delta_on_basis(self, n):
-        """Images of the C^n_s basis under the additive coboundary."""
-        out = []
-        for vec in self.cochain_basis(n):
-            f = self.to_convmap(n, vec)
-            out.append(additive_coboundary(self.ctx, f))
-        return out
-
-    def cohomology_dim(self, n):
-        """dim H^n of (C^*_s, delta) on the exact windows."""
-        basis_n = self.cochain_basis(n)
-        imgs = self.delta_on_basis(n)
-        hi_grid = self.grid(n + 1)
-        var_hi = {(cl, al): j for j, (cl, al) in
-                  enumerate(itertools.product(*hi_grid))}
-        rows = []
-        for g in imgs:
-            row = {}
-            for cl in g.coalgebra.space.basis():
-                col = g(cl)
-                for al, v in col.coeffs.items():
-                    key = (cl, al)
-                    row[var_hi[key]] = v
-            rows.append(row)
-        from .exact import rref
-        _, piv = rref(rows)
-        rank_n = len(piv)          # rank of delta^{n+1} on C^n
-        kernel_dim = len(basis_n) - rank_n
-        if n == 0:
-            return kernel_dim
-        imgs_lo = self.delta_on_basis(n - 1)
-        var_n = {(cl, al): j for j, (cl, al) in
-                 enumerate(itertools.product(*self.grid(n)))}
-        rows_lo = []
-        for g in imgs_lo:
-            row = {}
-            for cl in g.coalgebra.space.basis():
-                for al, v in g(cl).coeffs.items():
-                    row[var_n[(cl, al)]] = v
-            rows_lo.append(row)
-        _, piv_lo = rref(rows_lo)
-        return kernel_dim - len(piv_lo)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exact import Element, LinMap, rat, rat_str, rref
-from .hopf import (GroupSpec, LieSpec, build_group_algebra,
-                   build_truncated_enveloping, Report)
+from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow, rat,
+                    rat_str, rref)
+from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
+                   build_group_algebra, build_truncated_enveloping, Report)
 from .actions import (AlgebraData, InvalidAction, ModuleAlgebraData,
                       PolyActionSpec, action_module_algebra, build_poly_action,
                       check_poly_action_validity, graded_module_algebra,
@@ -16,8 +17,8 @@ from .actions import (AlgebraData, InvalidAction, ModuleAlgebraData,
                       _mat_eq, _mat_pow, IDENT2)
 from .convolution import ConvMap
 from .sweedler import SweedlerContext, conv_exp
-from .ce import (CEAlgebra, CETransposition, BarComparison, xi_space,
-                 xi_differential_matrix)
+from .ce import (CEAlgebra, CETransposition, BarComparison,
+                 evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
 from .crossed import (CrossedProductAlgebra, check_cocycle_conditions,
                       trivial_cocycle, verify_crossed_product)
 
@@ -43,17 +44,21 @@ class WorkbenchSpec:
     def __init__(self, kind, payload, budget, tasks=None):
         if kind not in ("group", "lie", "poly2"):
             raise InputError("unknown kind %r" % kind)
+        self.kind = kind
+        self.payload = payload
+        self.set_budget(budget)
+        self.tasks = tasks or []
+        self.poly2 = _parse_poly2(payload) if kind == "poly2" else None
+
+    def set_budget(self, budget):
+        """Set the degree budget: None, or an integer >= 1."""
         if budget is not None:
             if isinstance(budget, bool) or not isinstance(budget, int):
                 raise InputError("budget must be an integer, got %r"
                                  % (budget,))
             if budget < 1:
                 raise InputError("budget must be >= 1")
-        self.kind = kind
-        self.payload = payload
         self.budget = budget
-        self.tasks = tasks or []
-        self.poly2 = _parse_poly2(payload) if kind == "poly2" else None
 
     @staticmethod
     def load(path):
@@ -81,6 +86,34 @@ def _spec_rational(x, where):
             pass
     raise InputError("%s: %r is not an exact rational (write an integer or "
                      "a 'p/q' string)" % (where, x))
+
+
+def _split_key(key, sep, where):
+    """The two parts of a 'a<sep>b' key of a spec table."""
+    parts = key.split(sep)
+    if len(parts) != 2:
+        raise InputError("%s: key %r is not of the form 'a%sb'"
+                         % (where, key, sep))
+    return tuple(parts)
+
+
+def _int_tuple(text, where, length):
+    """'1,0' as (1, 0), checked to have the given length."""
+    try:
+        out = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        out = ()
+    if len(out) != length:
+        raise InputError("%s: %r is not %d comma-separated integers"
+                         % (where, text, length))
+    return out
+
+
+def _spec_values(val, where):
+    """A {label: coefficient} object of a spec, coefficients made exact."""
+    if not isinstance(val, dict):
+        raise InputError("%s: %r is not an object" % (where, val))
+    return {m: _spec_rational(c, where) for m, c in val.items()}
 
 
 def _parse_poly2(payload):
@@ -117,9 +150,11 @@ def build_group_instance(spec: WorkbenchSpec):
                 table[(a, b)] = raw[i][j]
     else:
         for key, val in raw.items():
-            a, b = key.split("|")
-            table[(a, b)] = val
-    group = GroupSpec(elements, table, identity)
+            table[_split_key(key, "|", "group table")] = val
+    try:
+        group = GroupSpec(elements, table, identity)
+    except InvalidGroup as exc:
+        raise InputError("not a group: %s" % exc)
 
     alg = p.get("algebra")
     if alg is None:
@@ -128,16 +163,16 @@ def build_group_instance(spec: WorkbenchSpec):
     basis = alg["basis"]
     atable = {}
     for key, val in alg.get("table", {}).items():
-        a, b = key.split("|")
-        atable[(a, b)] = {m: rat(c) for m, c in val.items()}
+        atable[_split_key(key, "|", "algebra table")] = _spec_values(
+            val, "algebra table")
     algebra = AlgebraData.from_table("A", basis, atable, alg["unit"])
 
     action = None
     if "action" in p:
         action = {}
         for key, val in p["action"].items():
-            g, a = key.split("|")
-            action[(g, a)] = {m: rat(c) for m, c in val.items()}
+            action[_split_key(key, "|", "action table")] = _spec_values(
+                val, "action table")
     if "gradation" in p:
         autos = {name: dict(t) for name, t in p["automorphisms"].items()}
         mad = graded_module_algebra(group, algebra, p["gradation"], autos,
@@ -172,11 +207,17 @@ def build_lie_instance(spec: WorkbenchSpec):
         dim = p["dim"]
     except KeyError:
         raise InputError("lie payload needs dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise InputError("lie dim must be an integer >= 1, got %r" % (dim,))
     brackets = {}
     for key, val in p.get("brackets", {}).items():
-        i, j = (int(x) for x in key.split(","))
-        brackets[(i, j)] = {int(k): rat(c) for k, c in val.items()}
-    lie = LieSpec(dim, brackets)
+        brackets[_int_tuple(key, "brackets", 2)] = {
+            _int_tuple(k, "brackets", 1)[0]: c
+            for k, c in _spec_values(val, "brackets").items()}
+    try:
+        lie = LieSpec(dim, brackets)
+    except InvalidLieAlgebra as exc:
+        raise InputError("not a Lie algebra: %s" % exc)
     N = spec.budget or 4
     hopf = build_truncated_enveloping(lie, N)
     return lie, hopf
@@ -251,6 +292,61 @@ def action_validity_verdicts(spec: PolyActionSpec, n_check=8):
 
 
 # ---------------------------------------------------------------------------
+# Section 7: the functor Xi on the resolution of k[X1,X2]
+
+def ce_transposition(mad: ModuleAlgebraData):
+    """(CEAlgebra, CETransposition) of the abelian 2-dimensional Lie algebra
+    acting through the poly2 instance mad."""
+    ce = CEAlgebra(LieSpec.abelian(2))
+    return ce, CETransposition(ce, mad, poly_alpha_maps(mad))
+
+
+def xi_rank(ce, trans, lo, hi, n, window):
+    """Rank of f -> f o d_n from Xi(D_{n-1}) to Xi(D_n), as (rank, overflow,
+    dropped).
+
+    The cokernel lives on the value window: image components above it are
+    projected away, and dropped says whether any were.  overflow says
+    whether evaluating the differential met the truncation boundary.
+    """
+    images, overflow = xi_differential_matrix(ce, trans, lo, hi, n)
+    A = trans.mad.algebra
+    a_labels = list(A.space.basis())
+    aidx = {l: i for i, l in enumerate(a_labels)}
+    dropped = False
+    rows = []
+    for img in images:
+        row = {}
+        for si, S in enumerate(hi.e_sets):
+            val = img.get(S)
+            if val is None:
+                continue
+            for l, v in val.coeffs.items():
+                if A.space.degree(l) > window:
+                    dropped = True
+                    continue
+                row[si * len(a_labels) + aidx[l]] = v
+        rows.append(row)
+    _, piv = rref(rows)
+    return len(piv), overflow, dropped
+
+
+def xi_cohomology_dim(mad: ModuleAlgebraData, n, window):
+    """(dim H^n, overflow) of Hom(D_*, A) through Xi at the value window,
+    for n <= 2; overflow says whether a differential met the truncation
+    boundary."""
+    ce, trans = ce_transposition(mad)
+    xs = [xi_space(ce, k, trans, window=window) for k in (0, 1, 2)]
+    rank_hi, of_hi = 0, False
+    if n < 2:
+        rank_hi, of_hi, _ = xi_rank(ce, trans, xs[n], xs[n + 1], n + 1, window)
+    rank_lo, of_lo = 0, False
+    if n > 0:
+        rank_lo, of_lo, _ = xi_rank(ce, trans, xs[n - 1], xs[n], n, window)
+    return xs[n].dim - rank_hi - rank_lo, of_hi or of_lo
+
+
+# ---------------------------------------------------------------------------
 # the classification report
 
 def _poly_str(coeffs, varname="Y"):
@@ -312,74 +408,22 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
     aspec = PolyActionSpec(Q, beta1, beta2)
     verdicts = action_validity_verdicts(aspec, n_check=min(N, 8))
     mad = build_poly_action(Q, beta1, beta2, N)
-    ce = CEAlgebra(LieSpec.abelian(2))
-    trans = CETransposition(ce, mad, poly_alpha_maps(mad))
+    ce, trans = ce_transposition(mad)
     window = N - 1
     xi = [xi_space(ce, n, trans, window=window) for n in (0, 1, 2)]
 
+    d1_rank, of1, dropped1 = xi_rank(ce, trans, xi[0], xi[1], 1, window)
+    d2_rank, of2, dropped2 = xi_rank(ce, trans, xi[1], xi[2], 2, window)
     caveat = ""
-    imgs1, of1 = xi_differential_matrix(ce, trans, xi[0], xi[1], 1)
-    imgs2, of2 = xi_differential_matrix(ce, trans, xi[1], xi[2], 2)
     if of1 or of2:
         caveat = ("the image of the differential interacts with the "
                   "truncation boundary; truncated dimensions are reported "
                   "with projection")
-
-    A = mad.algebra
-    a_labels = list(A.space.basis())
-    aidx = {l: i for i, l in enumerate(a_labels)}
-    dropped = [False]
-
-    def rank_of(images, e_sets):
-        # the cokernel lives on the value window; image components beyond it
-        # are projected away (and reported when that happens)
-        rows = []
-        for img in images:
-            row = {}
-            for si, S in enumerate(e_sets):
-                val = img.get(S)
-                if val is None:
-                    continue
-                for l, v in val.coeffs.items():
-                    if A.space.degree(l) > window:
-                        dropped[0] = True
-                        continue
-                    row[si * len(a_labels) + aidx[l]] = v
-            rows.append(row)
-        _, piv = rref(rows)
-        return len(piv)
-
-    d1_rank = rank_of(imgs1, xi[1].e_sets)
-    d2_rank = rank_of(imgs2, xi[2].e_sets)
-    if dropped[0] and not caveat:
+    elif dropped1 or dropped2:
         caveat = ("the image of the differential interacts with the "
                   "truncation boundary; truncated dimensions are reported "
                   "with projection onto the window")
     h2_trunc = xi[2].dim - d2_rank
-
-    # the exact (untruncated) answer, case by case
-    if case == "2":
-        b_use = beta1 if any(beta1) else beta2
-        if any(b_use):
-            deg = max(i for i, c in enumerate(b_use) if c != 0)
-            h2_exact = "k[Y]/<%s> (dimension %d)" % (
-                _poly_str({i: c for i, c in enumerate(b_use)}), deg)
-        else:
-            h2_exact = "k[Y] (infinite dimensional)"
-    elif case == "1a":
-        q = qinfo["q"]
-        h2_exact = "k (one free scalar)" if q * q == 1 else "0"
-    elif case == "1b":
-        h2_exact = "k (one free scalar)" if qinfo["q1"] * qinfo["q2"] == 1 else "0"
-    elif case == "3a":
-        if qinfo["q1"] * qinfo["q2"] == 1:
-            h2_exact = "k[Y^%d] (infinite dimensional)" % qinfo["m"]
-        else:
-            h2_exact = "0"
-    else:
-        h2_exact = "0"
-
-    relations = presentation_relations(case, qinfo, aspec, h2_exact)
     data = {
         "case": case,
         "Q": [[rat_str(x) for x in row] for row in Q],
@@ -392,18 +436,42 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "d1_rank": d1_rank,
         "d2_rank": d2_rank,
         "H2_dim": h2_trunc,
-        "H2_exact": h2_exact,
+        "H2_exact": h2_exact(qinfo, aspec),
         "truncation_caveat": caveat,
-        "relations": relations,
+        "relations": presentation_relations(aspec),
     }
     if "m" in qinfo:
         data["m"] = qinfo["m"]
     return ClassificationReport(data)
 
 
-def presentation_relations(case, qinfo, aspec: PolyActionSpec, h2_exact):
-    """The defining relations, generators ordered Y < W1 < W2."""
+def h2_exact(qinfo, aspec: PolyActionSpec):
+    """The exact (untruncated) H^2, case by case."""
+    case = qinfo["case"]
+    if case == "2":
+        b_use = aspec.beta[0] if any(aspec.beta[0]) else aspec.beta[1]
+        if any(b_use):
+            deg = max(i for i, c in enumerate(b_use) if c != 0)
+            return "k[Y]/<%s> (dimension %d)" % (
+                _poly_str({i: c for i, c in enumerate(b_use)}), deg)
+        return "k[Y] (infinite dimensional)"
+    if case == "1a":
+        q = qinfo["q"]
+        return "k (one free scalar)" if q * q == 1 else "0"
+    if case == "1b":
+        return "k (one free scalar)" if qinfo["q1"] * qinfo["q2"] == 1 else "0"
+    if case == "3a" and qinfo["q1"] * qinfo["q2"] == 1:
+        return "k[Y^%d] (infinite dimensional)" % qinfo["m"]
+    return "0"
+
+
+def presentation_relations(aspec: PolyActionSpec):
+    """The defining relations of the crossed-product family, generators
+    ordered Y < W1 < W2; the commutator is read off `h2_exact`."""
     Q = aspec.Q
+    qinfo = classify_Q(Q)
+    case = qinfo["case"]
+    h2 = h2_exact(qinfo, aspec)
     b1 = _poly_str({i: c for i, c in enumerate(aspec.beta[0])})
     b2 = _poly_str({i: c for i, c in enumerate(aspec.beta[1])})
 
@@ -428,10 +496,10 @@ def presentation_relations(case, qinfo, aspec: PolyActionSpec, h2_exact):
         else:
             comm = "R(Y), an arbitrary polynomial"
     elif case in ("1a", "1b"):
-        comm = "lambda, a free scalar" if h2_exact.startswith("k") else "0"
+        comm = "lambda, a free scalar" if h2.startswith("k") else "0"
     elif case == "3a":
         comm = ("P(Y^%d), P an arbitrary polynomial" % qinfo["m"]
-                if h2_exact.startswith("k[") else "0")
+                if h2.startswith("k[") else "0")
     else:
         comm = "0"
     return [w_relation(0), w_relation(1), "W1*W2 - W2*W1 = " + comm]
@@ -440,6 +508,23 @@ def presentation_relations(case, qinfo, aspec: PolyActionSpec, h2_exact):
 # ---------------------------------------------------------------------------
 # end-to-end: rebuild a presentation from its cocycle class
 
+def transport_cochain(ctx: SweedlerContext, ce, bc, values):
+    """The bar-side cochain of the bimodule cochain with the given values on
+    {e_S}: its value at a tuple x is that cochain evaluated at
+    Phi(1 | x | 1), and 0 on tuples with a scalar slot.  Values that leave
+    the budget are left out (partial columns)."""
+    mad = ctx.mad
+    C = ctx.domain(len(next(iter(values))))
+
+    def fn(lab):
+        if any(sum(a) == 0 for a in lab):
+            return Element.zero(mad.algebra.space)
+        zdict = bc.Phi((bc.unit_atom, lab, bc.unit_atom))
+        return evaluate_bimodule_cochain(ce, mad, values, zdict)
+
+    return ConvMap.from_function(C, mad.algebra, fn, partial=True)
+
+
 def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     """The multiplicative 2-cocycle exp(phi^2(b)) from a class b in Xi(D_2).
 
@@ -447,23 +532,60 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     the bar side through the comparison map, so that the resulting cocycle
     satisfies f(X1 (x) X2) = -f(X2 (x) X1) = b/2.
     """
-    from .ce import evaluate_bimodule_cochain
-    mad = ctx.mad
     ce = CEAlgebra(LieSpec.abelian(2))
-    bc = BarComparison(ce, mad.hopf)
+    bc = BarComparison(ce, ctx.mad.hopf)
+    return conv_exp(transport_cochain(ctx, ce, bc, {(0, 1): b}))
+
+
+def _y_polynomial(A: AlgebraData, coeffs, where):
+    """sum c_e Y^e in k[Y], from a coefficient list [c_0, c_1, ...] or an
+    object {e: c_e} of a spec document."""
+    if isinstance(coeffs, list):
+        coeffs = dict(enumerate(coeffs))
+    if not isinstance(coeffs, dict):
+        raise InputError("%s: %r is not a list or object of rationals"
+                         % (where, coeffs))
+    try:
+        return Element(A.space, {(int(e),): _spec_rational(c, where)
+                                 for e, c in coeffs.items()})
+    except (ValueError, SpaceMismatch, TruncationOverflow):
+        raise InputError("%s: %r is not a polynomial in Y within the "
+                         "budget %s" % (where, coeffs, A.space.budget))
+
+
+def cocycle_from_doc(ctx: SweedlerContext, doc) -> ConvMap:
+    """The 2-cochain a cocycle document names.
+
+    {"kind": "trivial"} is the unit cochain; {"kind": "xi2", "b": [...]} is
+    `xi2_cocycle` of the polynomial b in k[Y]; {"kind": "table", "values":
+    {"u1,u2|v1,v2": {exponent: coefficient}}} gives values on basis tuples
+    of H (x) H, every other tuple taking the unit cochain's value.
+    """
+    if not isinstance(doc, dict):
+        raise InputError("cocycle document must be an object")
+    kind = doc.get("kind", "trivial")
+    A = ctx.mad.algebra
+    if kind == "trivial":
+        return trivial_cocycle(ctx)
+    if kind == "xi2":
+        b = _y_polynomial(A, doc.get("b"), "cocycle b")
+        return xi2_cocycle(ctx, b) if not b.is_zero() else trivial_cocycle(ctx)
+    if kind != "table":
+        raise InputError("unknown cocycle kind %r" % kind)
+    values = doc.get("values")
+    if not isinstance(values, dict):
+        raise InputError("table cocycle needs a 'values' object")
     C2 = ctx.domain(2)
-    values = {(0, 1): b}
-
-    def fn(lab):
-        u, v = lab
-        if sum(u) == 0 or sum(v) == 0:
-            return Element.zero(mad.algebra.space)
-        mid = (u, v)
-        zdict = bc.Phi((bc.unit_atom, mid, bc.unit_atom))
-        return evaluate_bimodule_cochain(ce, mad, values, zdict)
-
-    g = ConvMap.from_function(C2, mad.algebra, fn, partial=True)
-    return conv_exp(g)
+    table = {}
+    for key, val in values.items():
+        lab = tuple(_int_tuple(part, "cocycle table", 2)
+                    for part in _split_key(key, "|", "cocycle table"))
+        if not C2.space.contains(lab):
+            raise InputError("cocycle table: %r is not a basis tuple of "
+                             "H (x) H within the budget" % key)
+        table[lab] = _y_polynomial(A, val, "cocycle table")
+    e2 = ctx.unit_cochain(2)
+    return ConvMap.from_function(C2, A, lambda lab: table.get(lab, e2(lab)))
 
 
 def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
@@ -475,13 +597,10 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     ctx = SweedlerContext(mad)
     A = mad.algebra
 
-    b = Element(A.space, {(i,): rat(c) for i, c in enumerate(b_coeffs)
-                          if rat(c) != 0})
+    b = _y_polynomial(A, b_coeffs, "b")
     # membership of b in Xi(D_2) is a precondition of the construction
-    ce = CEAlgebra(LieSpec.abelian(2))
-    trans = CETransposition(ce, mad, poly_alpha_maps(mad))
-    window = N - 1
-    xi2 = xi_space(ce, 2, trans, window=window)
+    ce, trans = ce_transposition(mad)
+    xi2 = xi_space(ce, 2, trans, window=N - 1)
     if not _in_span(A, xi2, b):
         raise InputError("b is not in Xi(D_2) at this budget")
 

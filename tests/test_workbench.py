@@ -251,3 +251,97 @@ def test_cli_classify_needs_a_budgeted_poly2_spec(tmp_path):
                                 "payload": {"Q": [[1, 0], [0, 1]]}}))
     code, out = run_cli("classify", str(spec))
     assert code == 2 and "budget" in out
+
+
+@pytest.mark.parametrize("name", ["case1a_qm1", "case1b_q1q2_1", "case3a"])
+def test_crossed_product_prints_the_classify_presentation(name):
+    def relations(out):
+        lines = out.splitlines()
+        start = lines.index("presentation:") + 1
+        return [line.strip() for line in lines[start:start + 3]]
+
+    code, out = run_cli("crossed-product", fixture(name + ".json"),
+                        "--cocycle", fixture("cocycle_trivial.json"),
+                        "--budget", "3")
+    assert code == 0
+    code, golden = run_cli("classify", fixture(name + ".json"))
+    assert code == 0
+    assert relations(out) == relations(golden)
+
+
+# numeric command-line arguments
+
+
+def test_cli_rejects_negative_degree():
+    code, out = run_cli("cohomology", fixture("case2_beta1_Y.json"),
+                        "--degree", "-1")
+    assert code == 2 and out.startswith("input error:") and "degree" in out
+
+
+def test_cli_rejects_nonpositive_samples():
+    code, out = run_cli("compare", fixture("case2_beta1_Y.json"),
+                        "--samples", "-3")
+    assert code == 2 and out.startswith("input error:") and "samples" in out
+
+
+def test_cli_rejects_zero_budget():
+    code, out = run_cli("verify", fixture("case2_beta1_Y.json"),
+                        "--budget", "0")
+    assert code == 2 and out.startswith("input error:") and "budget" in out
+
+
+def test_cli_rejects_negative_budget():
+    code, out = run_cli("verify", fixture("case2_beta1_Y.json"),
+                        "--budget", "-2")
+    assert code == 2 and out.startswith("input error:") and "budget" in out
+
+
+# group, Lie and cocycle documents
+
+
+def _spec_file(tmp_path, doc, name="spec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _z2_sign_doc():
+    with open(fixture("z2_sign.json")) as fh:
+        return json.load(fh)
+
+
+def test_cli_rejects_float_in_group_algebra_table(tmp_path):
+    doc = _z2_sign_doc()
+    doc["payload"]["algebra"]["table"]["1|t"] = {"t": 0.5}
+    code, out = run_cli("verify", _spec_file(tmp_path, doc))
+    assert code == 2 and out.startswith("input error:") and "0.5" in out
+
+
+def test_cli_rejects_float_in_lie_brackets(tmp_path):
+    doc = {"kind": "lie", "budget": 2,
+           "payload": {"dim": 3, "brackets": {"0,1": {"2": 0.5}}}}
+    code, out = run_cli("verify", _spec_file(tmp_path, doc))
+    assert code == 2 and out.startswith("input error:") and "0.5" in out
+
+
+def test_cli_rejects_group_table_without_identity_law(tmp_path):
+    doc = _z2_sign_doc()
+    doc["payload"]["table"] = [["g1", "e"], ["e", "g1"]]
+    code, out = run_cli("verify", _spec_file(tmp_path, doc))
+    assert code == 2 and out.startswith("input error:") and "identity" in out
+
+
+def test_cli_rejects_float_in_xi2_cocycle(tmp_path):
+    coc = _spec_file(tmp_path, {"kind": "xi2", "b": [0.5]}, "cocycle.json")
+    code, out = run_cli("crossed-product", fixture("case2_beta1_Y.json"),
+                        "--cocycle", coc, "--budget", "3")
+    assert code == 2 and out.startswith("input error:") and "0.5" in out
+
+
+def test_cli_rejects_table_cocycle_key_without_bar(tmp_path):
+    coc = _spec_file(tmp_path, {"kind": "table",
+                                "values": {"1,0;0,1": {"0": "1"}}},
+                     "cocycle.json")
+    code, out = run_cli("crossed-product", fixture("case2_beta1_Y.json"),
+                        "--cocycle", coc, "--budget", "3")
+    assert code == 2 and out.startswith("input error:") and "1,0;0,1" in out
