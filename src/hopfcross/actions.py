@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible, Slot, Space,
                     TruncationOverflow, apply_at, invert_linmap, rat,
@@ -711,33 +712,50 @@ class PolyActionSpec:
         if det == 0:
             raise InvalidAction("Q", "Q is not invertible")
         self.beta = [[rat(x) for x in beta1], [rat(x) for x in beta2]]
+        # tables indexed by n, extended on demand; their entries are shared
+        # and read-only
+        self._qpowers = [IDENT2]                                  # Q^n
+        self._qpartials = [[[Fraction(0), Fraction(0)],
+                            [Fraction(0), Fraction(0)]]]          # Q^(n)
+        self._beta_powers = ({}, {})                  # l -> {n: beta_l(Y^n)}
 
     def beta_support(self, l):
         return [u for u, c in enumerate(self.beta[l]) if c != 0]
 
+    def qpower(self, n):
+        """Q^n, n >= 0 (read-only)."""
+        table = self._qpowers
+        while len(table) <= n:
+            table.append(_mat_mul(table[-1], self.Q))
+        return table[n]
+
     def qpartial(self, n):
-        """Q^(n) = ide + Q + ... + Q^{n-1}."""
-        out = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-        P = IDENT2
-        for _ in range(n):
-            out = [[out[i][j] + P[i][j] for j in range(2)] for i in range(2)]
-            P = _mat_mul(P, self.Q)
-        return out
+        """Q^(n) = ide + Q + ... + Q^{n-1} (read-only)."""
+        table = self._qpartials
+        while len(table) <= n:
+            prev, P = table[-1], self.qpower(len(table) - 1)
+            table.append([[prev[i][j] + P[i][j] for j in range(2)]
+                          for i in range(2)])
+        return table[n]
 
     def beta_of_power(self, l, n):
-        """beta_l(Y^n) as {exponent: coeff}."""
-        if n == 0:
-            return {}
-        Qp = self.qpartial(n)
+        """beta_l(Y^n) as {exponent: coeff} (read-only)."""
+        cached = self._beta_powers[l].get(n)
+        if cached is not None:
+            return cached
         out = {}
-        for src in range(2):
-            for u, c in enumerate(self.beta[src]):
-                coeff = Qp[l][src] * c
-                if coeff == 0:
-                    continue
-                e_ = n - 1 + u
-                out[e_] = out.get(e_, Fraction(0)) + coeff
-        return {e_: c for e_, c in out.items() if c != 0}
+        if n:
+            Qp = self.qpartial(n)
+            for src in range(2):
+                for u, c in enumerate(self.beta[src]):
+                    coeff = Qp[l][src] * c
+                    if coeff == 0:
+                        continue
+                    e_ = n - 1 + u
+                    out[e_] = out.get(e_, Fraction(0)) + coeff
+            out = {e_: c for e_, c in out.items() if c != 0}
+        self._beta_powers[l][n] = out
+        return out
 
     def act(self, a, b, n, cap=None):
         """X1^a X2^b . Y^n as {exponent: coeff}, extending beta by the
@@ -765,7 +783,7 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
     # the n = 1 reduction of the alpha/beta commutation: for every u >= -1,
     # Q^u = ide or both coefficient lists vanish at u+1
     for u in range(-1, maxu):
-        qu_is_ident = is_ident if u == -1 else _mat_eq(_mat_pow(Qm, u), IDENT2)
+        qu_is_ident = is_ident if u == -1 else _mat_eq(spec.qpower(u), IDENT2)
         if not qu_is_ident:
             b1 = spec.beta[0][u + 1] if u + 1 < len(spec.beta[0]) else Fraction(0)
             b2 = spec.beta[1][u + 1] if u + 1 < len(spec.beta[1]) else Fraction(0)
@@ -776,7 +794,6 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
 
     # direct re-check of the full commutation family on small n (safety net)
     for n in range(1, n_check + 1):
-        Qn = _mat_pow(Qm, n)
         Qp = spec.qpartial(n)
         for l in range(2):
             for u in range(-1, maxu):
@@ -785,8 +802,8 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
                 coeff = Qp[l][0] * b1 + Qp[l][1] * b2
                 if coeff == 0:
                     continue
-                Qu = _mat_pow(Qm, u) if u >= 0 else None
-                qu_is_ident = is_ident if u == -1 else _mat_eq(Qu, IDENT2)
+                qu_is_ident = is_ident if u == -1 \
+                    else _mat_eq(spec.qpower(u), IDENT2)
                 if not qu_is_ident:
                     raise InvalidAction("eq10",
                                         "commutation fails at n=%d l=%d u=%d"
@@ -843,23 +860,31 @@ def build_poly_action(Qm, beta1, beta2, N, validate=True,
     HV = H.tensor(V)
     VH = HV.permuted((1, 0))
 
-    qn_cache = {0: IDENT2}
+    power_tables = {}
 
-    def qpow(n):
-        if n not in qn_cache:
-            qn_cache[n] = _mat_mul(qn_cache[n - 1], spec.Q)
-        return qn_cache[n]
+    def entry_powers(yn):
+        """The powers 0..N of the four entries of Q^yn, row by row."""
+        table = power_tables.get(yn)
+        if table is None:
+            Qn = spec.qpower(yn)
+            table = []
+            for x in (Qn[0][0], Qn[0][1], Qn[1][0], Qn[1][1]):
+                row = [Fraction(1)]
+                for _ in range(N):
+                    row.append(row[-1] * x)
+                table.append(row)
+            power_tables[yn] = table
+        return table
 
     def s_col(t):
         (a, b), yn = t
-        Qn = qpow(yn)
+        p00, p01, p10, p11 = entry_powers(yn)
         out = {}
         # X1^a X2^b crosses Y^n: substitute X_i -> sum_j (Q^n)_{ij} X_j
-        from math import comb
         for i in range(a + 1):
             for j in range(b + 1):
-                coeff = (comb(a, i) * Qn[0][0] ** i * Qn[0][1] ** (a - i)
-                         * comb(b, j) * Qn[1][0] ** j * Qn[1][1] ** (b - j))
+                coeff = (comb(a, i) * p00[i] * p01[a - i]
+                         * comb(b, j) * p10[j] * p11[b - j])
                 if coeff == 0:
                     continue
                 mono = (i + j, a - i + b - j)

@@ -7,6 +7,13 @@ increasing, Z's sorted).  T_x = Y_x - Z_x is an abbreviation that is expanded
 immediately; the auxiliary grading p is computed in the (Y, e, T) normal form,
 where it is the e-count plus the T-count.  The half coefficients in the
 rewriting rules require characteristic zero.
+
+Normal forms are computed once per distinct input and cached on the
+CEAlgebra: `nf` per word (`_nf_z` per T-free word), `differential` and
+`gamma` per basis monomial.  The dicts `nf` returns are those cache
+entries, shared by every caller, so they are read-only: copy one before
+changing it.  `differential`, `gamma`, `sigma` and `p_decompose` return
+fresh dicts.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import Element, TruncationOverflow, nullspace, tensor
+from .exact import (Element, TruncationOverflow, add_basis_term, add_into,
+                    nullspace, tensor)
 from .hopf import CheckResult, HopfData, LieSpec, Report
 from .actions import ModuleAlgebraData
 
@@ -29,11 +37,12 @@ class AlphaConditionViolated(Exception):
 
 
 def _dadd(out, key, val):
-    v = out.get(key, Fraction(0)) + val
-    if v == 0:
-        out.pop(key, None)
-    else:
+    old = out.get(key)
+    v = val if old is None else old + val
+    if v:
         out[key] = v
+    else:
+        out.pop(key, None)
 
 
 class CEAlgebra:
@@ -43,30 +52,39 @@ class CEAlgebra:
     def __init__(self, lie: LieSpec):
         self.lie = lie
         self.r = lie.dim
-        self._nf_memo = {}
-        self._nft_memo = {}
+        self._nf_memo = {}      # T-free word -> normal form
+        self._nft_memo = {}     # word -> (Y, e, T) normal form
+        self._nf_t_words = {}   # word with a T letter -> normal form
+        self._d_images = {}     # basis monomial -> d(monomial)
+        self._gamma_images = {}  # basis monomial -> gamma(monomial)
+        # one tuple per letter, shared by every word built here: the words
+        # are cache keys, and sharing their letters keeps the caches small
+        self._letters = {kind: tuple((kind, i) for i in range(self.r))
+                         for kind in "YZET"}
 
     # -- words are tuples of letters (kind, index), kind in "YZET"
 
     def mono_word(self, mono):
         a, S, b = mono
+        Y, E, Z = (self._letters[kind] for kind in "YEZ")
         word = []
         for i, k in enumerate(a):
-            word.extend([("Y", i)] * k)
-        word.extend(("E", s) for s in S)
+            word.extend([Y[i]] * k)
+        word.extend(E[s] for s in S)
         for i, k in enumerate(b):
-            word.extend([("Z", i)] * k)
+            word.extend([Z[i]] * k)
         return tuple(word)
 
     def expand_t(self, word):
         """Expand every T letter into Y - Z; returns {word: coeff}."""
+        Y, Z = self._letters["Y"], self._letters["Z"]
         out = {(): Fraction(1)}
         for letter in word:
             nxt = {}
             if letter[0] == "T":
                 for w, c in out.items():
-                    _dadd(nxt, w + (("Y", letter[1]),), c)
-                    _dadd(nxt, w + (("Z", letter[1]),), -c)
+                    _dadd(nxt, w + (Y[letter[1]],), c)
+                    _dadd(nxt, w + (Z[letter[1]],), -c)
             else:
                 for w, c in out.items():
                     _dadd(nxt, w + (letter,), c)
@@ -74,11 +92,19 @@ class CEAlgebra:
         return out
 
     def nf(self, word):
-        """Normal form of a word (T letters allowed) in the Y/e/Z basis."""
+        """Normal form of a word (T letters allowed) in the Y/e/Z basis.
+
+        The result is a shared cache entry: read-only."""
+        word = tuple(word)
+        cached = self._nf_t_words.get(word)
+        if cached is not None:
+            return cached
+        if all(kind != "T" for kind, _ in word):
+            return self._nf_z(word)
         total = {}
-        for w, c in self.expand_t(tuple(word)).items():
-            for mono, v in self._nf_z(w).items():
-                _dadd(total, mono, c * v)
+        for w, c in self.expand_t(word).items():
+            add_into(total, self._nf_z(w), c)
+        self._nf_t_words[word] = total
         return total
 
     def _nf_z(self, word):
@@ -195,6 +221,7 @@ class CEAlgebra:
 
     def to_t_words(self, zdict):
         """Z-basis element to the (Y, e, T)-basis word dictionary."""
+        Y, T = self._letters["Y"], self._letters["T"]
         total = {}
         for mono, c in zdict.items():
             word = self.mono_word(mono)
@@ -204,8 +231,8 @@ class CEAlgebra:
                 nxt = {}
                 if letter[0] == "Z":
                     for w, cc in expansion.items():
-                        _dadd(nxt, w + (("Y", letter[1]),), cc)
-                        _dadd(nxt, w + (("T", letter[1]),), -cc)
+                        _dadd(nxt, w + (Y[letter[1]],), cc)
+                        _dadd(nxt, w + (T[letter[1]],), -cc)
                 else:
                     for w, cc in expansion.items():
                         _dadd(nxt, w + (letter,), cc)
@@ -222,32 +249,51 @@ class CEAlgebra:
 
     def differential(self, zdict):
         """d: replace each e-letter by T with the Koszul sign."""
-        out = {}
-        for mono, c in zdict.items():
-            a, S, b = mono
-            base = self.mono_word(mono)
-            npos = sum(a)
-            for t, s in enumerate(S):
-                word = (base[:npos + t] + (("T", s),)
-                        + base[npos + t + 1:])
-                for m, v in self.nf(word).items():
-                    _dadd(out, m, c * v * Fraction(-1) ** t)
-        return out
+        return self._extend(zdict, self._d_images, self._d_monomial)
+
+    def _d_monomial(self, mono):
+        a, S, b = mono
+        base = self.mono_word(mono)
+        npos = sum(a)
+        T = self._letters["T"]
+        return self._signed_sum(
+            [(base[:npos + t] + (T[s],) + base[npos + t + 1:],
+              -1 if t % 2 else 1) for t, s in enumerate(S)])
 
     def gamma(self, zdict):
         """The odd derivation with gamma(Y)=gamma(e)=0, gamma(Z) = -e."""
+        return self._extend(zdict, self._gamma_images, self._gamma_monomial)
+
+    def _gamma_monomial(self, mono):
+        a, S, b = mono
+        base = self.mono_word(mono)
+        npos = sum(a) + len(S)
+        sign = 1 if len(S) % 2 else -1      # -(-1)^|S|
+        E = self._letters["E"]
+        return self._signed_sum(
+            [(base[:k] + (E[base[k][1]],) + base[k + 1:], sign)
+             for k in range(npos, npos + sum(b))])
+
+    def _signed_sum(self, terms):
+        """The sum of sign * nf(word) over (word, sign) terms.  A lone term
+        of sign 1 is the shared nf entry itself, which saves its copy."""
+        if len(terms) == 1 and terms[0][1] == 1:
+            return self.nf(terms[0][0])
+        out = {}
+        for word, sign in terms:
+            add_into(out, self.nf(word), sign)
+        return out
+
+    @staticmethod
+    def _extend(zdict, images, image_of):
+        """The linear extension of a map given on basis monomials, whose
+        images are cached in `images`."""
         out = {}
         for mono, c in zdict.items():
-            a, S, b = mono
-            base = self.mono_word(mono)
-            npos = sum(a) + len(S)
-            sign = Fraction(-1) ** len(S)
-            for t in range(sum(b)):
-                letter = base[npos + t]
-                word = (base[:npos + t] + (("E", letter[1]),)
-                        + base[npos + t + 1:])
-                for m, v in self.nf(word).items():
-                    _dadd(out, m, -sign * c * v)
+            img = images.get(mono)
+            if img is None:
+                img = images[mono] = image_of(mono)
+            add_into(out, img, c)
         return out
 
     def sigma(self, zdict):
@@ -261,12 +307,11 @@ class CEAlgebra:
                 continue
             # gamma in the T-basis: replace each T by e with the Koszul sign
             for w, c in part.items():
-                epos = [i for i, (kind, _) in enumerate(w) if kind == "E"]
-                sign = Fraction(-1) ** len(epos)
+                sign = -1 if sum(kind == "E" for kind, _ in w) % 2 else 1
                 for i, (kind, idx) in enumerate(w):
                     if kind != "T":
                         continue
-                    word = w[:i] + (("E", idx),) + w[i + 1:]
+                    word = w[:i] + (self._letters["E"][idx],) + w[i + 1:]
                     for m, v in self.nf(word).items():
                         _dadd(out, m, sign * c * v / p)
         return out
@@ -305,15 +350,15 @@ class CEAlgebra:
         unique augmentation for which sigma is a contracting homotopy.  For
         an abelian Lie algebra this is just Y^a Z^b -> x^{a+b}.
         """
-        out = Element.zero(hopf.space)
+        out = {}
         for w, c in self.to_t_words(zdict).items():
             if self.p_of_t_word(w) != 0:
                 continue
             exp = [0] * self.r
             for _, i in w:
                 exp[i] += 1
-            out = out + c * Element.basis_vector(hopf.space, (tuple(exp),))
-        return out
+            add_basis_term(out, hopf.space, (tuple(exp),), c)
+        return Element(hopf.space, out, validate=False)
 
     def section(self, h_elt: Element):
         """sigma_0: H -> D_0 on the PBW basis, x^a -> Y^a."""
@@ -384,11 +429,12 @@ class CETransposition:
             for i in range(r):
                 for j in range(r):
                     lhs = alpha[i][j].apply(prod)
-                    rhs = Element.zero(A.space)
+                    rhs = {}
                     for l in range(r):
-                        rhs = rhs + A.multiply(alpha[i][l].apply(ea),
-                                               alpha[l][j].apply(eb))
-                    if lhs != rhs:
+                        add_into(rhs, A.multiply(alpha[i][l].apply(ea),
+                                                 alpha[l][j].apply(eb)).coeffs,
+                                 1)
+                    if lhs.coeffs != rhs:
                         raise AlphaConditionViolated(
                             "b", "at (%r, %r) entry (%d,%d)" % (la, lb, i, j))
         for la in labels:
@@ -579,12 +625,12 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
     for vec in nullspace(rows, nvars):
         val = {}
         for S in e_sets:
-            acc = Element.zero(A.space)
+            acc = {}
             for z_i, zb in enumerate(zsa):
                 c = vec[set_index[S] * nz + z_i]
                 if c:
-                    acc = acc + c * zb
-            val[S] = acc
+                    add_into(acc, zb.coeffs, c)
+            val[S] = Element(A.space, acc, validate=False)
         if any(not v.is_zero() for v in val.values()):
             basis.append(val)
     return XiSolution(e_sets, basis, window, caveat)
@@ -599,7 +645,7 @@ def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
     budget raises TruncationOverflow, or is dropped when project=True.
     """
     A = mad.algebra
-    out = Element.zero(A.space)
+    out = {}
     for (a, S, b), c in zdict.items():
         if sum(b) != 0:
             continue
@@ -617,8 +663,8 @@ def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
             if not project:
                 raise
             continue
-        out = out + c * acc
-    return out
+        add_into(out, acc.coeffs, c)
+    return Element(A.space, out, validate=False)
 
 
 def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
@@ -946,7 +992,6 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
             acted = ce.nf(acted_word)
             for la in a_labels:
                 ea = Element.basis_vector(A.space, la)
-                res.checked += 1
                 lhs = cross_elt(acted, ea)
                 rhs = {}
                 ok = True
@@ -980,6 +1025,7 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
                     if not ok:
                         res.skipped += 1
                         continue
+                res.checked += 1
                 rhs = {m: v for m, v in rhs.items() if not v.is_zero()}
                 lhs2 = {m: v for m, v in lhs.items() if not v.is_zero()}
                 if not dict_eq(lhs2, rhs):

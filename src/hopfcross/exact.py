@@ -256,12 +256,16 @@ def add_into(out, coeffs, scale):
     Entries that cancel are removed as they cancel, so the result (and its
     order) is that of summing `scale * Element` terms one at a time.
     """
+    unit = scale == 1
     for lab, c in coeffs.items():
-        v = out.get(lab, 0) + scale * c
+        v = c if unit else scale * c
+        old = out.get(lab)
+        if old is not None:
+            v = old + v
         if v:
             out[lab] = v
-        else:
-            out.pop(lab, None)
+        elif old is not None:
+            del out[lab]
 
 
 def add_basis_term(out, space, lab, c):

@@ -10,11 +10,12 @@ from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow, rat,
                     rat_str, rref)
 from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
                    build_group_algebra, build_truncated_enveloping, Report)
-from .actions import (AlgebraData, InvalidAction, ModuleAlgebraData,
-                      PolyActionSpec, action_module_algebra, build_poly_action,
+from .actions import (AlgebraData, InvalidAction, InvalidGradation,
+                      ModuleAlgebraData, PolyActionSpec,
+                      action_module_algebra, build_poly_action,
                       check_poly_action_validity, graded_module_algebra,
                       matrix_order, trivial_module_algebra,
-                      _mat_eq, _mat_pow, IDENT2)
+                      _mat_eq, IDENT2)
 from .convolution import ConvMap
 from .sweedler import SweedlerContext, conv_exp
 from .ce import (CEAlgebra, CETransposition, BarComparison,
@@ -135,22 +136,76 @@ def _parse_poly2(payload):
     return Q, betas[0], betas[1]
 
 
+def _spec_object(x, where):
+    if not isinstance(x, dict):
+        raise InputError("%s must be an object, got %r" % (where, x))
+    return x
+
+
+def _spec_field(obj, key, where):
+    if key not in obj:
+        raise InputError("%s needs %r" % (where, key))
+    return obj[key]
+
+
+def _spec_names(x, where):
+    """An object whose values are names (strings)."""
+    for key, val in _spec_object(x, where).items():
+        if not isinstance(val, str):
+            raise InputError("%s: %r at %r is not a name" % (where, val, key))
+    return x
+
+
+def _spec_labels(x, where):
+    """A list of distinct string labels (table keys are strings)."""
+    if not (isinstance(x, list) and x
+            and all(isinstance(lab, str) for lab in x)
+            and len(set(x)) == len(x)):
+        raise InputError("%s must be a non-empty list of distinct strings, "
+                         "got %r" % (where, x))
+    return x
+
+
+def _spec_table(raw, left, right, values, where):
+    """A {'a|b': {label: coefficient}} table with a in left, b in right and
+    every label in values, as {(a, b): {label: Fraction}}."""
+    out = {}
+    for key, val in _spec_object(raw, where).items():
+        a, b = _split_key(key, "|", where)
+        if a not in left or b not in right:
+            raise InputError("%s: key %r names a label outside the spec"
+                             % (where, key))
+        val = _spec_values(val, where)
+        for m in val:
+            if m not in values:
+                raise InputError("%s: %r at key %r is not a basis label"
+                                 % (where, m, key))
+        out[(a, b)] = val
+    return out
+
+
 def build_group_instance(spec: WorkbenchSpec):
-    p = spec.payload
-    try:
-        elements = p["elements"]
-        identity = p["identity"]
-        raw = p["table"]
-    except KeyError as exc:
-        raise InputError("group payload missing %s" % exc)
+    p = _spec_object(spec.payload, "group payload")
+    elements = _spec_labels(_spec_field(p, "elements", "group payload"),
+                            "group elements")
+    identity = _spec_field(p, "identity", "group payload")
+    raw = _spec_field(p, "table", "group payload")
+    n = len(elements)
     table = {}
     if isinstance(raw, list):
+        if len(raw) != n or not all(
+                isinstance(row, list) and len(row) == n
+                and all(isinstance(x, str) for x in row) for row in raw):
+            raise InputError("group table must be %d rows of %d element "
+                             "names" % (n, n))
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 table[(a, b)] = raw[i][j]
     else:
-        for key, val in raw.items():
+        for key, val in _spec_names(raw, "group table").items():
             table[_split_key(key, "|", "group table")] = val
+    if identity not in elements:
+        raise InputError("group identity %r is not an element" % (identity,))
     try:
         group = GroupSpec(elements, table, identity)
     except InvalidGroup as exc:
@@ -160,23 +215,35 @@ def build_group_instance(spec: WorkbenchSpec):
     if alg is None:
         hopf = build_group_algebra(group)
         return hopf, None
-    basis = alg["basis"]
-    atable = {}
-    for key, val in alg.get("table", {}).items():
-        atable[_split_key(key, "|", "algebra table")] = _spec_values(
-            val, "algebra table")
-    algebra = AlgebraData.from_table("A", basis, atable, alg["unit"])
+    alg = _spec_object(alg, "algebra")
+    basis = _spec_labels(_spec_field(alg, "basis", "algebra"), "algebra basis")
+    unit = _spec_field(alg, "unit", "algebra")
+    if unit not in basis:
+        raise InputError("algebra unit %r is not in the basis" % (unit,))
+    atable = _spec_table(alg.get("table", {}), basis, basis, basis,
+                         "algebra table")
+    algebra = AlgebraData.from_table("A", basis, atable, unit)
 
     action = None
     if "action" in p:
-        action = {}
-        for key, val in p["action"].items():
-            action[_split_key(key, "|", "action table")] = _spec_values(
-                val, "action table")
+        action = _spec_table(p["action"], elements, basis, basis,
+                             "action table")
+        for g in elements:
+            for a in basis:
+                if (g, a) not in action:
+                    raise InputError("action table has no entry %r"
+                                     % ("%s|%s" % (g, a)))
     if "gradation" in p:
-        autos = {name: dict(t) for name, t in p["automorphisms"].items()}
-        mad = graded_module_algebra(group, algebra, p["gradation"], autos,
-                                    action_table=action)
+        grading = _spec_names(p["gradation"], "gradation")
+        autos = _spec_object(_spec_field(p, "automorphisms", "group payload"),
+                             "automorphisms")
+        autos = {name: dict(_spec_names(t, "automorphism %r" % name))
+                 for name, t in autos.items()}
+        try:
+            mad = graded_module_algebra(group, algebra, grading, autos,
+                                        action_table=action)
+        except InvalidGradation as exc:
+            raise InputError("not a gradation: %s" % exc)
     elif action is not None:
         hopf = build_group_algebra(group)
         mad = action_module_algebra(hopf, algebra, action)
@@ -264,8 +331,8 @@ def poly_alpha_maps(mad: ModuleAlgebraData):
         row = []
         for j in range(2):
             def col(lab, i=i, j=j):
-                Qn = _mat_pow(spec.Q, lab[0])
-                return Qn[i][j] * Element.basis_vector(A.space, lab)
+                return spec.qpower(lab[0])[i][j] * \
+                    Element.basis_vector(A.space, lab)
             row.append(LinMap.from_function(A.space, A.space, col))
         maps.append(row)
     return maps

@@ -383,3 +383,35 @@ def test_matrix_order():
     assert matrix_order([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]) == 2
     assert matrix_order([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]) == 4
     assert matrix_order([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]) is None
+
+
+def _mat_power(Q, n):
+    out = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for _ in range(n):
+        out = [[sum(out[i][k] * Q[k][j] for k in range(2)) for j in range(2)]
+               for i in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("Q", [[[2, 1], [0, 2]], [[-1, 0], [0, -1]]],
+                         ids=["jordan-1a", "minus-identity"])
+def test_poly_tables_match_the_direct_sums(Q):
+    spec = PolyActionSpec(Q, [0, 3, "1/2", 0, -1], ["2/3", 5])
+    # descending first, so a table is read before it is filled in order
+    order = list(range(12, -1, -1)) + list(range(13))
+    for n in order:
+        powers = [_mat_power(spec.Q, k) for k in range(n)]
+        partial = [[sum((P[i][j] for P in powers), Fraction(0))
+                    for j in range(2)] for i in range(2)]
+        assert spec.qpower(n) == _mat_power(spec.Q, n)
+        assert spec.qpartial(n) == partial
+        for l in range(2):
+            want = {}
+            for src in range(2):
+                for u, c in enumerate(spec.beta[src]):
+                    e_ = n - 1 + u
+                    want[e_] = want.get(e_, Fraction(0)) + partial[l][src] * c
+            want = {e_: c for e_, c in want.items() if c and n}
+            got = spec.beta_of_power(l, n)
+            assert got == want
+            assert all(type(c) is Fraction for c in got.values())

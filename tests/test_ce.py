@@ -9,12 +9,14 @@ from hopfcross.hopf import LieSpec, build_truncated_enveloping, \
 from hopfcross.actions import build_poly_action
 from hopfcross.ce import (AlphaConditionViolated, BarComparison, CEAlgebra,
                           CETransposition, evaluate_bimodule_cochain,
-                          verify_bimodule_transposition, xi_differential_matrix,
+                          verify_bimodule_transposition,
+                          verify_resolution_identities, xi_differential_matrix,
                           xi_space)
 from hopfcross.workbench import poly_alpha_maps
 
 HEIS = LieSpec.heisenberg()
 AB2 = LieSpec.abelian(2)
+SL2 = LieSpec(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 
 
 def one_mono(ce, a=None, S=(), b=None):
@@ -193,6 +195,72 @@ def test_def52_conditions_per_degree(trans1b):
         rep = verify_bimodule_transposition(ce, trans1b, n, pbw_budget=2,
                                             a_window=3)
         assert rep.ok, rep.summary()
+
+
+def test_def52_action_checks_count_a_skipped_tuple_once():
+    mad = build_poly_action([[1, 0], [0, 1]], [0, 1], [0], 3)
+    ce = CEAlgebra(AB2)
+    trans = CETransposition(ce, mad, poly_alpha_maps(mad))
+    rep = verify_bimodule_transposition(ce, trans, 1, pbw_budget=1)
+    counts = {c.name: (c.checked, c.skipped) for c in rep.checks}
+    assert counts["def52.4_right_action"] == (60, 20)
+    assert counts["def52.5_left_action"] == (60, 20)
+
+
+# ---------------------------------------------------------------------------
+# the caches of CEAlgebra, against a fresh instance
+
+
+def _all_fractions(d):
+    return all(type(v) is Fraction for v in d.values())
+
+
+@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
+def test_warm_caches_agree_with_a_fresh_instance(lie):
+    warm = CEAlgebra(lie)
+    assert verify_resolution_identities(warm, budget=3).ok
+    fresh = CEAlgebra(lie)
+    monos = [m for n in range(4) for m in warm.monomials(n, 3)]
+    # the fresh instance meets the monomials in the opposite order, and its
+    # normal forms are copied before anything else can reach its caches
+    expected = {}
+    for mono in reversed(monos):
+        x = {mono: Fraction(1)}
+        word = fresh.mono_word(mono)
+        t_words = [word[:k] + (("T", i),) + word[k + 1:]
+                   for k, (kind, i) in enumerate(word) if kind == "E"]
+        nfs = [dict(fresh.nf(w)) for w in [word] + t_words]
+        expected[mono] = (nfs, fresh.differential(x), fresh.gamma(x),
+                          fresh.sigma(x), fresh.p_decompose(x))
+    for mono in monos:
+        x = {mono: Fraction(1)}
+        word = warm.mono_word(mono)
+        t_words = [word[:k] + (("T", i),) + word[k + 1:]
+                   for k, (kind, i) in enumerate(word) if kind == "E"]
+        got = ([warm.nf(w) for w in [word] + t_words], warm.differential(x),
+               warm.gamma(x), warm.sigma(x), warm.p_decompose(x))
+        assert got == expected[mono], mono
+        nfs, d, g, sig, parts = got
+        assert all(_all_fractions(v) for v in nfs + [d, g, sig])
+        assert all(_all_fractions(v) for v in parts.values())
+
+
+def test_nf_twice_gives_equal_dicts():
+    ce = CEAlgebra(HEIS)
+    for word in [(("Z", 1), ("E", 2), ("Y", 0), ("E", 0)),
+                 (("E", 1), ("T", 0), ("Z", 2), ("T", 1))]:
+        first = dict(ce.nf(word))
+        assert first and ce.nf(word) == first
+        assert ce.nf(list(word)) == first
+
+
+def test_differential_result_is_not_the_cache():
+    ce = CEAlgebra(HEIS)
+    mono = one_mono(ce, a=(1, 0, 0), S=(0, 2), b=(0, 1, 0))
+    d = d_of(ce, mono)
+    want = dict(d)
+    d.clear()
+    assert d_of(ce, mono) == want
 
 
 # ---------------------------------------------------------------------------

@@ -345,3 +345,40 @@ def test_cli_rejects_table_cocycle_key_without_bar(tmp_path):
     code, out = run_cli("crossed-product", fixture("case2_beta1_Y.json"),
                         "--cocycle", coc, "--budget", "3")
     assert code == 2 and out.startswith("input error:") and "1,0;0,1" in out
+
+
+def _graded_doc():
+    with open(fixture("z3_inversion_graded.json")) as fh:
+        return json.load(fh)
+
+
+def _edit(doc, edit):
+    edit(doc["payload"])
+    return doc
+
+
+@pytest.mark.parametrize("doc, says", [
+    (_edit(_z2_sign_doc(), lambda p: p["algebra"].pop("unit")), "'unit'"),
+    (_edit(_z2_sign_doc(), lambda p: p["algebra"].update(unit="u")),
+     "unit 'u'"),
+    (_edit(_z2_sign_doc(), lambda p: p.update(table=[["e", "g1"], ["g1"]])),
+     "group table"),
+    (_edit(_z2_sign_doc(), lambda p: p["algebra"].pop("basis")), "'basis'"),
+    (_edit(_z2_sign_doc(), lambda p: p["algebra"].update(basis="1,t")),
+     "algebra basis"),
+    (_edit(_z2_sign_doc(), lambda p: p["action"].pop("g1|t")), "'g1|t'"),
+    (_edit(_graded_doc(), lambda p: p.pop("automorphisms")),
+     "'automorphisms'"),
+    (_edit(_graded_doc(), lambda p: p["automorphisms"].update(inv=["e"])),
+     "automorphism 'inv'"),
+    (_edit(_graded_doc(), lambda p: p.update(gradation=["id", "inv"])),
+     "gradation"),
+    (_edit(_graded_doc(), lambda p: p["gradation"].update(t="nope")),
+     "not a gradation"),
+], ids=["no-unit", "unit-outside-basis", "ragged-table", "no-basis",
+        "basis-not-a-list", "action-missing-entry", "no-automorphisms",
+        "automorphism-not-an-object", "gradation-not-an-object",
+        "gradation-unknown-automorphism"])
+def test_cli_rejects_malformed_group_spec(tmp_path, doc, says):
+    code, out = run_cli("verify", _spec_file(tmp_path, doc))
+    assert code == 2 and out.startswith("input error:") and says in out
