@@ -861,6 +861,7 @@ def build_poly_action(Qm, beta1, beta2, N, validate=True,
     VH = HV.permuted((1, 0))
 
     power_tables = {}
+    binomial_rows = {}
 
     def entry_powers(yn):
         """The powers 0..N of the four entries of Q^yn, row by row."""
@@ -876,20 +877,31 @@ def build_poly_action(Qm, beta1, beta2, N, validate=True,
             power_tables[yn] = table
         return table
 
+    def binomial_row(yn, k, a):
+        """comb(a, i) x^i y^(a-i) for i = 0..a, where (x, y) is row k of
+        Q^yn: the coefficients of (x X1 + y X2)^a."""
+        key = (yn, k, a)
+        row = binomial_rows.get(key)
+        if row is None:
+            px, py = entry_powers(yn)[2 * k:2 * k + 2]
+            row = [comb(a, i) * px[i] * py[a - i] for i in range(a + 1)]
+            binomial_rows[key] = row
+        return row
+
     def s_col(t):
         (a, b), yn = t
-        p00, p01, p10, p11 = entry_powers(yn)
+        row1, row2 = binomial_row(yn, 0, a), binomial_row(yn, 1, b)
         out = {}
         # X1^a X2^b crosses Y^n: substitute X_i -> sum_j (Q^n)_{ij} X_j
-        for i in range(a + 1):
-            for j in range(b + 1):
-                coeff = (comb(a, i) * p00[i] * p01[a - i]
-                         * comb(b, j) * p10[j] * p11[b - j])
-                if coeff == 0:
+        for i, c1 in enumerate(row1):
+            if not c1:
+                continue
+            for j, c2 in enumerate(row2):
+                if not c2:
                     continue
-                mono = (i + j, a - i + b - j)
-                key = (yn, mono)
-                out[key] = out.get(key, Fraction(0)) + coeff
+                key = (yn, (i + j, a - i + b - j))
+                old = out.get(key)
+                out[key] = c1 * c2 if old is None else old + c1 * c2
         return Element(VH, out, validate=False)
 
     s = LinMap.from_function(HV, VH, s_col)

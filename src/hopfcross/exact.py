@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import contains, getitem
 
 Q = Fraction
 
@@ -42,6 +43,18 @@ class NotInvertible(Exception):
     def __init__(self, msg, witness=None):
         super().__init__(msg)
         self.witness = witness
+
+
+class _Ungraded(dict):
+    """Degree table of an ungraded slot: every atom has degree 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, label):
+        return 0
+
+
+_UNGRADED = _Ungraded()
 
 
 class Slot:
@@ -93,18 +106,23 @@ def _merge_budget(a, b):
 class Space:
     """Tensor product of slots with a shared total-degree budget."""
 
+    __slots__ = ("slots", "budget", "arity", "_degrees", "_atoms")
+
     def __init__(self, slots, budget=None):
         self.slots = tuple(slots)
         self.budget = budget
         self.arity = len(self.slots)
+        self._degrees = tuple(_UNGRADED if s.degrees is None else s.degrees
+                              for s in self.slots)
+        self._atoms = tuple(s._set for s in self.slots)
 
     def degree(self, label):
-        return sum(s.degree(p) for s, p in zip(self.slots, label))
+        return sum(map(getitem, self._degrees, label))
 
     def contains(self, label):
         if len(label) != self.arity:
             return False
-        if not all(p in s for s, p in zip(self.slots, label)):
+        if not all(map(contains, self._atoms, label)):
             return False
         return self.budget is None or self.degree(label) <= self.budget
 
@@ -176,8 +194,9 @@ class Element:
         self.space = space
         clean = {}
         for lab, c in coeffs.items():
-            c = Fraction(c)
-            if c == 0:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if not c:
                 continue
             if validate and not space.contains(lab):
                 raise space.label_error(lab)
@@ -211,24 +230,18 @@ class Element:
         if self.space != other.space:
             raise SpaceMismatch("adding elements of different spaces")
         out = dict(self.coeffs)
-        for lab, c in other.coeffs.items():
-            s = out.get(lab, Fraction(0)) + c
-            if s == 0:
-                out.pop(lab, None)
-            else:
-                out[lab] = s
-        return Element(self.space, out, validate=False)
+        add_into(out, other.coeffs, 1)
+        return _element(self.space, out)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scalar):
         scalar = Fraction(scalar)
-        if scalar == 0:
+        if not scalar:
             return Element.zero(self.space)
-        return Element(self.space,
-                       {lab: scalar * c for lab, c in self.coeffs.items()},
-                       validate=False)
+        return _element(self.space,
+                        {lab: scalar * c for lab, c in self.coeffs.items()})
 
     def __neg__(self):
         return (-1) * self
@@ -248,6 +261,18 @@ class Element:
         for lab, c in self.items():
             bits.append("%s*%s" % (c, "(" + ",".join(map(str, lab)) + ")"))
         return " + ".join(bits)
+
+
+_new_element = object.__new__
+
+
+def _element(space, coeffs):
+    """An Element that takes ownership of `coeffs` as it is: the caller
+    guarantees labels in `space` and nonzero `Fraction` values."""
+    e = _new_element(Element)
+    e.space = space
+    e.coeffs = coeffs
+    return e
 
 
 def add_into(out, coeffs, scale):
@@ -295,19 +320,49 @@ def tensor(a: Element, b: Element) -> Element:
             if budget is not None and space.degree(lab) > budget:
                 raise TruncationOverflow(
                     "tensor label %r exceeds budget %s" % (lab, budget))
-            out[lab] = out.get(lab, Fraction(0)) + ca * cb
-    return Element(space, out, validate=False)
+            out[lab] = ca * cb
+    return _element(space, out)
 
 
 class LinMap:
-    """Total linear map given by its columns on every basis label."""
+    """Total linear map given by its columns on every basis label.
 
-    __slots__ = ("domain", "codomain", "columns")
+    Columns are read-only once built: `apply` and `apply_at` cache a term
+    entry per column on its first use (see `_terms`), so a later write to
+    `columns` or to a column's coefficients would go unseen.  `apply_at`
+    also keeps the result space of each input layout in `_spaces`.
+    """
+
+    __slots__ = ("domain", "codomain", "columns", "_entries", "_spaces")
 
     def __init__(self, domain, codomain, columns):
         self.domain = domain
         self.codomain = codomain
         self.columns = columns
+        self._entries = {}
+        self._spaces = {}
+
+    def _terms(self, lab):
+        """Build and cache the term entry of the column at `lab`, on a miss
+        in `_entries`; None if there is no such column.
+
+        The entry is (items, top, fits): `items` maps the column's image
+        labels, in order, to their coefficients, with a coefficient of 1
+        given as None so it is never multiplied (the column's own dict when
+        it has no 1); `top` is the largest codomain degree of an image
+        label; `fits` says the column lies in the codomain.
+        """
+        col = self.columns.get(lab)
+        if col is None:
+            return None
+        cod = self.codomain
+        items = col.coeffs
+        if 1 in items.values():
+            items = {img: None if c == 1 else c for img, c in items.items()}
+        top = max(map(cod.degree, items), default=0)
+        entry = self._entries[lab] = (items, top,
+                                      col.space is cod or col.space == cod)
+        return entry
 
     @staticmethod
     def from_function(domain, codomain, fn, partial=False):
@@ -334,18 +389,31 @@ class LinMap:
                                     lambda lab: Element.basis_vector(space, lab))
 
     def apply(self, elt: Element) -> Element:
-        if elt.space != self.domain:
+        if elt.space is not self.domain and elt.space != self.domain:
             raise SpaceMismatch("element not in domain")
-        cod = self.codomain
+        entries = self._entries
         out = {}
+        get = out.get
         for lab, c in elt.coeffs.items():
-            col = self.columns.get(lab)
-            if col is None:
+            entry = entries.get(lab) or self._terms(lab)
+            if entry is None:
                 raise TruncationOverflow("no column for label %r" % (lab,))
-            if col.space is not cod and col.space != cod:
+            items, _, fits = entry
+            if not fits:
                 raise SpaceMismatch("adding elements of different spaces")
-            add_into(out, col.coeffs, c)
-        return Element(cod, out, validate=False)
+            unit = c == 1
+            for img, ci in items.items():
+                v = c if ci is None else ci if unit else c * ci
+                old = get(img)
+                if old is None:
+                    out[img] = v
+                else:
+                    v = old + v
+                    if v:
+                        out[img] = v
+                    else:
+                        del out[img]
+        return _element(self.codomain, out)
 
     def __call__(self, elt):
         return self.apply(elt)
@@ -390,29 +458,59 @@ def slot_permutation(space: Space, perm) -> LinMap:
     return LinMap.from_function(space, cod, column)
 
 
-def apply_at(f: LinMap, elt: Element, at: int, codomain=None) -> Element:
-    """Apply f to the slot range [at, at + f.domain.arity) of elt."""
-    n = f.domain.arity
+def apply_at(f: LinMap, elt: Element, at: int) -> Element:
+    """Apply f to the slot range [at, at + f.domain.arity) of elt.
+
+    An output label is the input label with its middle replaced by an image
+    label of f, so its degree is that of the untouched slots plus the image
+    label's.  The budget is therefore checked once per input label against
+    the column's top image degree, and term by term only when that bound
+    exceeds it; the first overflowing term raises, as a per-term check
+    would.
+    """
+    end = at + f.domain.arity
     sp = elt.space
+    budget = sp.budget
+    # one result space per position, budget and input slot objects: the
+    # cached space holds the slots it keeps, so their ids are not reused
+    key = (at, budget, *map(id, sp.slots))
+    codomain = f._spaces.get(key)
     if codomain is None:
-        codomain = Space(sp.slots[:at] + f.codomain.slots + sp.slots[at + n:],
-                         sp.budget)
+        codomain = f._spaces[key] = Space(
+            sp.slots[:at] + f.codomain.slots + sp.slots[end:], budget)
+    if budget is not None:
+        pre_degrees, post_degrees = sp._degrees[:at], sp._degrees[end:]
+    entries = f._entries
     out = {}
+    get = out.get
     for lab, c in elt.coeffs.items():
-        pre, mid, post = lab[:at], lab[at:at + n], lab[at + n:]
-        col = f.columns.get(mid)
-        if col is None:
+        mid = lab[at:end]
+        entry = entries.get(mid) or f._terms(mid)
+        if entry is None:
             raise TruncationOverflow("no column for %r" % (mid,))
-        for img, ci in col.coeffs.items():
+        items, top, _ = entry
+        if not items:
+            continue
+        pre, post = lab[:at], lab[end:]
+        check = budget is not None and (
+            sum(map(getitem, pre_degrees, pre))
+            + sum(map(getitem, post_degrees, post)) + top > budget)
+        unit = c == 1
+        for img, ci in items.items():
             new = pre + img + post
-            if codomain.budget is not None and codomain.degree(new) > codomain.budget:
+            if check and codomain.degree(new) > budget:
                 raise TruncationOverflow("label %r exceeds budget" % (new,))
-            v = out.get(new, Fraction(0)) + c * ci
-            if v == 0:
-                out.pop(new, None)
-            else:
+            v = c if ci is None else ci if unit else c * ci
+            old = get(new)
+            if old is None:
                 out[new] = v
-    return Element(codomain, out, validate=False)
+            else:
+                v = old + v
+                if v:
+                    out[new] = v
+                else:
+                    del out[new]
+    return _element(codomain, out)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +557,15 @@ def rref(rows, ncols=None):
 
 
 def _row_submul(r, lead, factor):
-    if factor == 0:
+    if not factor:
         return
     for c, v in lead.items():
-        nv = r.get(c, Fraction(0)) - factor * v
-        if nv == 0:
-            r.pop(c, None)
-        else:
+        old = r.get(c)
+        nv = -(factor * v) if old is None else old - factor * v
+        if nv:
             r[c] = nv
+        elif old is not None:
+            del r[c]
 
 
 def nullspace(rows, ncols):
@@ -563,31 +662,32 @@ def invert_linmap(f: LinMap) -> LinMap:
             raise NotInvertible("degree-%s block is not square" % deg)
         n = len(dls)
         cidx = {lab: i for i, lab in enumerate(cls)}
-        # Gauss-Jordan on the block, augmented with the identity
-        mat = [[Fraction(0)] * (2 * n) for _ in range(n)]
+        # Gauss-Jordan on the block augmented with the identity, on sparse
+        # rows (column -> nonzero entry): only nonzero entries are touched
+        rows = [{n + i: Fraction(1)} for i in range(n)]
         for j, dl in enumerate(dls):
             for cl, v in f.columns[dl].coeffs.items():
                 if f.codomain.degree(cl) != deg:
                     raise NotInvertible("map does not preserve degree blocks")
-                mat[cidx[cl]][j] = v
-        for i in range(n):
-            mat[i][n + i] = Fraction(1)
+                rows[cidx[cl]][j] = v
         for col in range(n):
-            piv = next((r for r in range(col, n) if mat[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if col in rows[r]), None)
             if piv is None:
                 wit = _kernel_witness(f, dls, cls)
                 raise NotInvertible("singular block at degree %s" % deg, wit)
-            mat[col], mat[piv] = mat[piv], mat[col]
-            pv = mat[col][col]
-            mat[col] = [x / pv for x in mat[col]]
+            rows[col], rows[piv] = rows[piv], rows[col]
+            lead = rows[col]
+            pv = lead[col]
+            if pv != 1:
+                lead = rows[col] = {k: x / pv for k, x in lead.items()}
             for r in range(n):
-                if r != col and mat[r][col] != 0:
-                    fac = mat[r][col]
-                    mat[r] = [a - fac * b for a, b in zip(mat[r], mat[col])]
+                fac = rows[r].get(col) if r != col else None
+                if fac is not None:
+                    _row_submul(rows[r], lead, fac)
         for i, cl in enumerate(cls):
             inv_cols[cl] = Element(f.domain,
-                                   {dls[j]: mat[j][n + i] for j in range(n)
-                                    if mat[j][n + i] != 0},
+                                   {dls[j]: rows[j][n + i] for j in range(n)
+                                    if n + i in rows[j]},
                                    validate=False)
     return LinMap(f.codomain, f.domain, inv_cols)
 

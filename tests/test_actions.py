@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from fractions import Fraction
+from math import comb
 
 from hopfcross.exact import Element, LinMap, tensor
 from hopfcross.hopf import (GroupSpec, HopfData, build_group_algebra,
@@ -415,3 +416,26 @@ def test_poly_tables_match_the_direct_sums(Q):
             got = spec.beta_of_power(l, n)
             assert got == want
             assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("Q", [[[2, 1], [0, 2]], [[-1, 0], [0, -1]]],
+                         ids=["jordan-1a", "minus-identity"])
+def test_poly_action_s_columns_match_the_direct_formula(Q):
+    Qf = [[Fraction(x) for x in row] for row in Q]
+    for N in range(1, 7):
+        mad = build_poly_action(Q, [0, 1], [0], N, validate=False)
+        HV = mad.s.domain
+        assert set(mad.s.columns) == set(HV.basis())
+        for ((a, b), yn), col in mad.s.columns.items():
+            (q00, q01), (q10, q11) = _mat_power(Qf, yn)
+            want = {}
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    c = (comb(a, i) * q00 ** i * q01 ** (a - i)
+                         * comb(b, j) * q10 ** j * q11 ** (b - j))
+                    if c:
+                        key = (yn, (i + j, a - i + b - j))
+                        want[key] = want.get(key, 0) + c
+            assert list(col.coeffs.items()) == [(k, v) for k, v in want.items()
+                                                if v]
+            assert all(type(c) is Fraction for c in col.coeffs.values())

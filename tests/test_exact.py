@@ -4,9 +4,10 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import (Element, KSPACE, LinMap, NotInvertible, Slot,
-                             Space, SpaceMismatch, TruncationOverflow, compose,
-                             invert_linmap, kernel_image_quotient, nullspace,
-                             rat, rref, slot_permutation, tensor, tensor_maps)
+                             Space, SpaceMismatch, TruncationOverflow, apply_at,
+                             compose, invert_linmap, kernel_image_quotient,
+                             nullspace, rat, rref, slot_permutation, tensor,
+                             tensor_maps)
 
 
 def _poly_space(N, name="P"):
@@ -182,3 +183,210 @@ def test_scalar_space():
     one = Element.scalar(Fraction(3, 2))
     assert one.scalar_value() == Fraction(3, 2)
     assert KSPACE.dim() == 1
+
+
+def test_invert_graded_blocks_and_singular_witness():
+    # degree 0: x -> x; degree 1: a -> a + b, b -> a + b is singular
+    S = Slot("S", ["x", "a", "b"], {"x": 0, "a": 1, "b": 1})
+    V = Space((S,), budget=1)
+    ab = Element(V, {("a",): 1, ("b",): 1})
+    cols = {("x",): 3 * Element.basis_vector(V, ("x",)), ("a",): ab,
+            ("b",): ab}
+    with pytest.raises(NotInvertible) as err:
+        invert_linmap(LinMap(V, V, cols))
+    assert str(err.value) == "singular block at degree 1"
+    assert list(err.value.witness.coeffs.items()) == [
+        (("a",), Fraction(-1)), (("b",), Fraction(1))]
+    cols[("b",)] = Element(V, {("a",): 1, ("b",): "-1/2"})
+    f = LinMap(V, V, cols)
+    inv = invert_linmap(f)
+    assert [list(c.coeffs.items()) for c in inv.columns.values()] == [
+        [(("x",), Fraction(1, 3))],
+        [(("a",), Fraction(1, 3)), (("b",), Fraction(2, 3))],
+        [(("a",), Fraction(2, 3)), (("b",), Fraction(-2, 3))]]
+    assert compose(f, inv) == LinMap.identity(V)
+
+
+# ---------------------------------------------------------------------------
+# differential test of the kernel against per-term reference implementations
+
+def _reference_apply_at(f, elt, at):
+    """apply_at as a budget check on every output term."""
+    n = f.domain.arity
+    sp = elt.space
+    cod = Space(sp.slots[:at] + f.codomain.slots + sp.slots[at + n:],
+                sp.budget)
+    out = {}
+    for lab, c in elt.coeffs.items():
+        pre, mid, post = lab[:at], lab[at:at + n], lab[at + n:]
+        col = f.columns.get(mid)
+        if col is None:
+            raise TruncationOverflow("no column for %r" % (mid,))
+        for img, ci in col.coeffs.items():
+            new = pre + img + post
+            degree = sum(s.degree(p) for s, p in zip(cod.slots, new))
+            if cod.budget is not None and degree > cod.budget:
+                raise TruncationOverflow("label %r exceeds budget" % (new,))
+            v = out.get(new, Fraction(0)) + c * ci
+            if v == 0:
+                out.pop(new, None)
+            else:
+                out[new] = v
+    return cod, out
+
+
+def _reference_apply(f, elt):
+    """LinMap.apply as one Element sum per input term."""
+    if elt.space != f.domain:
+        raise SpaceMismatch("element not in domain")
+    out = Element.zero(f.codomain)
+    for lab, c in elt.coeffs.items():
+        col = f.columns.get(lab)
+        if col is None:
+            raise TruncationOverflow("no column for label %r" % (lab,))
+        out = out + c * col
+    return f.codomain, out.coeffs
+
+
+def _outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except (TruncationOverflow, SpaceMismatch) as exc:
+        return "raise", type(exc), str(exc)
+    if isinstance(res, Element):
+        res = (res.space, res.coeffs)
+    space, coeffs = res
+    assert all(type(c) is Fraction and c for c in coeffs.values())
+    return "value", space, list(coeffs.items())
+
+
+_P = Slot("P", range(6), {i: i for i in range(6)})
+_R = Slot("R", "abc", {"a": 0, "b": 1, "c": 2})
+_U = Slot("U", "uv")
+_COEFFS = [Fraction(c) for c in (1, 1, -1, 2, -2, "1/2", "-1/3")]
+
+
+def _random_graded_map(rng, dom, cod):
+    """Columns that raise, lower or keep the degree, or mix the three; some
+    are empty and, with partial maps, some are missing."""
+    by_degree = {}
+    for lab in cod.basis():
+        by_degree.setdefault(cod.degree(lab), []).append(lab)
+    partial = rng.random() < 0.3
+    cols = {}
+    for lab in dom.basis():
+        if partial and rng.random() < 0.15:
+            continue
+        shifts = rng.choice([(0,), (1,), (-1,), (2,), (-1, 0, 1), ()])
+        coeffs = {}
+        for shift in shifts:
+            imgs = by_degree.get(dom.degree(lab) + shift, [])
+            for img in rng.sample(imgs, min(len(imgs), rng.randint(1, 2))):
+                coeffs[img] = rng.choice(_COEFFS)
+        cols[lab] = Element(cod, coeffs)
+    return LinMap(dom, cod, cols)
+
+
+def _random_element(rng, space, past):
+    """Terms inside the budget and, if `past`, a term one past it (when
+    the space has such labels)."""
+    inside = list(space.basis())
+    wide = Space(space.slots, space.budget + 1)
+    over = [l for l in wide.basis() if wide.degree(l) == space.budget + 1]
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        coeffs[rng.choice(inside)] = rng.choice(_COEFFS)
+    if past and over:
+        coeffs[rng.choice(over)] = rng.choice(_COEFFS)
+    return Element(space, coeffs, validate=False)
+
+
+_LAYOUTS = [
+    # (slots of the element, position, slots of f's domain, of f's codomain)
+    ((_P,), 0, (_P,), (_P,)),
+    ((_U, _P, _R), 1, (_P,), (_R, _P)),
+    ((_P, _R, _P), 1, (_R, _P), (_P,)),
+    ((_R, _P), 0, (_R,), (_U, _R)),
+    ((_P, _P), 1, (_P,), ()),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_matches_per_term_reference(seed):
+    rng = random.Random(seed)
+    budget = 4
+    seen = set()
+    for _ in range(60):
+        slots, at, dslots, cslots = rng.choice(_LAYOUTS)
+        dom, cod = Space(dslots, budget), Space(cslots, budget)
+        f = _random_graded_map(rng, dom, cod)
+        sp = Space(slots, budget)
+        for past in (False, True):
+            elt = _random_element(rng, sp, past)
+            # twice: the second call reads the cached column entries
+            for _ in range(2):
+                got = _outcome(apply_at, f, elt, at)
+                assert got == _outcome(_reference_apply_at, f, elt, at)
+                seen.add(got[0] if got[0] == "value" else got[2].split()[0])
+            x = _random_element(rng, dom, past)
+            got = _outcome(f.apply, x)
+            assert got == _outcome(_reference_apply, f, x)
+            seen.add("apply-" + got[0])
+    # the trials reached every branch: results, overflow and missing columns
+    assert {"value", "label", "no", "apply-value", "apply-raise"} <= seen
+
+
+def test_kernel_cancelling_terms_keep_the_reference_order():
+    P = Space((Slot("P", range(4), {i: i for i in range(4)}),), 3)
+    # 0 -> 1 + 2, 1 -> 1 - 2, 2 -> 2: summing cancels (2,) and brings it back
+    f = LinMap(P, P, {(0,): Element(P, {(1,): 1, (2,): 1}),
+                      (1,): Element(P, {(1,): 1, (2,): -1}),
+                      (2,): Element(P, {(2,): 1}),
+                      (3,): Element.zero(P)})
+    elt = Element(P, {(0,): 1, (1,): 1, (2,): 3, (3,): 5})
+    for fn, ref, args in ((apply_at, _reference_apply_at, (f, elt, 0)),
+                          (LinMap.apply, _reference_apply, (f, elt))):
+        got = _outcome(fn, *args)
+        assert got == _outcome(ref, *args)
+        assert got[2] == [((1,), Fraction(2)), ((2,), Fraction(3))]
+    everything = Element(P, {(0,): 1, (1,): -1, (2,): -2})
+    assert apply_at(f, everything, 0).is_zero()
+    assert f.apply(everything).is_zero()
+
+
+def test_kernel_entries_belong_to_their_map():
+    P = Space((Slot("P", range(4), {i: i for i in range(4)}),), 3)
+    double = LinMap.from_function(P, P, lambda l: 2 * Element.basis_vector(P, l))
+    shift = LinMap.from_function(
+        P, P, lambda l: Element(P, {(l[0] + 1,): 1} if l[0] < 3 else {}))
+    elt = Element(P, {(0,): 1, (2,): 1})
+    for _ in range(2):
+        assert apply_at(double, elt, 0) == 2 * elt
+        assert apply_at(shift, elt, 0).coeffs == {(1,): 1, (3,): 1}
+        assert double.apply(elt) == 2 * elt
+        assert shift.apply(elt).coeffs == {(1,): 1, (3,): 1}
+
+
+def test_apply_at_result_space_follows_position_and_budget():
+    T = Slot("T", ["t"], {"t": 1})
+    f = LinMap.from_function(Space((_P,)), Space((T,)),
+                             lambda l: Element.basis_vector(Space((T,)), ("t",)))
+    for budget in (3, 4, None):
+        sp = Space((_P, _P), budget)
+        elt = Element(sp, {(1, 2): 1})
+        for at in (0, 1, 0):
+            got = _outcome(apply_at, f, elt, at)
+            assert got == _outcome(_reference_apply_at, f, elt, at)
+            assert got[1] == Space((_P, T) if at else (T, _P), budget)
+
+
+def test_element_coerces_and_filters_without_validation():
+    V = _flat(["x", "y", "z", "w", "t"], "V")
+    e = Element(V, {("x",): 2, ("y",): "3/4", ("z",): 0, ("w",): "0/5",
+                    ("t",): Fraction(-1, 3)}, validate=False)
+    assert list(e.coeffs.items()) == [(("x",), Fraction(2)),
+                                      (("y",), Fraction(3, 4)),
+                                      (("t",), Fraction(-1, 3))]
+    assert all(type(c) is Fraction for c in e.coeffs.values())
+    with pytest.raises(SpaceMismatch):
+        Element(V, {("q",): 1})
