@@ -264,7 +264,9 @@ def tensor_power_comul(h: HopfData, n: int) -> LinMap:
     CC = C.tensor(C)
     budget = CC.budget
     H2 = h.comul.codomain
-    parts = {lab[0]: [(pair, c, H2.degree(pair))
+    one = Fraction(1)
+    # a coefficient of 1 is given as None, so it is never multiplied
+    parts = {lab[0]: [(pair, None if c == 1 else c, H2.degree(pair))
                       for pair, c in col.coeffs.items()]
              for lab, col in h.comul.columns.items()}
 
@@ -281,11 +283,13 @@ def tensor_power_comul(h: HopfData, n: int) -> LinMap:
             combo = combo[::-1]
             if budget is not None and sum(t[2] for t in combo) > budget:
                 raise TruncationOverflow("label exceeds budget")
-            coeff = 1
+            coeff = None
             for _, c, _ in combo:
-                coeff = coeff * c
+                if c is not None:
+                    coeff = c if coeff is None else coeff * c
             out[tuple(t[0][0] for t in combo)
-                + tuple(t[0][1] for t in combo)] = coeff
+                + tuple(t[0][1] for t in combo)] = \
+                one if coeff is None else coeff
         return Element(CC, out, validate=False)
 
     return LinMap.from_function(C, CC, col)

@@ -14,12 +14,23 @@ CEAlgebra: `nf` per word (`_nf_z` per T-free word), `differential` and
 entries, shared by every caller, so they are read-only: copy one before
 changing it.  `differential`, `gamma`, `sigma` and `p_decompose` return
 fresh dicts.
+
+The comparison map Phi = sigma o Phi o b' of `BarComparison` has two paths,
+chosen from the Lie algebra with no option.  The reference computes every
+product and every sigma with the rewriting system above; it is the only
+path for a nonabelian L.  For abelian L, D = k[Y, T] (x) Lambda(e) is
+graded-commutative, and the same recursion runs on exponents in the
+(Y, e, T) coordinates, where sigma is the Euler homotopy (`_sigma_t`).
+Tests check that path against the reference.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from fractions import Fraction
+from operator import add, sub
 
 from .exact import (Element, TruncationOverflow, add_basis_term, add_into,
                     nullspace, tensor)
@@ -701,14 +712,31 @@ def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
 
 class BarComparison:
     """phi_n: D_n -> bar_n and its quasi-inverse, with both the recursive
-    definitions and the closed forms."""
+    definitions and the closed forms.
+
+    `Phi` computes Phi_n = sigma o Phi_{n-1} o b' on two paths, chosen once
+    from the Lie algebra:
+
+    - the reference, `_Phi_core`: every product and every sigma goes
+      through the rewriting system of `ce` (`nf`, `to_t_words`).  It is the
+      only path for a nonabelian L.
+    - the commuting path, `_Phi_core_t`, taken when L is abelian
+      (`commuting`).  Then D = k[Y, T] (x) Lambda(e) is graded-commutative
+      and the same recursion runs on exponents: elements are {(a, S, k): c}
+      for Y^a e_S T^k, Z^h = (Y - T)^h expands by binomials, and sigma is
+      the Euler homotopy `_sigma_t`.  The core is cached per middle in these
+      coordinates and taken to the Y/e/Z basis once, when `Phi` returns.
+    """
 
     def __init__(self, ce: CEAlgebra, hopf: HopfData):
         self.ce = ce
         self.hopf = hopf
         self.r = ce.r
         self.unit_atom = hopf.unit_label()
-        self._phi_memo = {}
+        self.commuting = ce.lie.is_abelian()
+        self._phi_memo = {}         # middle -> core, Y/e/Z basis
+        self._phi_t_memo = {}       # middle -> core, (Y, e, T) coordinates
+        self._expansions = {}       # exponent h -> terms of (Y - T)^h
 
     # bar elements: dict {(h0, mid_tuple, h1): coeff}
 
@@ -792,8 +820,11 @@ class BarComparison:
         return out
 
     def Phi(self, key):
-        """Phi_n on a basis bar element, by the sigma-recursion."""
+        """Phi_n on a basis bar element, by the sigma-recursion, in the
+        Y/e/Z basis."""
         h0, mid, h1 = key
+        if self.commuting:
+            return self._z_basis(self._Phi_core_t(mid), h0, h1)
         core = self._Phi_core(mid)
         out = {}
         from .hopf import _word_of
@@ -822,6 +853,56 @@ class BarComparison:
         self._phi_memo[mid] = out
         return out
 
+    # -- the commuting path (abelian L): Y^a e_S T^k as {(a, S, k): c}
+
+    def _expansion(self, h):
+        """(Y - T)^h as [(i, c)] for the terms c Y^(h-i) T^i, i <= h."""
+        terms = self._expansions.get(h)
+        if terms is None:
+            terms = self._expansions[h] = [
+                (i, (-1) ** sum(i) * math.prod(map(math.comb, h, i)))
+                for i in itertools.product(*(range(x + 1) for x in h))]
+        return terms
+
+    def _Phi_core_t(self, mid):
+        """`_Phi_core` for abelian L, in (Y, e, T) coordinates: sigma of the
+        sum of c Y^h0 core(mid2) Z^h1 over the terms (h0, mid2, h1, c) of
+        b'(1 | mid | 1)."""
+        out = self._phi_t_memo.get(mid)
+        if out is not None:
+            return out
+        if not mid:
+            zero = (0,) * self.r
+            out = self._phi_t_memo[mid] = {(zero, (), zero): Fraction(1)}
+            return out
+        bprime = self.bar_differential(len(mid),
+                                       (self.unit_atom, mid, self.unit_atom))
+        acc = {}
+        for (h0, mid2, h1), c in bprime.items():
+            terms = self._expansion(h1)
+            for (a, S, k), v in self._Phi_core_t(mid2).items():
+                cv = c * v
+                top = tuple(map(add, map(add, a, h0), h1))
+                for i, b in terms:
+                    _dadd(acc, (tuple(map(sub, top, i)), S,
+                                tuple(map(add, k, i))),
+                          cv if b == 1 else cv * b)
+        out = self._phi_t_memo[mid] = _sigma_t(acc)
+        return out
+
+    def _z_basis(self, elt, h0, h1):
+        """Y^h0 elt Z^h1 in the Y/e/Z basis, for elt in (Y, e, T)
+        coordinates: T^k = (Y - Z)^k."""
+        out = {}
+        for (a, S, k), c in elt.items():
+            top = tuple(map(add, map(add, a, h0), k))
+            for i, b in self._expansion(k):
+                # (Y - Z)^k has the coefficients of (Y - T)^k, Z for T
+                _dadd(out, (tuple(map(sub, top, i)), S,
+                            tuple(map(add, i, h1))),
+                      c if b == 1 else c * b)
+        return out
+
     def Phi_closed(self, mid):
         """1/n! e_{i_1} ... e_{i_n} for single-generator middle entries."""
         n = len(mid)
@@ -834,6 +915,28 @@ class BarComparison:
         for i in range(2, n + 1):
             fact *= i
         return {m: v / fact for m, v in self.ce.nf(tuple(word)).items()}
+
+
+def _sigma_t(elt):
+    """sigma = gamma / p in (Y, e, T) coordinates for abelian L: gamma turns
+    one T_j into e_j, so Y^a e_S T^k goes to (-1)^|S| sum_j k_j / p times
+    Y^a e_S e_j T^(k - 1_j), with p = |S| + |k|; 0 on p = 0, and the j term
+    is 0 when j is in S.  e_j moves into S past the indices above j."""
+    out = {}
+    for (a, S, k), c in elt.items():
+        p = len(S) + sum(k)
+        if not p:
+            continue
+        sign = -1 if len(S) % 2 else 1
+        for j, kj in enumerate(k):
+            if not kj or j in S:
+                continue
+            pos = bisect.bisect(S, j)
+            eps = sign if (len(S) - pos) % 2 == 0 else -sign
+            _dadd(out, (a, S[:pos] + (j,) + S[pos:],
+                        k[:j] + (kj - 1,) + k[j + 1:]),
+                  c * Fraction(eps * kj, p))
+    return out
 
 
 def _perm_sign(tau):

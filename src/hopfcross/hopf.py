@@ -259,6 +259,9 @@ class LieSpec:
                                      if Fraction(c) != 0}
         self._check_jacobi()
 
+    def is_abelian(self):
+        return not any(self.brackets.values())
+
     def bracket(self, i, j):
         """[x_i, x_j] as {k: coeff}."""
         if i == j:

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, apply_at, nullspace, tensor)
+                    TruncationOverflow, add_into, apply_at, nullspace, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
 from .convolution import (ConvMap, conv_inverse, conv_unit, convolve,
@@ -546,34 +546,46 @@ def conv_exp(f: ConvMap) -> ConvMap:
     """exp(f) = sum f^{*i} / i!; exact because f kills scalar slots."""
     if not vanishes_on_scalar_slots(f):
         raise SeriesPreconditionViolated("exp needs a normalized cochain")
-    C = f.coalgebra
-    top = max((C.space.degree(l) for l in C.space.basis()), default=0)
-    e = conv_unit(C, f.algebra)
-    acc, term = e, e
-    for i in range(1, top + 1):
-        term = convolve(term, f)
-        if term.is_zero():
-            break
-        acc = acc + Fraction(1, _factorial(i)) * term
-    return acc
+    return _conv_series(conv_unit(f.coalgebra, f.algebra), f,
+                        lambda i: Fraction(1, _factorial(i)), with_unit=True)
 
 
 def conv_log(g: ConvMap) -> ConvMap:
     """log(g) = sum (-1)^{i+1} (g - e)^{*i} / i on normalized g."""
-    C = g.coalgebra
-    e = conv_unit(C, g.algebra)
+    e = conv_unit(g.coalgebra, g.algebra)
     delta = g - e
     if not vanishes_on_scalar_slots(delta):
         raise SeriesPreconditionViolated("log needs g = unit on scalar slots")
+    return _conv_series(e, delta, lambda i: Fraction((-1) ** (i + 1), i),
+                        with_unit=False)
+
+
+def _conv_series(e: ConvMap, x: ConvMap, coeff, with_unit) -> ConvMap:
+    """sum coeff(i) x^{*i} over i >= 1, plus the unit e when `with_unit`.
+
+    The series stops at the coalgebra's top degree, or at the first zero
+    power.  The sum is kept as one coefficient dict per column and added
+    into in place.  A column missing from a power (it left the budget)
+    leaves the sum, as it does in `ConvMap` addition.
+    """
+    C, A = e.coalgebra, e.algebra
     top = max((C.space.degree(l) for l in C.space.basis()), default=0)
-    acc = Fraction(0) * e
+    acc = {lab: dict(col.coeffs) if with_unit else {}
+           for lab, col in e.values.columns.items()}
     term = e
     for i in range(1, top + 1):
-        term = convolve(term, delta)
+        term = convolve(term, x)
         if term.is_zero():
             break
-        acc = acc + Fraction((-1) ** (i + 1), i) * term
-    return acc
+        cols = term.values.columns
+        c = coeff(i)
+        for gone in [lab for lab in acc if lab not in cols]:
+            del acc[gone]
+        for lab, vals in acc.items():
+            add_into(vals, cols[lab].coeffs, c)
+    return ConvMap(C, A, LinMap(C.space, A.space, {
+        lab: Element(A.space, vals, validate=False)
+        for lab, vals in acc.items()}))
 
 
 def _factorial(n):

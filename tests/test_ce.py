@@ -3,12 +3,13 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import Element, LinMap
-from hopfcross.hopf import LieSpec, build_truncated_enveloping, \
-    build_truncated_poly_hopf
+from hopfcross.exact import Element, LinMap, TruncationOverflow
+from hopfcross.hopf import LieSpec, _exponent_labels, \
+    build_truncated_enveloping, build_truncated_poly_hopf
 from hopfcross.actions import build_poly_action
 from hopfcross.ce import (AlphaConditionViolated, BarComparison, CEAlgebra,
-                          CETransposition, evaluate_bimodule_cochain,
+                          CETransposition, _sigma_t,
+                          evaluate_bimodule_cochain,
                           verify_bimodule_transposition,
                           verify_resolution_identities, xi_differential_matrix,
                           xi_space)
@@ -330,23 +331,44 @@ def test_phi1_and_phi2_closed_forms():
         (u, ((1, 0), (0, 1)), u): 1, (u, ((0, 1), (1, 0)), u): -1}
 
 
+def _bar_comparison(ce, hopf, path):
+    """A BarComparison whose Phi takes the given path: "commuting" (abelian
+    L only) or "reference" (the rewriting system)."""
+    bc = BarComparison(ce, hopf)
+    if path == "reference":
+        bc.commuting = False
+    elif not bc.commuting:
+        raise ValueError("the commuting path needs an abelian Lie algebra")
+    return bc
+
+
+# (Lie algebra, BarComparison builder): the abelian case dispatches to the
+# commuting path, and is run once more on the reference path; a nonabelian
+# L has only the reference path
+PHI_PATHS = [
+    (AB2, lambda ce: BarComparison(ce, build_truncated_poly_hopf(2, 5))),
+    (HEIS, lambda ce: BarComparison(ce, build_truncated_enveloping(HEIS, 5))),
+    pytest.param(AB2, lambda ce: _bar_comparison(
+        ce, build_truncated_poly_hopf(2, 5), "reference"),
+        id="abelian2-reference"),
+]
+
+
 def test_Phi2_half_coefficient():
     ce = CEAlgebra(AB2)
-    bc = BarComparison(ce, build_truncated_poly_hopf(2, 4))
-    mid = ((1, 0), (0, 1))
-    out = bc.Phi((bc.unit_atom, mid, bc.unit_atom))
-    assert out == {((0, 0), (0, 1), (0, 0)): Fraction(1, 2)}
-    assert out == bc.Phi_closed(mid)
+    for path in ("commuting", "reference"):
+        bc = _bar_comparison(ce, build_truncated_poly_hopf(2, 4), path)
+        mid = ((1, 0), (0, 1))
+        out = bc.Phi((bc.unit_atom, mid, bc.unit_atom))
+        assert out == {((0, 0), (0, 1), (0, 0)): Fraction(1, 2)}, path
+        assert out == bc.Phi_closed(mid)
 
 
-@pytest.mark.parametrize("lie,hopf_builder", [
-    (AB2, lambda: build_truncated_poly_hopf(2, 5)),
-    (HEIS, lambda: build_truncated_enveloping(HEIS, 5)),
-])
-def test_retraction_identity(lie, hopf_builder):
+@pytest.mark.parametrize("lie,comparison", PHI_PATHS)
+def test_retraction_identity(lie, comparison):
     # Phi o phi = id on the generator basis, including the 1/n! scalar
     ce = CEAlgebra(lie)
-    bc = BarComparison(ce, hopf_builder())
+    bc = comparison(ce)
     for n in range(0, min(3, lie.dim) + 1):
         for S in itertools.combinations(range(lie.dim), n):
             total = {}
@@ -357,14 +379,10 @@ def test_retraction_identity(lie, hopf_builder):
             assert {k: v for k, v in total.items() if v} == {mono: 1}
 
 
-@pytest.mark.parametrize("lie,hopf_builder", [
-    (AB2, lambda: build_truncated_poly_hopf(2, 5)),
-    (HEIS, lambda: build_truncated_enveloping(HEIS, 5)),
-])
-def test_chain_map_properties(lie, hopf_builder):
+@pytest.mark.parametrize("lie,comparison", PHI_PATHS)
+def test_chain_map_properties(lie, comparison):
     ce = CEAlgebra(lie)
-    hopf = hopf_builder()
-    bc = BarComparison(ce, hopf)
+    bc = comparison(ce)
     # Phi is a chain map on generator-level bar elements
     for n in (1, 2):
         for S in itertools.combinations(range(lie.dim), n):
@@ -377,6 +395,93 @@ def test_chain_map_properties(lie, hopf_builder):
                     rhs[m] = rhs.get(m, Fraction(0)) + c * v
             assert {k: v for k, v in lhs.items() if v} == \
                 {k: v for k, v in rhs.items() if v}
+
+
+def _middles(m, budget, n_max):
+    """Every bar middle of length <= n_max over non-unit monomials of
+    k[X_1..X_m] whose total degree stays within the budget."""
+    atoms = [tuple(a) for a in _exponent_labels(m, budget) if sum(a)]
+    for n in range(n_max + 1):
+        for mid in itertools.product(atoms, repeat=n):
+            if sum(map(sum, mid)) <= budget:
+                yield mid
+
+
+@pytest.mark.parametrize("m,budget,n_max", [(2, 4, 3), (3, 4, 3), (2, 6, 2)])
+def test_commuting_Phi_matches_reference(m, budget, n_max):
+    # the commuting path is the sigma-recursion in other coordinates: the
+    # rewriting system gives the same value dict on every monomial middle
+    ce = CEAlgebra(LieSpec.abelian(m))
+    hopf = build_truncated_poly_hopf(m, budget)
+    fast = _bar_comparison(ce, hopf, "commuting")
+    ref = _bar_comparison(ce, hopf, "reference")
+    u = fast.unit_atom
+    count = 0
+    for mid in _middles(m, budget, n_max):
+        assert fast.Phi((u, mid, u)) == ref.Phi((u, mid, u)), mid
+        count += 1
+    assert count > 90
+    assert ref._phi_memo and not ref._phi_t_memo
+    assert fast._phi_t_memo and not fast._phi_memo
+
+
+def test_commuting_Phi_outer_slots():
+    # non-unit h0 / h1: Y^h0 ... Z^h1 around the core
+    ce = CEAlgebra(LieSpec.abelian(2))
+    hopf = build_truncated_poly_hopf(2, 4)
+    fast = _bar_comparison(ce, hopf, "commuting")
+    ref = _bar_comparison(ce, hopf, "reference")
+    outer = [tuple(a) for a in _exponent_labels(2, 2)]
+    for mid in _middles(2, 4, 2):
+        for h0, h1 in itertools.product(outer, repeat=2):
+            assert fast.Phi((h0, mid, h1)) == ref.Phi((h0, mid, h1))
+    # Y^(1,0) (1/2 e_0 e_1) Z^(0,1) has a single term
+    assert fast.Phi(((1, 0), ((1, 0), (0, 1)), (0, 1))) == \
+        {((1, 0), (0, 1), (0, 1)): Fraction(1, 2)}
+
+
+def test_commuting_Phi_overflow_matches_reference():
+    # a middle past the budget fails in b' on both paths, with one message
+    ce = CEAlgebra(LieSpec.abelian(2))
+    hopf = build_truncated_poly_hopf(2, 3)
+    u = hopf.unit_label()
+    messages = []
+    for path in ("commuting", "reference"):
+        bc = _bar_comparison(ce, hopf, path)
+        with pytest.raises(TruncationOverflow) as info:
+            bc.Phi((u, ((2, 0), (1, 1)), u))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_sigma_t_is_sigma():
+    # the Euler homotopy in (Y, e, T) coordinates is ce.sigma, monomial by
+    # monomial, p = 0 included
+    ce = CEAlgebra(LieSpec.abelian(3))
+    bc = _bar_comparison(ce, build_truncated_poly_hopf(3, 2), "commuting")
+    zero = (0, 0, 0)
+    exps = [tuple(a) for a in _exponent_labels(3, 2)]
+    for a, k in itertools.product(exps, repeat=2):
+        for n in range(4):
+            for S in itertools.combinations(range(3), n):
+                elt = {(a, S, k): Fraction(3, 2)}
+                assert bc._z_basis(_sigma_t(elt), zero, zero) == \
+                    ce.sigma(bc._z_basis(elt, zero, zero)), (a, S, k)
+
+
+def test_heisenberg_never_takes_the_commuting_path(monkeypatch):
+    ce = CEAlgebra(HEIS)
+    bc = BarComparison(ce, build_truncated_enveloping(HEIS, 4))
+    assert not bc.commuting
+
+    def fail(self, mid):
+        raise AssertionError("commuting path on a nonabelian L")
+
+    monkeypatch.setattr(BarComparison, "_Phi_core_t", fail)
+    u = bc.unit_atom
+    for mid in _middles(3, 3, 2):
+        bc.Phi((u, mid, u))
+    assert bc._phi_memo and not bc._phi_t_memo
 
 
 def test_transported_cochain_evaluation(case2_beta_y):

@@ -5,11 +5,18 @@ import os
 import pytest
 from fractions import Fraction
 
+from hopfcross import workbench
+from hopfcross.ce import BarComparison, CEAlgebra
 from hopfcross.cli import main
+from hopfcross.exact import Element
+from hopfcross.hopf import LieSpec
+from hopfcross.sweedler import SweedlerContext
 from hopfcross.workbench import (ClassificationReport, InputError,
                                  NotJordanForm, WorkbenchSpec,
                                  build_and_verify_presentation,
-                                 classify_Q, classify_crossed_products)
+                                 build_poly2_instance, classify_Q,
+                                 classify_crossed_products, cocycle_from_doc,
+                                 transport_cochain, xi2_cocycle)
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -382,3 +389,46 @@ def _edit(doc, edit):
 def test_cli_rejects_malformed_group_spec(tmp_path, doc, says):
     code, out = run_cli("verify", _spec_file(tmp_path, doc))
     assert code == 2 and out.startswith("input error:") and says in out
+
+
+class _ReferenceBarComparison(BarComparison):
+    """A BarComparison that computes Phi through the rewriting system even
+    for an abelian Lie algebra."""
+
+    def __init__(self, ce, hopf):
+        super().__init__(ce, hopf)
+        self.commuting = False
+
+
+def test_cocycle_values_agree_on_both_Phi_paths(monkeypatch):
+    # CLI text shows no cocycle values, so pin them here: transported
+    # cochains and xi2 cocycles are the same whichever path Phi takes
+    spec = WorkbenchSpec.load(fixture("case2_beta1_Y.json"))
+    spec.set_budget(6)
+    ctx = SweedlerContext(build_poly2_instance(spec))
+    A = ctx.mad.algebra.space
+    with open(fixture("cocycle_b1.json")) as fh:
+        doc = json.load(fh)
+    one = Element(A, {(0,): Fraction(1)})
+    poly = Element(A, {(0,): Fraction(1), (1,): Fraction(2),
+                       (2,): Fraction(-1, 3)})
+    values = [{(0, 1): one}, {(0, 1): poly}, {(0,): poly, (1,): one}]
+    ce = CEAlgebra(LieSpec.abelian(2))
+
+    def cochains(bc):
+        return ([transport_cochain(ctx, ce, bc, v) for v in values]
+                + [cocycle_from_doc(ctx, doc), xi2_cocycle(ctx, poly)])
+
+    fast_bc = BarComparison(ce, ctx.mad.hopf)
+    assert fast_bc.commuting
+    fast = cochains(fast_bc)
+    monkeypatch.setattr(workbench, "BarComparison", _ReferenceBarComparison)
+    ref = cochains(_ReferenceBarComparison(ce, ctx.mad.hopf))
+    nonzero = 0
+    for f, g in zip(fast, ref):
+        fc, gc = f.values.columns, g.values.columns
+        assert fc.keys() == gc.keys()
+        for lab in fc:
+            assert fc[lab].coeffs == gc[lab].coeffs, lab
+            nonzero += not fc[lab].is_zero()
+    assert nonzero > 90
