@@ -5,6 +5,10 @@ each slot carrying an ordered atomic basis and an optional degree per
 atom.  Labels of a space are tuples of atoms, one per slot, so tensor
 products flatten to concatenation and associativity is definitional.
 All coefficients are `fractions.Fraction`; nothing here ever rounds.
+
+A map made by `LinMap.from_function` builds each column the first time it
+is read, so a caller pays only for the columns it uses; the function that
+gives the columns must therefore be a pure function of its label.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ class SpaceMismatch(Exception):
 
 class TruncationOverflow(Exception):
     """A graded computation left the degree budget; never truncated silently."""
+
+
+class ColumnOverflow(Exception):
+    """A column of a total map left the budget when it was built.
+
+    That is a defect of the map's definition, not a truncation, so it is
+    deliberately not a TruncationOverflow: no check counts it as skipped.
+    """
 
 
 class NotInvertible(Exception):
@@ -324,8 +336,124 @@ def tensor(a: Element, b: Element) -> Element:
     return _element(space, out)
 
 
+class _Columns(dict):
+    """The column dict of a `LinMap.from_function` map, filled on first read.
+
+    `[]`, `get` and `in` build the column they ask for, by one call of `fn`
+    whose result is kept; a column a partial map cannot build inside the
+    budget reads as absent, as if it had been left out.  Whatever sees the
+    whole map (iteration, `keys` / `values` / `items`, `len`, `==`) first
+    builds every remaining column and puts all of them in `domain.basis()`
+    order, so it sees the dict an eager build would have made.
+    """
+
+    __slots__ = ("domain", "codomain", "fn", "partial", "absent")
+
+    def __init__(self, domain, codomain, fn, partial):
+        super().__init__()
+        self.domain = domain
+        self.codomain = codomain
+        self.fn = fn
+        self.partial = partial
+        self.absent = set()
+
+    def build(self, lab):
+        """Build, keep and return the column at `lab`, which is not in the
+        dict yet; None if the map has no column there."""
+        fn = self.fn
+        if fn is None or lab in self.absent or type(lab) is not tuple \
+                or not self.domain.contains(lab):
+            return None
+        return self._make(fn, lab)
+
+    def _make(self, fn, lab):
+        """`build` for a label of the domain not yet tried."""
+        try:
+            img = fn(lab)
+        except TruncationOverflow as exc:
+            if not self.partial:
+                raise ColumnOverflow("column %r of the total map %r -> %r "
+                                     "left the budget: %s"
+                                     % (lab, self.domain, self.codomain,
+                                        exc)) from exc
+            self.absent.add(lab)
+            return None
+        if img.space != self.codomain:
+            raise SpaceMismatch("column for %r lands in %r, expected %r"
+                                % (lab, img.space, self.codomain))
+        dict.__setitem__(self, lab, img)
+        return img
+
+    def complete(self):
+        """Build every remaining column, order all of them as
+        `domain.basis()` does and drop `fn`."""
+        fn = self.fn
+        if fn is None:
+            return
+        absent = self.absent
+        order = [lab for lab in self.domain.basis()
+                 if dict.__contains__(self, lab) or lab not in absent
+                 and self._make(fn, lab) is not None]
+        if list(dict.keys(self)) != order:
+            cols = [(lab, dict.__getitem__(self, lab)) for lab in order]
+            dict.clear(self)
+            dict.update(self, cols)
+        self.fn = self.absent = None
+
+    def __missing__(self, lab):
+        col = self.build(lab)
+        if col is None:
+            raise KeyError(lab)
+        return col
+
+    def get(self, lab, default=None):
+        col = dict.get(self, lab)
+        if col is None:
+            col = self.build(lab)
+        return default if col is None else col
+
+    def __contains__(self, lab):
+        return dict.__contains__(self, lab) or self.build(lab) is not None
+
+    def __iter__(self):
+        self.complete()
+        return dict.__iter__(self)
+
+    def __len__(self):
+        self.complete()
+        return dict.__len__(self)
+
+    def keys(self):
+        self.complete()
+        return dict.keys(self)
+
+    def values(self):
+        self.complete()
+        return dict.values(self)
+
+    def items(self):
+        self.complete()
+        return dict.items(self)
+
+    def __eq__(self, other):
+        self.complete()
+        if isinstance(other, _Columns):
+            other.complete()
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
 class LinMap:
-    """Total linear map given by its columns on every basis label.
+    """Linear map given by its columns on the basis labels of its domain.
+
+    `columns` maps each label to its image.  Built from a dict, the map has
+    exactly that dict's columns.  Built by `from_function`, a column is
+    computed the first time it is read, by one call of `fn` (see
+    `_Columns`), so `fn` must be a pure function of its label: a closure
+    that reads state reassigned later sees the new state.  Caches that only
+    memoise a pure result are fine.
 
     Columns are read-only once built: `apply` and `apply_at` cache a term
     entry per column on its first use (see `_terms`), so a later write to
@@ -366,22 +494,16 @@ class LinMap:
 
     @staticmethod
     def from_function(domain, codomain, fn, partial=False):
-        """Materialize columns eagerly.  With partial=True, columns whose
-        computation leaves the budget are omitted; using them later raises
-        TruncationOverflow (truncation is loud, never silent)."""
-        cols = {}
-        for lab in domain.basis():
-            try:
-                img = fn(lab)
-            except TruncationOverflow:
-                if partial:
-                    continue
-                raise
-            if img.space != codomain:
-                raise SpaceMismatch("column for %r lands in %r, expected %r"
-                                    % (lab, img.space, codomain))
-            cols[lab] = img
-        return LinMap(domain, codomain, cols)
+        """The map whose column at each label is fn(label), computed on its
+        first read; fn must be a pure function of the label.
+
+        With partial=True, a column whose computation leaves the budget is
+        absent, and applying the map to it raises TruncationOverflow
+        (truncation is loud, never silent).  Without it, such a column
+        raises ColumnOverflow when it is read.  A column outside the
+        codomain raises SpaceMismatch when it is built.
+        """
+        return LinMap(domain, codomain, _Columns(domain, codomain, fn, partial))
 
     @staticmethod
     def identity(space):

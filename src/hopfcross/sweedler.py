@@ -98,13 +98,23 @@ def differential(ctx: SweedlerContext, f: ConvMap) -> ConvMap:
 
 
 def additive_coboundary(ctx: SweedlerContext, f: ConvMap) -> ConvMap:
-    """The Hochschild-type coboundary: alternating sum of the same cofaces."""
+    """The Hochschild-type coboundary: alternating sum of the same cofaces.
+
+    Each column is one coefficient dict the cofaces are added into with
+    signs +-1.  A column missing from any coface (it left the budget) is
+    missing from the sum, as in `ConvMap` addition.
+    """
     n = f.coalgebra.space.arity
-    out = None
-    for i in range(n + 2):
-        term = Fraction(-1) ** i * coface(ctx, i, f)
-        out = term if out is None else out + term
-    return out
+    faces = [coface(ctx, i, f) for i in range(n + 2)]
+    A = ctx.mad.algebra
+
+    def fn(lab):
+        out = {}
+        for i, face in enumerate(faces):
+            add_into(out, face(lab).coeffs, -1 if i % 2 else 1)
+        return Element(A.space, out, validate=False)
+
+    return ConvMap.from_function(ctx.domain(n + 1), A, fn, partial=True)
 
 
 def is_normalized(ctx: SweedlerContext, f: ConvMap) -> bool:
@@ -563,17 +573,21 @@ def conv_log(g: ConvMap) -> ConvMap:
 def _conv_series(e: ConvMap, x: ConvMap, coeff, with_unit) -> ConvMap:
     """sum coeff(i) x^{*i} over i >= 1, plus the unit e when `with_unit`.
 
-    The series stops at the coalgebra's top degree, or at the first zero
-    power.  The sum is kept as one coefficient dict per column and added
-    into in place.  A column missing from a power (it left the budget)
-    leaves the sum, as it does in `ConvMap` addition.
+    x vanishes on every label with a degree-0 slot, so x^{*i} vanishes on
+    every label with a slot of degree below i: the series stops at the
+    largest smallest slot degree of a label, or at the first zero power.
+    The sum is kept as one coefficient dict per column and added into in
+    place.  A column missing from a power (it left the budget) leaves the
+    sum, as it does in `ConvMap` addition.
     """
     C, A = e.coalgebra, e.algebra
-    top = max((C.space.degree(l) for l in C.space.basis()), default=0)
+    space = C.space
+    last = max((min((s.degree(a) for s, a in zip(space.slots, lab)),
+                    default=0) for lab in space.basis()), default=0)
     acc = {lab: dict(col.coeffs) if with_unit else {}
            for lab, col in e.values.columns.items()}
     term = e
-    for i in range(1, top + 1):
+    for i in range(1, last + 1):
         term = convolve(term, x)
         if term.is_zero():
             break

@@ -357,9 +357,10 @@ def test_entwining_negative_control(z2, dual_numbers):
     mad = trivial_module_algebra(z2, dual_numbers)
     ent = example_entwining(mad, 1)
     CA = ent.coalgebra.space.tensor(ent.algebra.space)
+    psi = ent.psi
 
     def bad_col(lab):
-        out = ent.psi.columns[lab]
+        out = psi.columns[lab]
         if lab[0] == "g1":
             return 2 * out
         return out
@@ -439,3 +440,131 @@ def test_poly_action_s_columns_match_the_direct_formula(Q):
             assert list(col.coeffs.items()) == [(k, v) for k, v in want.items()
                                                 if v]
             assert all(type(c) is Fraction for c in col.coeffs.values())
+
+
+# ---------------------------------------------------------------------------
+# columns computed on first read: every structure map against an eager build
+
+class _Recorder:
+    """Stands in for LinMap.from_function: keeps each map's fn and partial
+    flag and counts the calls of fn per label the map makes."""
+
+    def __init__(self, monkeypatch):
+        self.by_map = {}
+        original = LinMap.from_function
+
+        def recording(domain, codomain, fn, partial=False):
+            calls = {}
+
+            def counted(lab):
+                calls[lab] = calls.get(lab, 0) + 1
+                return fn(lab)
+
+            m = original(domain, codomain, counted, partial)
+            self.by_map[id(m)] = (m, fn, partial, calls)
+            return m
+
+        monkeypatch.setattr(LinMap, "from_function", staticmethod(recording))
+
+    def calls(self, m):
+        return self.by_map[id(m)][3]
+
+
+def _eager_columns(m, fn, partial):
+    from hopfcross.exact import TruncationOverflow
+    cols = {}
+    for lab in m.domain.basis():
+        try:
+            cols[lab] = fn(lab)
+        except TruncationOverflow:
+            assert partial
+    return cols
+
+
+def _structure_maps(h, mad):
+    maps = {"mul": h.mul, "comul": h.comul, "antipode": h.antipode,
+            "braid": h.braid}
+    if mad is not None:
+        maps.update({"s": mad.s, "rho": mad.rho})
+    for n in (1, 2, 3):
+        tp = tensor_power_coalgebra(h, n)
+        for name in ("comul", "counit", "s", "rho"):
+            maps["%s^%d" % (name, n)] = getattr(tp, name)
+    return maps
+
+
+def _build_poly2():
+    mad = build_poly_action([[-1, 0], [0, 1]], [0, 0, 0, 1], [0], 4)
+    return mad.hopf, mad
+
+
+def _build_sl2():
+    from hopfcross.hopf import LieSpec, build_truncated_enveloping
+    sl2 = LieSpec(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+    return build_truncated_enveloping(sl2, 3), None
+
+
+def _build_z3_graded():
+    A = AlgebraData.from_table(
+        "kt", ["1", "t"], {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+                           ("t", "1"): {"t": 1}, ("t", "t"): {}}, "1")
+    g3 = GroupSpec.cyclic(3)
+    autos = {"id": {e: e for e in g3.elements},
+             "inv": {e: g3.inverse(e) for e in g3.elements}}
+    mad = graded_module_algebra(g3, A, {"1": "id", "t": "inv"}, autos)
+    return mad.hopf, mad
+
+
+@pytest.mark.parametrize("build", [_build_poly2, _build_sl2, _build_z3_graded],
+                         ids=["poly2-N4", "sl2-N3", "z3-graded"])
+def test_structure_maps_read_lazily_match_an_eager_build(monkeypatch, build):
+    import random
+    rec = _Recorder(monkeypatch)
+    h, mad = build()
+    maps = _structure_maps(h, mad)
+    rng = random.Random(7)
+    absences = 0
+    for name, m in maps.items():
+        _, fn, partial, calls = rec.by_map[id(m)]
+        want = _eager_columns(m, fn, partial)
+        labels = list(m.domain.basis())
+        rng.shuffle(labels)
+        for lab in labels[:len(labels) // 2 + 1]:
+            how = rng.randrange(3)
+            if lab not in want:
+                absences += 1
+                assert m.columns.get(lab) is None, name
+                assert lab not in m.columns, name
+                with pytest.raises(KeyError):
+                    m.columns[lab]
+            elif how == 0:
+                assert m.columns.get(lab) == want[lab], name
+            elif how == 1:
+                assert m.columns[lab] == want[lab], name
+            else:
+                assert lab in m.columns, name
+        assert all(c == 1 for c in calls.values()), name
+        # whole-map reads see the eager dict, in basis order
+        assert list(m.columns.items()) == list(want.items()), name
+        assert len(m.columns) == len(want) and m.columns == want, name
+        assert all(c == 1 for c in calls.values()), name
+        assert len(calls) == len(labels), name
+    if build is _build_poly2:
+        assert absences  # rho of beta1 = Y^3 leaves the budget at N = 4
+
+
+def test_section7_path_builds_no_hopf_multiplication_or_braid(monkeypatch):
+    import os
+    from hopfcross.ce import xi_space
+    from hopfcross.workbench import (WorkbenchSpec, build_poly2_instance,
+                                     ce_transposition)
+    rec = _Recorder(monkeypatch)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "case3b.json")
+    spec = WorkbenchSpec.load(path)
+    mad = build_poly2_instance(spec)
+    ce, trans = ce_transposition(mad)
+    for n in (0, 1, 2):
+        xi_space(ce, n, trans, window=spec.budget - 1)
+    assert rec.calls(mad.hopf.braid) == {}
+    assert rec.calls(mad.hopf.mul) == {}

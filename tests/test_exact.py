@@ -390,3 +390,69 @@ def test_element_coerces_and_filters_without_validation():
     assert all(type(c) is Fraction for c in e.coeffs.values())
     with pytest.raises(SpaceMismatch):
         Element(V, {("q",): 1})
+
+
+# ---------------------------------------------------------------------------
+# from_function builds each column on its first read
+
+def test_from_function_builds_columns_on_first_read_in_basis_order():
+    from hopfcross.exact import TruncationOverflow
+    P = _poly_space(6)
+    calls = []
+
+    def col(lab):
+        calls.append(lab)
+        if lab[0] == 5:
+            raise TruncationOverflow("left the budget")
+        return (lab[0] + 1) * Element.basis_vector(P, lab)
+
+    f = LinMap.from_function(P, P, col, partial=True)
+    assert calls == []
+    assert f.columns[(3,)].coeffs == {(3,): 4}
+    assert f.columns.get((1,)).coeffs == {(1,): 2}
+    assert (5,) not in f.columns and f.columns.get((5,)) is None
+    with pytest.raises(KeyError):
+        f.columns[(5,)]
+    # labels outside the domain are absent and never reach fn
+    assert f.columns.get((7,)) is None and (9,) not in f.columns
+    assert f.columns.get(3) is None
+    with pytest.raises(TruncationOverflow):
+        f.apply(Element.basis_vector(P, (5,)))
+    assert calls == [(3,), (1,), (5,)]
+    # whole-map reads build the rest once, in basis order
+    want = {(n,): (n + 1) * Element.basis_vector(P, (n,))
+            for n in range(7) if n != 5}
+    assert list(f.columns) == list(want)
+    assert want == f.columns and f.columns == want
+    assert not (f.columns != want)
+    assert sorted(calls) == [(n,) for n in range(7)]
+    assert f == LinMap(P, P, want)
+
+
+def test_from_function_checks_the_column_space_when_built():
+    V = _flat(["x", "y"], "V")
+    W = _flat(["z"], "W")
+    f = LinMap.from_function(V, V, lambda lab: Element.basis_vector(
+        W, ("z",)) if lab == ("y",) else Element.basis_vector(V, lab))
+    assert f.columns[("x",)].coeffs == {("x",): 1}
+    with pytest.raises(SpaceMismatch):
+        f.columns[("y",)]
+
+
+def test_total_map_overflow_is_loud_inside_compare_on():
+    from hopfcross.exact import ColumnOverflow, TruncationOverflow
+    from hopfcross.hopf import compare_on
+    P = _poly_space(4)
+
+    def col(lab):
+        if lab == (2,):
+            raise TruncationOverflow("left the budget")
+        return Element.basis_vector(P, lab)
+
+    f = LinMap.from_function(P, P, col)
+    with pytest.raises(ColumnOverflow):
+        compare_on(P, lambda x, t: f.apply(x), lambda x, t: x)
+    # the same map made partial counts the label as skipped
+    g = LinMap.from_function(P, P, col, partial=True)
+    res = compare_on(P, lambda x, t: g.apply(x), lambda x, t: x)
+    assert (res.checked, res.skipped, res.passed) == (4, 1, True)

@@ -397,3 +397,86 @@ def test_exp_log_drop_columns_missing_from_a_power(poly_ctx):
         Fraction(0) * e, g - e,
         [Fraction((-1) ** (i + 1), i) for i in range(1, top + 1)])
     assert gone not in log_g.values.columns
+
+
+def _series_to_top(e, x, coeff, with_unit):
+    """The exp/log series loop run to the coalgebra's top degree (or the
+    first zero power), the reference for the degree bound of the series."""
+    from hopfcross.exact import add_into
+    C, A = e.coalgebra, e.algebra
+    top = max((C.space.degree(l) for l in C.space.basis()), default=0)
+    acc = {lab: dict(col.coeffs) if with_unit else {}
+           for lab, col in e.values.columns.items()}
+    term = e
+    for i in range(1, top + 1):
+        term = convolve(term, x)
+        if term.is_zero():
+            break
+        cols = term.values.columns
+        for gone in [lab for lab in acc if lab not in cols]:
+            del acc[gone]
+        for lab, vals in acc.items():
+            add_into(vals, cols[lab].coeffs, coeff(i))
+    return ConvMap(C, A, LinMap(C.space, A.space, {
+        lab: Element(A.space, vals, validate=False)
+        for lab, vals in acc.items()}))
+
+
+def _same_columns(f, g):
+    """Equal key order, values and coefficient order, column by column."""
+    return [(lab, list(col.coeffs.items()))
+            for lab, col in f.values.columns.items()] == \
+        [(lab, list(col.coeffs.items()))
+         for lab, col in g.values.columns.items()]
+
+
+def _compare_style_cochains(N, n):
+    from hopfcross.cli import _random_additive
+    ctx = SweedlerContext(build_poly_action([[1, 0], [0, 1]], [0, 1], [0], N))
+    f = _random_additive(random.Random(10 * N + n), ctx, n)
+    # the same cochain with one nonscalar column left out
+    C = f.coalgebra.space
+    gone = next(lab for lab in C.basis() if C.degree(lab) == n + 1
+                and all(sum(a) for a in lab))
+    cut = ConvMap(f.coalgebra, f.algebra, LinMap(C, f.values.codomain, {
+        lab: col for lab, col in f.values.columns.items() if lab != gone}))
+    return ctx, f, cut, gone
+
+
+@pytest.mark.parametrize("N,n", [(4, 1), (5, 1), (6, 1), (4, 2), (5, 2),
+                                 (6, 2)])
+def test_series_degree_bound_matches_the_loop_to_top(N, n):
+    _, f, cut, gone = _compare_style_cochains(N, n)
+    for x in (f, cut):
+        e = conv_unit(x.coalgebra, x.algebra)
+        g = conv_exp(x)
+        assert _same_columns(g, _series_to_top(
+            e, x, lambda i: Fraction(1, math.factorial(i)), True))
+        assert _same_columns(conv_log(g), _series_to_top(
+            e, g - e, lambda i: Fraction((-1) ** (i + 1), i), False))
+    assert gone not in conv_exp(cut).values.columns
+
+
+def _coboundary_by_convmap_sums(ctx, f):
+    """The alternating coface sum with ConvMap scaling and addition."""
+    out = None
+    for i in range(f.coalgebra.space.arity + 2):
+        term = Fraction(-1) ** i * coface(ctx, i, f)
+        out = term if out is None else out + term
+    return out
+
+
+@pytest.mark.parametrize("N,n", [(4, 1), (5, 1), (4, 2)])
+def test_additive_coboundary_matches_convmap_sums(N, n):
+    ctx, f, cut, gone = _compare_style_cochains(N, n)
+    for x in (f, cut):
+        got = additive_coboundary(ctx, x)
+        want = _coboundary_by_convmap_sums(ctx, x)
+        assert got == want
+        for lab, col in want.values.columns.items():
+            assert list(got(lab).coeffs.items()) == list(col.coeffs.items())
+    # a column missing from a coface is missing from the sum
+    dcut = additive_coboundary(ctx, cut)
+    C = dcut.coalgebra.space
+    assert gone + ((0, 0),) not in dcut.values.columns
+    assert len(dcut.values.columns) < C.dim()
