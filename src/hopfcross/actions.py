@@ -13,11 +13,11 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .exact import (Element, KSPACE, LinMap, NotInvertible, Slot, Space,
+from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
                     TruncationOverflow, apply_at, invert_linmap, rat,
                     slot_permutation, tensor)
 from .hopf import (HopfData, Report, build_truncated_poly_hopf,
-                   check_equal_on, check_invertible, flip_braid, GroupSpec)
+                   check_equal_on, check_invertible, GroupSpec)
 
 
 class InvalidGradation(Exception):
@@ -165,7 +165,19 @@ def braid_is_flip(h: HopfData) -> bool:
     """Whether h.braid has exactly the columns of the flip; decided once per
     HopfData.  An involutive braid need not be the flip, so the
     involutive_braid flag is not consulted."""
-    return h.derived("braid_is_flip", lambda: h.braid == flip_braid(h.space))
+    return h.derived("braid_is_flip", lambda: _is_flip(h.braid, h.space))
+
+
+def _is_flip(braid: LinMap, space: Space) -> bool:
+    """braid == flip_braid(space), decided column by column without
+    building the flip."""
+    sq = space.tensor(space)
+    if braid.domain != sq or braid.codomain != sq:
+        return False
+    cols = braid.columns
+    labels = list(sq.basis())
+    return all(cols.get((a, b)) == Element.basis_vector(sq, (b, a))
+               for a, b in labels) and len(cols) == len(labels)
 
 
 def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
@@ -264,32 +276,37 @@ def tensor_power_comul(h: HopfData, n: int) -> LinMap:
     CC = C.tensor(C)
     budget = CC.budget
     H2 = h.comul.codomain
-    one = Fraction(1)
     # a coefficient of 1 is given as None, so it is never multiplied
     parts = {lab[0]: [(pair, None if c == 1 else c, H2.degree(pair))
                       for pair, c in col.coeffs.items()]
              for lab, col in h.comul.columns.items()}
+    # the largest degree of a coproduct pair of each atom: a label whose
+    # atoms' tops fit the budget has every combination inside it
+    tops = {atom: max((t[2] for t in terms), default=0)
+            for atom, terms in parts.items()}
 
     def col(lab):
         factors = []
+        bound = 0
         for atom in reversed(lab):
             terms = parts.get(atom)
             if terms is None:
                 raise TruncationOverflow("no column for %r" % ((atom,),))
             factors.append(terms)
+            bound += tops[atom]
+        check = budget is not None and bound > budget
         out = {}
         # slot 0 varies fastest, the order apply_at slot by slot produces
         for combo in itertools.product(*factors):
-            combo = combo[::-1]
-            if budget is not None and sum(t[2] for t in combo) > budget:
+            pairs, coeffs, degrees = zip(*combo[::-1])
+            if check and sum(degrees) > budget:
                 raise TruncationOverflow("label exceeds budget")
             coeff = None
-            for _, c, _ in combo:
+            for c in coeffs:
                 if c is not None:
                     coeff = c if coeff is None else coeff * c
-            out[tuple(t[0][0] for t in combo)
-                + tuple(t[0][1] for t in combo)] = \
-                one if coeff is None else coeff
+            left, right = zip(*pairs)
+            out[left + right] = ONE if coeff is None else coeff
         return Element(CC, out, validate=False)
 
     return LinMap.from_function(C, CC, col)

@@ -418,13 +418,32 @@ class CETransposition:
         self.ce = ce
         self.mad = mad
         self.alpha = alpha
+        self._centers = {}
         self._check_conditions()
+
+    def center(self, window=None):
+        """Basis of Z(sA) within the window (`center_of_invariants`),
+        computed once per window."""
+        if window not in self._centers:
+            self._centers[window] = center_of_invariants(self.mad, window)
+        return self._centers[window]
 
     def _check_conditions(self):
         A = self.mad.algebra
         r = self.ce.r
         alpha = self.alpha
         unit = A.unit
+        images = {}
+
+        def image(i, j, la):
+            """alpha_i^j(e_a), computed once per (i, j, a)."""
+            key = (i, j, la)
+            val = images.get(key)
+            if val is None:
+                val = images[key] = alpha[i][j].apply(
+                    Element.basis_vector(A.space, la))
+            return val
+
         for i in range(r):
             for j in range(r):
                 want = unit if i == j else Element.zero(A.space)
@@ -442,33 +461,31 @@ class CETransposition:
                     lhs = alpha[i][j].apply(prod)
                     rhs = {}
                     for l in range(r):
-                        add_into(rhs, A.multiply(alpha[i][l].apply(ea),
-                                                 alpha[l][j].apply(eb)).coeffs,
+                        add_into(rhs, A.multiply(image(i, l, la),
+                                                 image(l, j, lb)).coeffs,
                                  1)
                     if lhs.coeffs != rhs:
                         raise AlphaConditionViolated(
                             "b", "at (%r, %r) entry (%d,%d)" % (la, lb, i, j))
         for la in labels:
-            ea = Element.basis_vector(A.space, la)
             for i, j, l, m in itertools.product(range(r), repeat=4):
-                if alpha[i][l].apply(alpha[j][m].apply(ea)) != \
-                        alpha[j][m].apply(alpha[i][l].apply(ea)):
+                if alpha[i][l].apply(image(j, m, la)) != \
+                        alpha[j][m].apply(image(i, l, la)):
                     raise AlphaConditionViolated("c")
         # (d): s([x_i,x_j] (x) a) = sum_{l<m} (a_i^l a_j^m - a_i^m a_j^l)(a) (x) [x_l,x_m]
         for i, j in itertools.combinations(range(self.ce.r), 2):
             br = self.ce.lie.bracket(i, j)
             for la in labels:
-                ea = Element.basis_vector(A.space, la)
                 lhs = {}
                 for g, c in br.items():
                     for t in range(r):
-                        val = alpha[g][t].apply(ea)
+                        val = image(g, t, la)
                         for out_lab, v in val.coeffs.items():
                             _dadd(lhs, (out_lab, t), c * v)
                 rhs = {}
                 for l, m in itertools.combinations(range(r), 2):
-                    val = alpha[i][l].apply(alpha[j][m].apply(ea)) - \
-                        alpha[i][m].apply(alpha[j][l].apply(ea))
+                    val = alpha[i][l].apply(image(j, m, la)) - \
+                        alpha[i][m].apply(image(j, l, la))
                     for g, c in self.ce.lie.bracket(l, m).items():
                         for out_lab, v in val.coeffs.items():
                             _dadd(rhs, (out_lab, g), c * v)
@@ -581,7 +598,7 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
     e_sets = list(itertools.combinations(range(r), n))
     if not e_sets:
         return XiSolution([], [], window)
-    zsa = center_of_invariants(mad, window)
+    zsa = trans.center(window)
     if not zsa:
         return XiSolution(e_sets, [], window)
     nz = len(zsa)

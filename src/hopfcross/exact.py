@@ -19,6 +19,10 @@ from operator import contains, getitem
 
 Q = Fraction
 
+#: the coefficient of every basis vector of coefficient 1; a Fraction is
+#: immutable, so one object serves them all
+ONE = Fraction(1)
+
 
 def rat(x) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
@@ -221,6 +225,10 @@ class Element:
 
     @staticmethod
     def basis_vector(space, label, coeff=1):
+        if coeff == 1:
+            if not space.contains(label):
+                raise space.label_error(label)
+            return _element(space, {label: ONE})
         return Element(space, {label: Fraction(coeff)})
 
     @staticmethod
@@ -310,11 +318,12 @@ def add_basis_term(out, space, lab, c):
     dict, with the cancellation rule of `add_into`."""
     if not space.contains(lab):
         raise space.label_error(lab)
-    v = out.get(lab, 0) + c
+    old = out.get(lab)
+    v = c if old is None else old + c
     if v:
         out[lab] = v
-    else:
-        out.pop(lab, None)
+    elif old is not None:
+        del out[lab]
 
 
 def _label_key(label):

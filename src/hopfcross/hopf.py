@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact import (Element, KSPACE, LinMap, Slot, Space, TruncationOverflow,
-                    apply_at, invert_linmap, NotInvertible,
-                    slot_permutation, tensor)
+from .exact import (ONE, Element, KSPACE, LinMap, Slot, Space,
+                    TruncationOverflow, _element, apply_at, invert_linmap,
+                    NotInvertible, slot_permutation, tensor)
 
 
 class InvalidGroup(Exception):
@@ -87,10 +87,12 @@ def compare_on(space, lhs, rhs, budget=None, sample=None, name="",
     """
     res = CheckResult(name)
     labels = space.basis()
-    if budget is not None:
+    # space.basis() yields only labels of the space, so neither their degree
+    # up to the space's own budget nor their basis vectors need a check
+    if budget is not None and (space.budget is None or budget < space.budget):
         labels = (t for t in labels if space.degree(t) <= budget)
     for t in itertools.islice(labels, sample):
-        x = Element.basis_vector(space, t)
+        x = _element(space, {t: ONE})
         try:
             a, b = lhs(x, t), rhs(x, t)
         except TruncationOverflow:

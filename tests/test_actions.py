@@ -4,9 +4,10 @@ import pytest
 from fractions import Fraction
 from math import comb
 
-from hopfcross.exact import Element, LinMap, tensor
+from hopfcross.exact import (ColumnOverflow, Element, LinMap, Slot, Space,
+                             TruncationOverflow, tensor)
 from hopfcross.hopf import (GroupSpec, HopfData, build_group_algebra,
-                            build_truncated_poly_hopf)
+                            build_truncated_poly_hopf, flip_braid)
 from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
                                action_module_algebra, braid_cross,
                                braid_cross_recursive, braid_is_flip,
@@ -110,6 +111,110 @@ def test_direct_comul_matches_shuffled_construction(build):
         # same terms in the same order, so downstream sums are unchanged
         for lab, col in ref.columns.items():
             assert list(direct.columns[lab].coeffs) == list(col.coeffs)
+
+
+def _reference_tensor_power_comul(h, n):
+    """The flip-braid H^n comultiplication built with a budget check on every
+    coproduct combination and generator expressions for the label halves."""
+    C = h.power(n)
+    CC = C.tensor(C)
+    budget = CC.budget
+    H2 = h.comul.codomain
+    parts = {lab[0]: [(pair, None if c == 1 else c, H2.degree(pair))
+                      for pair, c in col.coeffs.items()]
+             for lab, col in h.comul.columns.items()}
+
+    def col(lab):
+        factors = []
+        for atom in reversed(lab):
+            terms = parts.get(atom)
+            if terms is None:
+                raise TruncationOverflow("no column for %r" % ((atom,),))
+            factors.append(terms)
+        out = {}
+        for combo in itertools.product(*factors):
+            combo = combo[::-1]
+            if budget is not None and sum(t[2] for t in combo) > budget:
+                raise TruncationOverflow("label exceeds budget")
+            coeff = None
+            for _, c, _ in combo:
+                if c is not None:
+                    coeff = c if coeff is None else coeff * c
+            out[tuple(t[0][0] for t in combo)
+                + tuple(t[0][1] for t in combo)] = \
+                Fraction(1) if coeff is None else coeff
+        return Element(CC, out, validate=False)
+
+    return LinMap.from_function(C, CC, col)
+
+
+def _column_outcomes(f):
+    """Each column of f in basis order, or the type and message it raised."""
+    out = []
+    for lab in f.domain.basis():
+        try:
+            col = f.columns[lab]
+            out.append((lab, col, list(col.coeffs.items())))
+        except Exception as exc:
+            out.append((lab, type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("budget", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3])
+def test_direct_comul_matches_its_reference_builder(n, budget):
+    h = build_truncated_poly_hopf(2, budget)
+    direct = tensor_power_comul(h, n)
+    assert _column_outcomes(direct) == \
+        _column_outcomes(_reference_tensor_power_comul(h, n))
+    assert direct == tensor_power_comul_shuffled(h, n)
+
+
+def _degree_raising_hopf(budget):
+    """A flip-braided space whose coproduct sends the degree-1 atom to a
+    pair of degree 2, so some H^n columns leave the budget."""
+    space = Space((Slot("G", (0, 1), {0: 0, 1: 1}),), budget)
+    H2 = space.tensor(space)
+    comul = LinMap.from_function(space, H2, lambda lab: Element.basis_vector(
+        H2, lab + lab, 3 if lab == (1,) else 1))
+    return HopfData("degree raising", space, None, None, comul, None,
+                    braid=flip_braid(space))
+
+
+@pytest.mark.parametrize("n,budget", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_direct_comul_raises_where_its_reference_builder_raises(n, budget):
+    h = _degree_raising_hopf(budget)
+    got = _column_outcomes(tensor_power_comul(h, n))
+    assert got == _column_outcomes(_reference_tensor_power_comul(h, n))
+    assert any(out[1] is ColumnOverflow for out in got)
+
+
+def test_braid_is_flip_decides_without_building_a_flip(monkeypatch):
+    import hopfcross.actions as actions
+    import hopfcross.hopf as hopf
+    flips = [build() for build in (p.values[0] for p in FLIP_INSTANCES)]
+    others = [_scaled_flip_hopf(q, 3) for q in (2, -1)]
+    # the flip's columns with one more outside the basis, or with one of
+    # them moved outside it, are not the flip
+    h = build_truncated_poly_hopf(2, 3)
+    H2 = h.space.tensor(h.space)
+    for drop in (False, True):
+        cols = {lab: Element.basis_vector(H2, lab[::-1])
+                for lab in H2.basis()}
+        if drop:
+            del cols[((1, 0), (0, 1))]
+        cols[((9, 9), (9, 9))] = Element.zero(H2)
+        others.append(HopfData("flip with a column outside", h.space, h.mul,
+                               h.unit, h.comul, h.counit, h.antipode,
+                               LinMap(H2, H2, cols)))
+
+    def no_flip(space):
+        raise AssertionError("flip_braid was called")
+
+    monkeypatch.setattr(hopf, "flip_braid", no_flip)
+    monkeypatch.setattr(actions, "flip_braid", no_flip, raising=False)
+    assert [braid_is_flip(h) for h in flips] == [True] * len(flips)
+    assert [braid_is_flip(h) for h in others] == [False] * len(others)
 
 
 def _scaled_flip_hopf(q, N):

@@ -456,3 +456,92 @@ def test_total_map_overflow_is_loud_inside_compare_on():
     g = LinMap.from_function(P, P, col, partial=True)
     res = compare_on(P, lambda x, t: g.apply(x), lambda x, t: x)
     assert (res.checked, res.skipped, res.passed) == (4, 1, True)
+
+
+def _reference_basis_vector(space, label, coeff=1):
+    """Element.basis_vector as it was before its coefficient-1 path."""
+    return Element(space, {label: Fraction(coeff)})
+
+
+@pytest.mark.parametrize("coeff", [0, 1, Fraction(1, 2), Fraction(1), 1.0])
+def test_basis_vector_matches_validating_construction(coeff):
+    P = _poly_space(3)
+    V = _flat(["x", "y"], "V")
+    for space, lab in ((P, (2,)), (V, ("y",)), (KSPACE, ())):
+        got = Element.basis_vector(space, lab, coeff)
+        want = _reference_basis_vector(space, lab, coeff)
+        assert got == want and list(got.coeffs) == list(want.coeffs)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        # every call owns its coefficient dict
+        again = Element.basis_vector(space, lab, coeff)
+        assert again.coeffs is not got.coeffs
+        again.coeffs[lab] = Fraction(7)
+        assert Element.basis_vector(space, lab, coeff) == want
+
+
+@pytest.mark.parametrize("coeff", [1, Fraction(1, 2)])
+def test_basis_vector_rejects_labels_like_the_validating_construction(coeff):
+    # atoms 0..5 of degree n, budget 3: (4,) leaves only the budget
+    P = Space((Slot("P", range(6), {n: n for n in range(6)}),), budget=3)
+    V = _flat(["x", "y"], "V")
+    bad = [(P, (4,)), (P, (7,)), (P, (1, 1)), (V, ("z",)), (V, ()),
+           (KSPACE, ("x",))]
+    for space, lab in bad:
+        outcomes = []
+        for make in (Element.basis_vector, _reference_basis_vector):
+            with pytest.raises((SpaceMismatch, TruncationOverflow)) as info:
+                make(space, lab, coeff)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1], (space, lab)
+    with pytest.raises(TruncationOverflow, match="exceeds budget 3"):
+        Element.basis_vector(P, (4,))
+
+
+def _reference_add_basis_term(out, space, lab, c):
+    """add_basis_term as it was: every new key computed as 0 + c."""
+    if not space.contains(lab):
+        raise space.label_error(lab)
+    v = out.get(lab, 0) + c
+    if v:
+        out[lab] = v
+    else:
+        out.pop(lab, None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_basis_term_matches_reference_on_cancelling_sequences(seed):
+    from hopfcross.exact import add_basis_term
+    rng = random.Random(seed)
+    P = _poly_space(4)
+    values = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+              Fraction(3), 2, -2]
+    got, want = {}, {}
+    for _ in range(200):
+        lab = (rng.randrange(5),)
+        c = rng.choice(values)
+        add_basis_term(got, P, lab, c)
+        _reference_add_basis_term(want, P, lab, c)
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == \
+            [type(v) for v in want.values()]
+    with pytest.raises(SpaceMismatch):
+        add_basis_term(got, P, (5,), Fraction(1))
+
+
+def test_compare_on_filters_by_a_budget_below_the_space_budget():
+    from hopfcross.hopf import compare_on
+    P = _poly_space(4)
+    seen = []
+
+    def side(x, t):
+        seen.append(t)
+        assert x == Element.basis_vector(P, t)
+        return x
+
+    res = compare_on(P, side, lambda x, t: x, budget=2)
+    assert (res.checked, res.skipped) == (3, 0)
+    assert seen == [(0,), (1,), (2,)]
+    for budget in (None, 4, 9):
+        assert compare_on(P, side, lambda x, t: x, budget=budget).checked == 5
+    V = _flat(["x", "y"], "V")
+    assert compare_on(V, lambda x, t: x, lambda x, t: x, budget=0).checked == 2

@@ -432,3 +432,20 @@ def test_cocycle_values_agree_on_both_Phi_paths(monkeypatch):
             assert fc[lab].coeffs == gc[lab].coeffs, lab
             nonzero += not fc[lab].is_zero()
     assert nonzero > 90
+
+
+def test_classify_computes_the_center_of_invariants_once(monkeypatch):
+    import hopfcross.ce as ce
+    calls = []
+    real = ce.center_of_invariants
+
+    def counting(mad, window=None):
+        calls.append(window)
+        return real(mad, window)
+
+    monkeypatch.setattr(ce, "center_of_invariants", counting)
+    spec = WorkbenchSpec.load(fixture("case3b.json"))
+    rep = classify_crossed_products(spec)
+    assert len(calls) == 1
+    with open(os.path.join(GOLDENS, "case3b.txt")) as fh:
+        assert rep.as_text() + "\n" == fh.read()
