@@ -33,9 +33,10 @@ from fractions import Fraction
 from operator import add, sub
 
 from .exact import (Element, TruncationOverflow, add_basis_term, add_into,
-                    nullspace, tensor)
+                    echelon_basis, nullspace, solution_space, tensor)
 from .hopf import CheckResult, HopfData, LieSpec, Report
 from .actions import ModuleAlgebraData
+from .sweedler import _commutators, invariant_subspace
 
 HALF = Fraction(1, 2)
 
@@ -561,15 +562,12 @@ class CETransposition:
 # the functor Xi on the resolution
 
 def center_of_invariants(mad: ModuleAlgebraData, window=None):
-    """Basis of Z(sA), sA = {a : s(h (x) a) = a (x) h}, within a window."""
-    from .sweedler import center_subspace, intersect_spans, invariant_subspace
+    """Basis of Z(sA), sA = {a : s(h (x) a) = a (x) h}, within a window,
+    in reduced echelon form: the elements of sA that commute with sA."""
     sA = invariant_subspace(mad, window=window)
-    zc = center_subspace(mad.algebra, within=sA)
-    out = intersect_spans(mad.algebra.space, sA, zc)
-    if window is None:
-        return out
-    A = mad.algebra.space
-    return [b for b in out if all(A.degree(l) <= window for l in b.coeffs)]
+    space = mad.algebra.space
+    return echelon_basis(space, solution_space(
+        space, sA, _commutators(mad.algebra, sA)))
 
 
 class XiSolution:

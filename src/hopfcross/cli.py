@@ -154,8 +154,6 @@ def cmd_compare(spec, args, out):
     if spec.kind == "poly2":
         mad = build_poly2_instance(spec)
         ctx = SweedlerContext(mad)
-        C1, C2 = ctx.domain(1), ctx.domain(2)
-        A = mad.algebra
         # exp/log roundtrips on random degree-bounded normalized cochains
         for trial in range(args.samples):
             f = _random_additive(rng, ctx, 2)
@@ -166,17 +164,21 @@ def cmd_compare(spec, args, out):
         else:
             lines.append("exp/log roundtrip: %d samples exact" % args.samples)
         # exp intertwines the coboundaries
+        skipped = 0
         for trial in range(max(1, args.samples // 2)):
             f = _random_additive(rng, ctx, 1)
-            lhs = conv_exp(additive_coboundary(ctx, f))
-            rhs = differential(ctx, conv_exp(f))
-            if any(lhs(l) != rhs(l) for l in C2.space.basis()):
+            same, _, skips = conv_equal(conv_exp(additive_coboundary(ctx, f)),
+                                        differential(ctx, conv_exp(f)))
+            skipped += skips
+            if not same:
                 ok = False
                 lines.append("exp(delta f) = D(exp f) FAILED at trial %d" % trial)
                 break
         else:
-            lines.append("exp(delta f) = D(exp f): %d samples exact"
-                         % max(1, args.samples // 2))
+            lines.append("exp(delta f) = D(exp f): %d samples exact%s"
+                         % (max(1, args.samples // 2),
+                            " [skipped (budget): %d]" % skipped
+                            if skipped else ""))
         # bar-side vs resolution-side verdicts
         agree = _bar_vs_resolution(ctx, lines)
         ok = ok and agree

@@ -210,13 +210,12 @@ class Element:
         self.space = space
         clean = {}
         for lab, c in coeffs.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if not c:
-                continue
             if validate and not space.contains(lab):
                 raise space.label_error(lab)
-            clean[lab] = c
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                clean[lab] = c
         self.coeffs = clean
 
     @staticmethod
@@ -714,6 +713,47 @@ def nullspace(rows, ncols):
     return basis
 
 
+def solution_space(space, unknowns, conditions):
+    """Basis of the combinations of `unknowns` (Elements of `space`) that
+    every condition sends to 0, in `nullspace`'s free-variable form.
+
+    A condition is a linear function of one unknown, called on each unknown
+    in turn; its value gives one equation per label of the value.  An
+    unknown whose value under a condition leaves the budget (the call
+    raises TruncationOverflow) adds no term to that condition.
+    """
+    rows = []
+    for cond in conditions:
+        eq = {}
+        for j, u in enumerate(unknowns):
+            try:
+                value = cond(u)
+            except TruncationOverflow:
+                continue
+            for out, v in value.coeffs.items():
+                eq.setdefault(out, {})[j] = v
+        rows.extend(eq.values())
+    basis = []
+    for vec in nullspace(rows, len(unknowns)):
+        out = {}
+        for c, u in zip(vec, unknowns):
+            if c:
+                add_into(out, u.coeffs, c)
+        basis.append(_element(space, out))
+    return basis
+
+
+def echelon_basis(space, vectors):
+    """The reduced row echelon basis of the span of `vectors`, with the
+    columns in `space.basis()` order."""
+    labels = list(space.basis())
+    idx = {lab: j for j, lab in enumerate(labels)}
+    red, _ = rref([{idx[lab]: v for lab, v in b.coeffs.items()}
+                   for b in vectors])
+    return [_element(space, {labels[j]: r[j] for j in sorted(r)})
+            for r in red]
+
+
 def solve(rows, ncols, rhs):
     """One solution of rows @ x = rhs, or None if inconsistent.
 
@@ -739,27 +779,13 @@ def kernel_image_quotient(f: LinMap):
     dom_labels = list(f.domain.basis())
     cod_labels = list(f.codomain.basis())
     cod_index = {lab: i for i, lab in enumerate(cod_labels)}
-
-    # rows of the "equation" view: one row per codomain coordinate
-    rows_by_cod = {}
-    for j, dl in enumerate(dom_labels):
-        for cl, v in f.columns[dl].coeffs.items():
-            rows_by_cod.setdefault(cod_index[cl], {})[j] = v
-    eq_rows = list(rows_by_cod.values())
-
-    kernel = []
-    for vec in nullspace(eq_rows, len(dom_labels)):
-        kernel.append(Element(f.domain,
-                              {dom_labels[j]: v for j, v in enumerate(vec) if v},
-                              validate=False))
+    # a missing column raises here, so the kernel solve reads no gap
+    cols = [f.columns[dl] for dl in dom_labels]
+    kernel = _kernel(f, dom_labels)
 
     # image: row-reduce the transposed columns
-    img_rows = []
-    for dl in dom_labels:
-        col = f.columns[dl]
-        if col.coeffs:
-            img_rows.append({cod_index[cl]: v for cl, v in col.coeffs.items()})
-    red, pivots = rref(img_rows)
+    red, pivots = rref([{cod_index[cl]: v for cl, v in col.coeffs.items()}
+                        for col in cols])
     image = [Element(f.codomain,
                      {cod_labels[c]: v for c, v in row.items()},
                      validate=False)
@@ -804,8 +830,9 @@ def invert_linmap(f: LinMap) -> LinMap:
         for col in range(n):
             piv = next((r for r in range(col, n) if col in rows[r]), None)
             if piv is None:
-                wit = _kernel_witness(f, dls, cls)
-                raise NotInvertible("singular block at degree %s" % deg, wit)
+                wit = _kernel(f, dls)
+                raise NotInvertible("singular block at degree %s" % deg,
+                                    wit[0] if wit else None)
             rows[col], rows[piv] = rows[piv], rows[col]
             lead = rows[col]
             pv = lead[col]
@@ -823,15 +850,8 @@ def invert_linmap(f: LinMap) -> LinMap:
     return LinMap(f.codomain, f.domain, inv_cols)
 
 
-def _kernel_witness(f, dls, cls):
-    cidx = {lab: i for i, lab in enumerate(cls)}
-    rows_by_cod = {}
-    for j, dl in enumerate(dls):
-        for cl, v in f.columns[dl].coeffs.items():
-            rows_by_cod.setdefault(cidx[cl], {})[j] = v
-    null = nullspace(list(rows_by_cod.values()), len(dls))
-    if not null:
-        return None
-    vec = null[0]
-    return Element(f.domain, {dls[j]: v for j, v in enumerate(vec) if v},
-                   validate=False)
+def _kernel(f, labels):
+    """Basis of the kernel of f on the span of `labels`, whose columns
+    have all been read."""
+    return solution_space(f.domain, [Element.basis_vector(f.domain, lab)
+                                     for lab in labels], [f.apply])

@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, add_into, apply_at, nullspace, tensor)
+                    TruncationOverflow, add_into, apply_at, echelon_basis,
+                    solution_space, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
 from .convolution import (ConvMap, conv_inverse, conv_unit, convolve,
@@ -28,12 +29,11 @@ class SeriesPreconditionViolated(Exception):
 class SweedlerContext:
     """Caches the module-coalgebra structure on every tensor power used."""
 
-    def __init__(self, mad: ModuleAlgebraData, max_arity=4):
+    def __init__(self, mad: ModuleAlgebraData):
         if not mad.hopf.cocommutative:
             raise ValueError("the Sweedler complex requires a cocommutative H")
         self.mad = mad
         self._powers = {0: unit_coalgebra(mad.hopf)}
-        self.max_arity = max_arity
 
     def domain(self, n):
         if n not in self._powers:
@@ -146,114 +146,57 @@ def invariant_subspace(mad: ModuleAlgebraData, window=None):
 
     For graded H it is enough to impose the condition against the degree-one
     atoms (s is multiplicative in the Hopf slot); for ungraded H every atom
-    is used.  With a window, candidates are restricted so every row can be
-    formed inside the budget.
+    is used.  Candidates are restricted so every row can be formed inside
+    the budget: to degree <= window, and without a window to the labels
+    whose every invariance equation has degree within the budget.
     """
+    return solution_space(mad.algebra.space, *_s_invariance(mad, window))
+
+
+def _s_invariance(mad, window):
+    """(candidates, conditions) of the s-invariants, as `invariant_subspace`
+    states them."""
     A, h = mad.algebra, mad.hopf
-    labels = [l for l in A.space.basis()
-              if window is None or A.space.degree(l) <= window]
     graded = any(s_.degrees for s_ in h.space.slots)
     h_labels = [hl for hl in h.space.basis()
                 if not graded or h.space.degree(hl) == 1]
-    rows = []
-    for hl in h_labels:
-        eq = {}
-        for j, al in enumerate(labels):
-            try:
-                x = tensor(Element.basis_vector(h.space, hl),
-                           Element.basis_vector(A.space, al))
-                diff = mad.s.apply(x) - tensor(Element.basis_vector(A.space, al),
-                                               Element.basis_vector(h.space, hl))
-            except TruncationOverflow:
-                continue
-            for out, v in diff.coeffs.items():
-                eq.setdefault(out, {})[j] = v
-        rows.extend(eq.values())
-    return _vectors_to_elements(nullspace(rows, len(labels)), A.space, labels)
+    budget = h.space.tensor(A.space).budget
+    if window is None and budget is not None:
+        window = budget - max(map(h.space.degree, h_labels), default=0)
+    candidates = [Element.basis_vector(A.space, l) for l in A.space.basis()
+                  if window is None or A.space.degree(l) <= window]
+
+    def condition(hl):
+        hv = Element.basis_vector(h.space, hl)
+        return lambda a: mad.s.apply(tensor(hv, a)) - tensor(a, hv)
+
+    return candidates, [condition(hl) for hl in h_labels]
 
 
-def center_subspace(algebra, within=None):
-    """Basis of the centralizer of `within` (default: the whole algebra)."""
-    labels = list(algebra.space.basis())
-    idx = {l: j for j, l in enumerate(labels)}
-    gens = within if within is not None else \
-        [Element.basis_vector(algebra.space, l) for l in labels]
-    rows = []
-    for g in gens:
-        eq = {}
-        for j, al in enumerate(labels):
-            a = Element.basis_vector(algebra.space, al)
-            try:
-                diff = algebra.multiply(a, g) - algebra.multiply(g, a)
-            except TruncationOverflow:
-                continue
-            for out, v in diff.coeffs.items():
-                eq.setdefault(out, {})[j] = v
-        rows.extend(eq.values())
-    return _vectors_to_elements(nullspace(rows, len(labels)), algebra.space,
-                                labels)
+def _commutators(algebra, elements):
+    """The conditions a -> a g - g a, one per g in `elements`."""
+    def condition(g):
+        return lambda a: algebra.multiply(a, g) - algebra.multiply(g, a)
+    return [condition(g) for g in elements]
 
 
-def h_invariants(mad: ModuleAlgebraData):
-    """Basis of {a : h.a = eps(h) a for all h}."""
-    A, h = mad.algebra, mad.hopf
-    labels = list(A.space.basis())
-    rows = []
-    for hl in h.space.basis():
-        eps = h.counit_value(hl[0])
-        eq = {}
-        for j, al in enumerate(labels):
-            a = Element.basis_vector(A.space, al)
-            try:
-                diff = mad.act(Element.basis_vector(h.space, hl), a) - eps * a
-            except TruncationOverflow:
-                continue
-            for out, v in diff.coeffs.items():
-                eq.setdefault(out, {})[j] = v
-        rows.extend(eq.values())
-    return _vectors_to_elements(nullspace(rows, len(labels)), A.space, labels)
+def _invariant_center(mad):
+    """(candidates, conditions) of sA intersect Z(A)."""
+    A = mad.algebra
+    candidates, conditions = _s_invariance(mad, None)
+    return candidates, conditions + _commutators(
+        A, [Element.basis_vector(A.space, l) for l in A.space.basis()])
 
 
-def _vectors_to_elements(vectors, space, labels):
-    out = []
-    for vec in vectors:
-        out.append(Element(space, {labels[j]: v for j, v in enumerate(vec) if v},
-                           validate=False))
-    return out
+def _h_invariance(mad):
+    """The conditions a -> h.a - eps(h) a, one per basis label h of H."""
+    h = mad.hopf
 
+    def condition(hl):
+        hv, eps = Element.basis_vector(h.space, hl), h.counit_value(hl[0])
+        return lambda a: mad.act(hv, a) - eps * a
 
-def intersect_spans(space, *bases):
-    """Exact intersection of spanned subspaces of a common Space."""
-    labels = list(space.basis())
-    idx = {l: j for j, l in enumerate(labels)}
-    current = list(bases[0])
-    for other in bases[1:]:
-        if not current or not other:
-            return []
-        # solve x in span(current) and x in span(other)
-        cols = [{idx[l]: v for l, v in b.coeffs.items()} for b in current] + \
-               [{idx[l]: -v for l, v in b.coeffs.items()} for b in other]
-        rows = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                rows.setdefault(i, {})[j] = v
-        sols = nullspace(list(rows.values()), len(cols))
-        nxt = []
-        for sol in sols:
-            vec = Element.zero(space)
-            for j, b in enumerate(current):
-                if sol[j]:
-                    vec = vec + sol[j] * b
-            if not vec.is_zero():
-                nxt.append(vec)
-        # re-reduce to a basis
-        red_rows = [{idx[l]: v for l, v in b.coeffs.items()} for b in nxt]
-        from .exact import rref
-        red, _ = rref(red_rows)
-        current = _vectors_to_elements(
-            [[r.get(j, Fraction(0)) for j in range(len(labels))] for r in red],
-            space, labels)
-    return current
+    return [condition(hl) for hl in h.space.basis()]
 
 
 def h0(mad: ModuleAlgebraData):
@@ -261,13 +204,13 @@ def h0(mad: ModuleAlgebraData):
 
     The unit group of the carrier is infinite over the rationals, so the
     cohomology in degree zero is reported as the subspace
-    sA  intersect  Z(A)  intersect  (H-invariants), together with a test for
-    membership in its unit group.
+    sA  intersect  Z(A)  intersect  (H-invariants), in reduced echelon
+    form, together with a test for membership in its unit group.
     """
-    sA = invariant_subspace(mad)
-    zA = center_subspace(mad.algebra)
-    hA = h_invariants(mad)
-    carrier = intersect_spans(mad.algebra.space, sA, zA, hA)
+    A = mad.algebra
+    candidates, conditions = _invariant_center(mad)
+    carrier = echelon_basis(A.space, solution_space(
+        A.space, candidates, conditions + _h_invariance(mad)))
 
     def is_invertible(a: Element) -> bool:
         try:
@@ -303,37 +246,20 @@ def is_inner(ctx: SweedlerContext, f: ConvMap):
     solution space is then searched for an invertible representative.
     """
     mad = ctx.mad
-    carrier = intersect_spans(mad.algebra.space,
-                              invariant_subspace(mad),
-                              center_subspace(mad.algebra))
-    if not carrier:
-        return False, None
-    h = mad.hopf
-    rows = []
-    a_labels = list(mad.algebra.space.basis())
-    for hl in h.space.basis():
-        eq = {}
-        for j, b in enumerate(carrier):
-            try:
-                diff = mad.algebra.multiply(f(hl), b) - \
-                    mad.act(Element.basis_vector(h.space, hl), b)
-            except TruncationOverflow:
-                continue
-            for out, v in diff.coeffs.items():
-                eq.setdefault(out, {})[j] = v
-        rows.extend(eq.values())
-    sols = nullspace(rows, len(carrier))
-    candidates = []
-    for sol in sols:
-        vec = Element.zero(mad.algebra.space)
-        for j, b in enumerate(carrier):
-            if sol[j]:
-                vec = vec + sol[j] * b
-        candidates.append(vec)
+    A, h = mad.algebra, mad.hopf
+    carrier = echelon_basis(A.space, solution_space(A.space,
+                                                    *_invariant_center(mad)))
+
+    def condition(hl):
+        hv = Element.basis_vector(h.space, hl)
+        return lambda b: A.multiply(f(hl), b) - mad.act(hv, b)
+
+    candidates = solution_space(A.space, carrier,
+                                [condition(hl) for hl in h.space.basis()])
     # deterministic search for an invertible witness in the solution space
     trials = list(candidates)
     if len(candidates) > 1:
-        acc = Element.zero(mad.algebra.space)
+        acc = Element.zero(A.space)
         for c_ in candidates:
             acc = acc + c_
             trials.append(acc)
@@ -343,7 +269,7 @@ def is_inner(ctx: SweedlerContext, f: ConvMap):
         if cand.is_zero():
             continue
         try:
-            mad.algebra.element_inverse(cand)
+            A.element_inverse(cand)
         except NotInvertible:
             continue
         if differential(ctx, _scalar_cochain(ctx, cand)) == f:

@@ -42,13 +42,12 @@ class WorkbenchSpec:
     `poly2` = (Q, beta1, beta2).
     """
 
-    def __init__(self, kind, payload, budget, tasks=None):
+    def __init__(self, kind, payload, budget):
         if kind not in ("group", "lie", "poly2"):
             raise InputError("unknown kind %r" % kind)
         self.kind = kind
         self.payload = payload
         self.set_budget(budget)
-        self.tasks = tasks or []
         self.poly2 = _parse_poly2(payload) if kind == "poly2" else None
 
     def set_budget(self, budget):
@@ -75,7 +74,7 @@ class WorkbenchSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InputError("spec document needs a 'kind'")
         return WorkbenchSpec(doc["kind"], doc.get("payload", {}),
-                             doc.get("budget"), doc.get("tasks"))
+                             doc.get("budget"))
 
 
 def _spec_rational(x, where):

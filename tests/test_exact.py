@@ -5,8 +5,9 @@ from fractions import Fraction
 
 from hopfcross.exact import (Element, KSPACE, LinMap, NotInvertible, Slot,
                              Space, SpaceMismatch, TruncationOverflow, apply_at,
-                             compose, invert_linmap, kernel_image_quotient,
-                             nullspace, rat, rref, slot_permutation, tensor,
+                             compose, echelon_basis, invert_linmap,
+                             kernel_image_quotient, nullspace, rat, rref,
+                             slot_permutation, solution_space, tensor,
                              tensor_maps)
 
 
@@ -545,3 +546,60 @@ def test_compare_on_filters_by_a_budget_below_the_space_budget():
         assert compare_on(P, side, lambda x, t: x, budget=budget).checked == 5
     V = _flat(["x", "y"], "V")
     assert compare_on(V, lambda x, t: x, lambda x, t: x, budget=0).checked == 2
+
+
+def _poly_space_past(N):
+    """k[Y] with atoms Y^0..Y^(N+2) and budget N: Y^(N+1) leaves the budget."""
+    labels = range(N + 3)
+    return Space((Slot("P", labels, {n: n for n in labels}),), budget=N)
+
+
+def test_zero_coefficient_label_is_still_checked():
+    P = _poly_space_past(3)
+    for coeff in (0, 1, Fraction(1, 2)):
+        with pytest.raises(SpaceMismatch):
+            Element.basis_vector(P, ("nope",), coeff)
+        with pytest.raises(TruncationOverflow):
+            Element(P, {(4,): coeff})
+    assert Element(P, {(2,): 0}).is_zero()
+
+
+def test_solution_space_drops_an_unknown_whose_value_overflows():
+    # x -> Y x on k[Y] truncated at 3: Y^3 has no value inside the budget,
+    # so it adds no term and comes out free; the others must vanish
+    P = _poly_space_past(3)
+    unknowns = [Element.basis_vector(P, (n,)) for n in range(4)]
+
+    def times_y(x):
+        return Element(P, {(n + 1,): c for (n,), c in x.coeffs.items()})
+
+    assert solution_space(P, unknowns, [times_y]) == [unknowns[3]]
+    # no condition: the free-variable form is the unknowns themselves
+    assert solution_space(P, unknowns, []) == unknowns
+
+
+def test_solution_space_combines_the_unknowns():
+    V = _flat(["a", "b", "c"])
+    u = [Element(V, {("a",): 1, ("b",): 1}), Element(V, {("c",): 2})]
+
+    def coordinate_difference(x):    # a - c/2 must vanish
+        return Element(KSPACE, {(): x.coeffs.get(("a",), 0)
+                                - x.coeffs.get(("c",), 0) / 2})
+
+    sol = solution_space(V, u, [coordinate_difference])
+    assert sol == [Element(V, {("a",): 1, ("b",): 1, ("c",): 2})]
+    assert echelon_basis(V, [Element(V, {("b",): 2, ("c",): 2}),
+                             Element(V, {("a",): 3})]) == [
+        Element(V, {("a",): 1}), Element(V, {("b",): 1, ("c",): 1})]
+
+
+def test_kernel_of_a_partial_map_with_a_missing_column_raises():
+    P = _poly_space(2)
+
+    def col(lab):
+        if lab == (2,):
+            raise TruncationOverflow("no column")
+        return Element.zero(P)
+
+    with pytest.raises(KeyError):
+        kernel_image_quotient(LinMap.from_function(P, P, col, partial=True))

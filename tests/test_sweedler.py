@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from hopfcross.sweedler import (AdditiveComplex, SeriesPreconditionViolated,
                                 digamma_membership, gimel, gimel_inverse, h0,
                                 invariant_subspace, is_crossed_homomorphism,
                                 is_inner, is_normalized, _scalar_cochain)
+from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
 
 
 @pytest.fixture(scope="module")
@@ -480,3 +482,27 @@ def test_additive_coboundary_matches_convmap_sums(N, n):
     C = dcut.coalgebra.space
     assert gone + ((0, 0),) not in dcut.values.columns
     assert len(dcut.values.columns) < C.dim()
+
+
+def _poly2(name, budget):
+    spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
+                                           "fixtures", name + ".json"))
+    spec.set_budget(budget)
+    return build_poly2_instance(spec)
+
+
+@pytest.mark.parametrize("budget", [4, 5])
+def test_top_degree_label_is_not_a_free_s_invariant(budget):
+    # s(X2 (x) Y^N) leaves the budget, so Y^N is no candidate; s(X2 (x) Y)
+    # = 2 Y (x) X2 on case1a_q2, so only the constants are s-invariant
+    mad = _poly2("case1a_q2", budget)
+    one = [mad.algebra.unit]
+    assert invariant_subspace(mad) == one
+    assert h0(mad)[0] == one
+
+
+@pytest.mark.parametrize("budget", [3, 4, 6])
+def test_no_window_is_the_window_below_the_budget(budget):
+    mad = _poly2("case2_beta1_Y", budget)
+    assert invariant_subspace(mad) == invariant_subspace(mad,
+                                                         window=budget - 1)

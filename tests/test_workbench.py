@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import pytest
 from fractions import Fraction
@@ -343,6 +344,25 @@ def test_cli_rejects_float_in_xi2_cocycle(tmp_path):
     code, out = run_cli("crossed-product", fixture("case2_beta1_Y.json"),
                         "--cocycle", coc, "--budget", "3")
     assert code == 2 and out.startswith("input error:") and "0.5" in out
+
+
+@pytest.mark.parametrize("b", [{"-1": "0", "0": "1"}, ["1", "0", "0", "0", "0"]])
+def test_cli_rejects_zero_coefficient_outside_k_y(tmp_path, b):
+    # a label outside k[Y] within the budget is bad input even at coefficient 0
+    coc = _spec_file(tmp_path, {"kind": "xi2", "b": b}, "cocycle.json")
+    code, out = run_cli("crossed-product", fixture("case2_beta1_Y.json"),
+                        "--cocycle", coc, "--budget", "3")
+    assert code == 2 and out.startswith("input error:")
+
+
+@pytest.mark.parametrize("budget", ["2", "3", "4"])
+@pytest.mark.parametrize("name", ["case3a.json", "case3b.json"])
+def test_cli_compare_counts_budget_skips(name, budget):
+    code, out = run_cli("compare", fixture(name), "--budget", budget,
+                        "--samples", "2")
+    assert code == 0
+    assert re.search(r"exp\(delta f\) = D\(exp f\): 1 samples exact "
+                     r"\[skipped \(budget\): [1-9]\d*\]$", out, re.M)
 
 
 def test_cli_rejects_table_cocycle_key_without_bar(tmp_path):
