@@ -164,8 +164,8 @@ def cmd_compare(spec, args, out):
         else:
             lines.append("exp/log roundtrip: %d samples exact" % args.samples)
         # exp intertwines the coboundaries
-        skipped = 0
-        for trial in range(max(1, args.samples // 2)):
+        trials, skipped = max(1, args.samples // 2), 0
+        for trial in range(trials):
             f = _random_additive(rng, ctx, 1)
             same, _, skips = conv_equal(conv_exp(additive_coboundary(ctx, f)),
                                         differential(ctx, conv_exp(f)))
@@ -176,8 +176,7 @@ def cmd_compare(spec, args, out):
                 break
         else:
             lines.append("exp(delta f) = D(exp f): %d samples exact%s"
-                         % (max(1, args.samples // 2),
-                            " [skipped (budget): %d]" % skipped
+                         % (trials, " [skipped (budget): %d]" % skipped
                             if skipped else ""))
         # bar-side vs resolution-side verdicts
         agree = _bar_vs_resolution(ctx, lines)
