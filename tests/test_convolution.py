@@ -268,6 +268,41 @@ def test_iota_centrality_equivalence(z3_graded):
     assert seen_central and seen_noncentral
 
 
+# The bases `hom_psi_subspace` returns on the unbudgeted group instances, in
+# order: the closure tests and acceptance 02 draw their random combinations
+# from them, so a change to the solve must leave them as they are.  A map is
+# given by its nonzero columns, C label -> {A atom: coefficient}.
+PINNED_HOM_PSI = {
+    ("sign_action", 1): [
+        {"e": {"1": 1}}, {"e": {"t": 1}}, {"g1": {"1": 1}}, {"g1": {"t": 1}}],
+    ("sign_action", 2): [
+        {"e,e": {"1": 1}}, {"e,e": {"t": 1}},
+        {"e,g1": {"1": 1}}, {"e,g1": {"t": 1}},
+        {"g1,e": {"1": 1}}, {"g1,e": {"t": 1}},
+        {"g1,g1": {"1": 1}}, {"g1,g1": {"t": 1}}],
+    ("z3_graded", 1): [
+        {"e": {"1": 1}}, {"g1": {"1": 1}, "g2": {"1": 1}}],
+    ("z3_graded", 2): [
+        {"e,e": {"1": 1}},
+        {"e,g1": {"1": 1}, "e,g2": {"1": 1}},
+        {"g1,e": {"1": 1}, "g2,e": {"1": 1}},
+        {"g1,g2": {"1": 1}, "g2,g1": {"1": 1}},
+        {"g1,g1": {"1": 1}, "g2,g2": {"1": 1}}],
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(PINNED_HOM_PSI))
+def test_hom_psi_subspace_pinned_on_group_instances(name, n, request):
+    mad = request.getfixturevalue(name)
+    ent = example_entwining(mad, n)
+    C, A = ent.coalgebra, ent.algebra
+    want = [ConvMap.from_table(C, A, {
+        tuple(lab.split(",")): Element(A.space, {(a,): v
+                                                 for a, v in col.items()})
+        for lab, col in table.items()}) for table in PINNED_HOM_PSI[name, n]]
+    assert hom_psi_subspace(ent, central=True) == want
+
+
 def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
     # 100 random flagged pairs per instance: convolution stays flagged, and
     # inverses of flagged invertible maps stay flagged (exact equality)
