@@ -12,12 +12,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .exact import Element, LinMap
+from .exact import LinMap, add_into
 from .hopf import verify_antipode, verify_braided_bialgebra
 from .actions import InvalidAction, verify_module_algebra
-from .convolution import ConvMap, conv_equal
-from .sweedler import (SweedlerContext, additive_coboundary, conv_exp,
-                       conv_log, differential, gimel, barr_differential, h0)
+from .convolution import (ConvMap, carrier_grid, conv_equal,
+                          grid_cochain)
+from .sweedler import (AdditiveComplex, SweedlerContext, additive_coboundary,
+                       conv_exp, conv_log, differential, gimel,
+                       barr_differential, h0)
 from .ce import (BarComparison, CEAlgebra, verify_resolution_identities,
                  xi_space, xi_differential_matrix)
 from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
@@ -152,8 +154,9 @@ def cmd_compare(spec, args, out):
     lines = []
     ok = True
     if spec.kind == "poly2":
-        mad = build_poly2_instance(spec)
-        ctx = SweedlerContext(mad)
+        cx = AdditiveComplex(build_poly2_instance(spec))
+        ctx = cx.ctx
+        carrier = cx.cochain_basis(1)
         # exp/log roundtrips on random degree-bounded normalized cochains
         for trial in range(args.samples):
             f = _random_additive(rng, ctx, 2)
@@ -163,10 +166,10 @@ def cmd_compare(spec, args, out):
                 break
         else:
             lines.append("exp/log roundtrip: %d samples exact" % args.samples)
-        # exp intertwines the coboundaries
+        # exp intertwines the coboundaries on the carrier C^1_s
         trials, skipped = max(1, args.samples // 2), 0
         for trial in range(trials):
-            f = _random_additive(rng, ctx, 1)
+            f = _random_additive(rng, ctx, 1, carrier)
             same, _, skips = conv_equal(conv_exp(additive_coboundary(ctx, f)),
                                         differential(ctx, conv_exp(f)))
             skipped += skips
@@ -186,7 +189,6 @@ def cmd_compare(spec, args, out):
         if mad is None or not hasattr(mad, "grading"):
             raise InputError("compare on group specs needs a graded instance")
         ctx = SweedlerContext(mad)
-        group = mad.group
         for n in (0, 1, 2):
             for trial in range(3):
                 phi = _random_group_cochain(rng, ctx, n)
@@ -199,8 +201,6 @@ def cmd_compare(spec, args, out):
             else:
                 continue
             break
-        else:
-            pass
         if ok:
             lines.append("homogenized differential agrees for n <= 2 "
                          "(exhaustive over tuples)")
@@ -211,24 +211,21 @@ def cmd_compare(spec, args, out):
     return OK if ok else FAIL
 
 
-def _random_additive(rng, ctx, n):
-    """Random normalized additive cochain with value degree bounded by the
-    tuple degree, so all series and products stay inside the budget."""
-    C = ctx.domain(n)
-    A = ctx.mad.algebra
-    cols = {}
-    for lab in C.space.basis():
-        if any(s.degree(a) == 0 for s, a in zip(C.space.slots, lab)):
-            cols[lab] = Element.zero(A.space)
-            continue
-        deg = C.space.degree(lab)
-        choices = [al for al in A.space.basis() if A.space.degree(al) <= deg]
-        vals = {}
-        for al in choices:
-            if rng.random() < 0.4:
-                vals[al] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        cols[lab] = Element(A.space, vals)
-    return ConvMap(C, A, LinMap(C.space, A.space, cols))
+def _random_additive(rng, ctx, n, basis=None):
+    """Random normalized additive cochain on H^n: each vector of `basis`
+    (coefficient vectors over `carrier_grid`; by default its unit vectors,
+    so the values have degree at most the tuple degree and all series and
+    products stay inside the budget) is kept with probability 0.4, with a
+    random coefficient."""
+    C, A = ctx.domain(n), ctx.mad.algebra
+    grid = carrier_grid(C, A)
+    if basis is None:
+        basis = [{j: 1} for j in range(len(grid))]
+    vec = {}
+    for b in basis:
+        if rng.random() < 0.4:
+            add_into(vec, b, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return grid_cochain(C, A, grid, vec)
 
 
 def _random_group_cochain(rng, ctx, n):

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, apply_at, tensor)
+                    TruncationOverflow, apply_at, nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
                       ModuleCoalgebraData, example_entwining,
                       tensor_power_coalgebra)
@@ -334,116 +334,91 @@ def iota_inverse(g: ConvMap, mad: ModuleAlgebraData) -> ConvMap:
 
 
 # ---------------------------------------------------------------------------
-# exact bases of the compatible / central subspaces (for property sampling)
+# the carrier: cochains compatible with psi and psi-central, solved exactly
 
-def hom_psi_subspace(ent: EntwiningData, central=True, budget=None):
-    """Basis of {f : C -> A} compatible with psi (and psi-central).
+def carrier_grid(C: ModuleCoalgebraData, A: AlgebraData):
+    """The unknowns (c, a) of a cochain C -> A, in basis order.
 
-    Both conditions are linear in f, so the subspace is the nullspace of an
-    exact rational system; returned as a list of ConvMaps.  f is constrained
-    to vanish outside the stated budget window so every equation is exact.
+    On a graded-connected C, c runs over the tuples with no scalar slot
+    (every slot of degree >= 1) and a over the values with deg a <= deg c,
+    so every term of the carrier equations, and every product and series
+    of such cochains, stays inside the budget.  On any other C every pair
+    is an unknown.
     """
-    from .exact import nullspace
+    space = C.space
+    if C.kind != "graded_connected":
+        return list(itertools.product(space.basis(), A.space.basis()))
+    return [(c, a) for c in space.basis()
+            if all(s.degree(x) > 0 for s, x in zip(space.slots, c))
+            for a in A.space.basis() if A.space.degree(a) <= space.degree(c)]
+
+
+def grid_cochain(C, A, grid, vec) -> ConvMap:
+    """The cochain sum vec[j] (c_j -> a_j) over grid[j] = (c_j, a_j): its
+    value at c is the sum over the positions j with c_j = c, and 0 at every
+    other label.  `vec` maps grid positions to coefficients."""
+    cols = {c: {} for c in C.space.basis()}
+    for j, v in vec.items():
+        if v:
+            c, a = grid[j]
+            cols[c][a] = v
+    return ConvMap(C, A, LinMap(C.space, A.space, {
+        c: Element(A.space, vals, validate=False)
+        for c, vals in cols.items()}))
+
+
+def hom_psi_subspace(ent: EntwiningData, central=True):
+    """Basis of the carrier: the cochains on `carrier_grid` that are
+    compatible with psi (and psi-central), as ConvMaps.
+
+    Both conditions are linear in f, so the carrier is the nullspace of an
+    exact rational system, in `nullspace`'s free-variable form.  Each site
+    (a label of C (x) C, and of C (x) A for centrality) gives one equation
+    per output label, with a term for each unknown the site reads.  A term
+    that leaves the budget raises TruncationOverflow, so no equation is
+    dropped; on the grid none does.  At n = 1, psi = s and varsigma =
+    c^1_1 = C.s, so compatibility is `is_s_compatible`.
+    """
     C, A = ent.coalgebra, ent.algebra
-    nc = C.space.arity
-    c_labels = [lab for lab in C.space.basis()
-                if budget is None or C.space.degree(lab) <= budget]
-    a_labels = [lab for lab in A.space.basis()
-                if budget is None or A.space.degree(lab) <= budget]
-    var = {(cl, al): i for i, (cl, al) in
-           enumerate(itertools.product(c_labels, a_labels))}
-    c_set = set(c_labels)
+    bv = Element.basis_vector
+    nc, na = C.space.arity, A.space.arity
+    grid = carrier_grid(C, A)
+    unknowns = {}
+    for j, (c, a) in enumerate(grid):
+        unknowns.setdefault(c, []).append((j, bv(A.space, a)))
     rows = []
 
-    def emit(eq):
-        rows.extend(r for r in eq.values() if r)
-
-    # compatibility: psi(c1 (x) f(c2)) = sum f(d1) (x) d2 over varsigma(c1,c2)
-    CC = C.space.tensor(C.space)
-    for lab in CC.basis():
-        c1, c2 = lab[:nc], lab[nc:]
-        if c1 not in c_set or c2 not in c_set:
-            continue
+    def site(terms):
+        """The rows of sum w x_j img = 0 over the terms (j, img, w)."""
         eq = {}
-        ok = True
-        for al in a_labels:
-            j = var[(c2, al)]
-            try:
-                img = ent.psi.apply(tensor(Element.basis_vector(C.space, c1),
-                                           Element.basis_vector(A.space, al)))
-            except TruncationOverflow:
-                ok = False
-                break
+        for j, img, w in terms:
             for out, v in img.coeffs.items():
-                eq.setdefault(out, {})[j] = eq.setdefault(out, {}).get(j, Fraction(0)) + v
-        if not ok:
-            continue
-        for pair, w in C.varsigma.columns[lab].coeffs.items():
-            d1, d2 = pair[:nc], pair[nc:]
-            if d1 not in c_set:
-                ok = False
-                break
-            for al in a_labels:
-                j = var[(d1, al)]
-                out = al + d2
-                eq.setdefault(out, {})[j] = eq.setdefault(out, {}).get(j, Fraction(0)) - w
-        if ok:
-            emit(eq)
+                row = eq.setdefault(out, {})
+                row[j] = row.get(j, 0) + w * v
+        rows.extend(eq.values())
+
+    # compatibility: psi(c1 (x) f(c2)) = sum f(d1) (x) d2 over varsigma(c1, c2)
+    for lab in C.space.tensor(C.space).basis():
+        c1 = bv(C.space, lab[:nc])
+        site([(j, ent.psi.apply(tensor(c1, a)), 1)
+              for j, a in unknowns.get(lab[nc:], ())]
+             + [(j, tensor(a, bv(C.space, pair[nc:])), -w)
+                for pair, w in C.varsigma.columns[lab].coeffs.items()
+                for j, a in unknowns.get(pair[:nc], ())])
 
     if central:
-        # centrality: sum a' f(c') over psi(c (x) a)  =  f(c) a
-        for cl in c_labels:
-            for aa in A.space.basis():
-                eq = {}
-                ok = True
-                try:
-                    mid = ent.psi.apply(tensor(
-                        Element.basis_vector(C.space, cl),
-                        Element.basis_vector(A.space, aa)))
-                except TruncationOverflow:
-                    continue
-                for pair, w in mid.coeffs.items():
-                    ap, cp = pair[0], pair[1:]
-                    if cp not in c_set:
-                        ok = False
-                        break
-                    for al in a_labels:
-                        j = var[(cp, al)]
-                        try:
-                            prod = A.multiply(Element.basis_vector(A.space, (ap,)),
-                                              Element.basis_vector(A.space, al))
-                        except TruncationOverflow:
-                            ok = False
-                            break
-                        for out, v in prod.coeffs.items():
-                            eq.setdefault(out, {})[j] = \
-                                eq.setdefault(out, {}).get(j, Fraction(0)) + w * v
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                for al in a_labels:
-                    j = var[(cl, al)]
-                    try:
-                        prod = A.multiply(Element.basis_vector(A.space, al),
-                                          Element.basis_vector(A.space, aa))
-                    except TruncationOverflow:
-                        ok = False
-                        break
-                    for out, v in prod.coeffs.items():
-                        eq.setdefault(out, {})[j] = \
-                            eq.setdefault(out, {}).get(j, Fraction(0)) - v
-                if ok:
-                    emit(eq)
+        # centrality: sum a' f(c') over psi(c (x) aa)  =  f(c) aa
+        for lab in C.space.tensor(A.space).basis():
+            aa = bv(A.space, lab[nc:])
+            mid = ent.psi.apply(tensor(bv(C.space, lab[:nc]), aa))
+            site([(j, A.multiply(bv(A.space, pair[:na]), a), w)
+                  for pair, w in mid.coeffs.items()
+                  for j, a in unknowns.get(pair[na:], ())]
+                 + [(j, A.multiply(a, aa), -1)
+                    for j, a in unknowns.get(lab[:nc], ())])
 
-    basis = []
-    for vec in nullspace(rows, len(var)):
-        cols = {c2: Element.zero(A.space) for c2 in C.space.basis()}
-        for (cl, al), j in var.items():
-            if vec[j]:
-                cols[cl] = cols[cl] + vec[j] * Element.basis_vector(A.space, al)
-        basis.append(ConvMap(C, A, LinMap(C.space, A.space, cols)))
-    return basis
+    return [grid_cochain(C, A, grid, dict(enumerate(v)))
+            for v in nullspace(rows, len(grid))]
 
 
 def random_combination(rng, basis, span=4):

@@ -17,8 +17,9 @@ from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     solution_space, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
-from .convolution import (ConvMap, conv_inverse, conv_unit, convolve,
-                          hom_psi_subspace, unit_coalgebra)
+from .convolution import (ConvMap, carrier_grid, conv_inverse, conv_unit,
+                          convolve, grid_cochain, hom_psi_subspace,
+                          unit_coalgebra)
 from .hopf import compare_on
 
 
@@ -388,91 +389,35 @@ def barr_differential(ctx: SweedlerContext, table, n: int):
 # additive complex of the enveloping-algebra case
 
 class AdditiveComplex:
-    """(C^*_s, delta^*) at an explicit degree window, all entries exact.
+    """(C^*_s, delta^*) of the enveloping-algebra case, all entries exact.
 
-    Cochains vanish whenever a slot is scalar; the carrier condition
-    (compatible with s and s-central) is imposed as a linear system.  Value
-    windows shrink by `shift` per application of delta so no entry is ever
-    truncated; `shift` is the degree the action can add.
+    A cochain of C^n_s is a coefficient vector over `carrier_grid` (a dict
+    from grid positions to coefficients): it vanishes whenever a slot is
+    scalar, and its value at a tuple has degree at most the tuple's, which
+    keeps products and the exp/log series inside the budget.  The carrier
+    condition (compatible with s and s-central) is `hom_psi_subspace`.
     """
 
-    def __init__(self, mad: ModuleAlgebraData, top_n: int, shift=0):
+    def __init__(self, mad: ModuleAlgebraData):
         self.ctx = SweedlerContext(mad)
         self.mad = mad
-        self.top_n = top_n
-        self.shift = shift
-        self._grids = {}
         self._bases = {}
 
-    def value_window(self, n):
-        full = self.mad.algebra.space.budget
-        if full is None:
-            return None
-        return full - self.shift * (self.top_n - n)
-
-    def grid(self, n):
-        """Variable grid: (nonscalar tuple, A label within the window)."""
-        if n in self._grids:
-            return self._grids[n]
-        C = self.ctx.domain(n).space
-        A = self.mad.algebra.space
-        w = self.value_window(n)
-        c_labels = [lab for lab in C.basis()
-                    if all(s.degree(a) > 0 for s, a in zip(C.slots, lab))]
-        a_labels = [al for al in A.basis()
-                    if w is None or A.degree(al) <= w]
-        self._grids[n] = (c_labels, a_labels)
-        return self._grids[n]
-
     def cochain_basis(self, n):
-        """Basis of C^n_s as coefficient vectors over the grid."""
-        if n in self._bases:
-            return self._bases[n]
-        c_labels, a_labels = self.grid(n)
-        if n == 0:
-            self._bases[0] = []
-            return []
-        ent = example_entwining(self.mad, n)
-        sub = hom_psi_subspace(ent, central=True)
-        vecs = []
-        var = {(cl, al): j for j, (cl, al) in
-               enumerate(itertools.product(c_labels, a_labels))}
-        for f in sub:
-            ok = True
-            vec = [Fraction(0)] * len(var)
-            for cl in f.coalgebra.space.basis():
-                col = f(cl)
-                if cl not in set(c_labels):
-                    if not col.is_zero():
-                        ok = False
-                        break
-                    continue
-                for al, v in col.coeffs.items():
-                    if (cl, al) not in var:
-                        ok = False
-                        break
-                    vec[var[(cl, al)]] = v
-                if not ok:
-                    break
-            if ok and any(vec):
-                vecs.append(vec)
-        from .exact import rref
-        red, _ = rref([{j: v for j, v in enumerate(vec) if v} for vec in vecs])
-        basis = [[r.get(j, Fraction(0)) for j in range(len(var))] for r in red]
-        self._bases[n] = basis
-        return basis
+        """Basis of C^n_s: the maps `hom_psi_subspace` returns, as
+        coefficient vectors over the grid."""
+        if n not in self._bases:
+            ent = example_entwining(self.mad, n)
+            grid = carrier_grid(ent.coalgebra, ent.algebra)
+            self._bases[n] = [
+                {j: v for j, (c, a) in enumerate(grid)
+                 if (v := f(c).coeffs.get(a))}
+                for f in hom_psi_subspace(ent, central=True)]
+        return self._bases[n]
 
     def to_convmap(self, n, vec) -> ConvMap:
-        c_labels, a_labels = self.grid(n)
-        var = {(cl, al): j for j, (cl, al) in
-               enumerate(itertools.product(c_labels, a_labels))}
-        C = self.ctx.domain(n)
-        A = self.mad.algebra
-        cols = {lab: Element.zero(A.space) for lab in C.space.basis()}
-        for (cl, al), j in var.items():
-            if vec[j]:
-                cols[cl] = cols[cl] + vec[j] * Element.basis_vector(A.space, al)
-        return ConvMap(C, A, LinMap(C.space, A.space, cols))
+        C, A = self.ctx.domain(n), self.mad.algebra
+        return grid_cochain(C, A, carrier_grid(C, A), vec)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import random
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import Element, LinMap
+from hopfcross.exact import Element, LinMap, TruncationOverflow
 from hopfcross.hopf import GroupSpec, build_group_algebra
 from hopfcross.actions import (build_poly_action, example_entwining,
                                graded_module_algebra, tensor_power_coalgebra,
                                trivial_module_algebra)
-from hopfcross.convolution import (ConvMap, conv_unit, convolve,
+from hopfcross.convolution import (ConvMap, conv_equal, conv_unit, convolve,
                                    hom_psi_subspace, is_psi_central,
+                                   is_psi_compatible, is_s_compatible,
                                    random_combination)
 from hopfcross.sweedler import (AdditiveComplex, SeriesPreconditionViolated,
                                 SweedlerContext, additive_coboundary,
@@ -262,17 +263,79 @@ def test_zero_cochain_is_cocycle(poly_ctx):
                for l in poly_ctx.domain(2).space.basis())
 
 
-def test_additive_complex_dimensions(case2_beta_y):
-    # case Q = ide: the carrier admits every normalized cochain, and the
-    # degree-1 cohomology of the window complex is finite and exact
-    cx = AdditiveComplex(case2_beta_y, top_n=2, shift=0)
-    b1 = cx.cochain_basis(1)
-    assert b1
-    # delta o delta = 0 on the basis
-    for vec in b1:
-        f = cx.to_convmap(1, vec)
-        ddf = additive_coboundary(cx.ctx, additive_coboundary(cx.ctx, f))
-        assert all(col.is_zero() for col in ddf.values.columns.values())
+def test_additive_complex_dimensions(case2_beta_y, case1b):
+    # at budget 5 the carrier C^1_s is every normalized cochain of the grid
+    # when Q = ide and a proper subspace when Q = diag(2, 1/2); delta o delta
+    # = 0 on the basis either way
+    for mad, dim in ((case2_beta_y, 90), (case1b, 38)):
+        cx = AdditiveComplex(mad)
+        b1 = cx.cochain_basis(1)
+        assert len(b1) == dim
+        for vec in b1:
+            f = cx.to_convmap(1, vec)
+            ddf = additive_coboundary(cx.ctx, additive_coboundary(cx.ctx, f))
+            assert all(col.is_zero() for col in ddf.values.columns.values())
+
+
+# the dimension of C^1_s at budget 5, on a grid of 90 unknowns
+CARRIER_DIMS = {"case2_beta1_Y": 90, "case1a_q2": 36, "case1a_qm1": 38,
+                "case1b_q1q2_1": 38, "case1b_q1q2_ne1": 36, "case3a": 57,
+                "case3b": 54}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIER_DIMS))
+def test_carrier_dimension(name):
+    assert len(AdditiveComplex(_poly2(name, 5)).cochain_basis(1)) == \
+        CARRIER_DIMS[name]
+
+
+@pytest.mark.parametrize("name", ["case1a_q2", "case3a"])
+def test_carrier_maps_are_compatible_and_central(name):
+    mad = _poly2(name, 4)
+    for n in (1, 2):
+        ent = example_entwining(mad, n)
+        basis = hom_psi_subspace(ent, central=True)
+        assert basis
+        for f in basis:
+            assert is_psi_compatible(f, ent)
+            assert is_psi_central(f, ent)
+
+
+def test_carrier_equation_past_the_budget_raises():
+    # on a domain taken as ungraded every (c, a) is an unknown, so the
+    # compatibility site X1 (x) 1 reads f(1) at Y^N: psi(X1 (x) Y^N) leaves
+    # the budget, and the solve says so instead of dropping the equation
+    ent = example_entwining(_poly2("case1a_q2", 3), 1)
+    ent.coalgebra.kind = "other"
+    with pytest.raises(TruncationOverflow):
+        hom_psi_subspace(ent, central=True)
+
+
+def _exp_intertwines(ctx, f):
+    same, _, skipped = conv_equal(conv_exp(additive_coboundary(ctx, f)),
+                                  differential(ctx, conv_exp(f)))
+    return same and not skipped
+
+
+def test_per_column_draw_leaves_the_carrier():
+    # negative control: drawn column by column over the whole grid, the
+    # cochain is not s-compatible on case1a_q2 and exp(delta f) = D(exp f)
+    # fails
+    from hopfcross.cli import _random_additive
+    mad = _poly2("case1a_q2", 4)
+    ctx = SweedlerContext(mad)
+    f = _random_additive(random.Random(0), ctx, 1)
+    assert not is_s_compatible(f, mad)
+    assert not _exp_intertwines(ctx, f)
+
+
+def test_carrier_draw_is_s_compatible_and_intertwines():
+    from hopfcross.cli import _random_additive
+    mad = _poly2("case1a_q2", 4)
+    cx = AdditiveComplex(mad)
+    f = _random_additive(random.Random(0), cx.ctx, 1, cx.cochain_basis(1))
+    assert is_s_compatible(f, mad)
+    assert _exp_intertwines(cx.ctx, f)
 
 
 def test_exp_examples(poly_ctx):

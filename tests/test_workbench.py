@@ -358,11 +358,14 @@ def test_cli_rejects_zero_coefficient_outside_k_y(tmp_path, b):
 @pytest.mark.parametrize("budget", ["2", "3", "4"])
 @pytest.mark.parametrize("name", ["case3a.json", "case3b.json"])
 def test_cli_compare_counts_budget_skips(name, budget):
+    # drawn column by column outside the carrier, the exp(delta f) = D(exp f)
+    # trial left the budget here and was counted as skipped; drawn from
+    # C^1_s it stays inside, so the count is 0 and the line shows none
     code, out = run_cli("compare", fixture(name), "--budget", budget,
                         "--samples", "2")
     assert code == 0
-    assert re.search(r"exp\(delta f\) = D\(exp f\): 1 samples exact "
-                     r"\[skipped \(budget\): [1-9]\d*\]$", out, re.M)
+    assert re.search(r"^exp\(delta f\) = D\(exp f\): 1 samples exact$",
+                     out, re.M)
 
 
 def test_cli_rejects_table_cocycle_key_without_bar(tmp_path):
