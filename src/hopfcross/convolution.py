@@ -354,9 +354,9 @@ def carrier_grid(C: ModuleCoalgebraData, A: AlgebraData):
 
 
 def grid_cochain(C, A, grid, vec) -> ConvMap:
-    """The cochain sum vec[j] (c_j -> a_j) over grid[j] = (c_j, a_j): its
-    value at c is the sum over the positions j with c_j = c, and 0 at every
-    other label.  `vec` maps grid positions to coefficients."""
+    """The cochain whose value at c is the sum of vec[j] a over the grid
+    positions j with grid[j] = (c, a), and 0 where there is none; `vec`
+    maps grid positions to coefficients."""
     cols = {c: {} for c in C.space.basis()}
     for j, v in vec.items():
         if v:
