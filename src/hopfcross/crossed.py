@@ -7,17 +7,15 @@ doubles as an end-to-end oracle for every cocycle we construct.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .exact import (Element, LinMap, Slot, Space,
-                    TruncationOverflow, add_basis_term, apply_at, solve,
-                    tensor)
+from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
+                    add_basis_term, apply_at, span_coefficients, tensor)
 from .actions import AlgebraData, ModuleAlgebraData
-from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
-                          convolve)
+from .convolution import (ConvMap, NotConvolutionInvertible, carrier_grid,
+                          conv_equal, conv_inverse, convolve, grid_cochain)
 from .hopf import CheckResult, Report, check_equal_on, compare_on
-from .sweedler import (SweedlerContext, coface, conv_exp, conv_log,
+from .sweedler import (SweedlerContext, additive_coboundary, coface, conv_log,
                        differential)
 
 
@@ -412,161 +410,67 @@ class H2Verdict:
 
 
 def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdict:
-    """Search for u in Reg_+^s(H, A) with (d0 u * d2 u) * f2 = f * d1(u).
+    """Decide whether the cocycles f and f2 are cohomologous: search for u
+    in Reg_+^s(H, A) with q = f * f2^-1 = D(u).
 
-    Graded-connected domains: log-linearize and solve the additive
-    coboundary equation exactly on the budget window.  Group domains:
-    pointwise reduction (scalar line plus nilpotent part) for cyclic groups.
+    Both inputs must pass every cocycle flag; otherwise ValueError, as in
+    `build_crossed_product`.  Graded-connected domains are decided on the
+    Xi side (`workbench.xi_h2_witness`): the Lie class of w = log q is
+    solved against d2(Xi(D_1)), which certifies inequivalence when it has
+    no preimage, and otherwise the preimage is transported to the bar side
+    and completed by one carrier solve.  Group domains use the pointwise
+    reduction for cyclic groups.  Either way, `cohomologous` is answered
+    only once q * D(u)^-1 = e holds on every tuple inside the budget; the
+    detail counts the tuples skipped for budget.
     """
-    mad = ctx.mad
+    for g in (f, f2):
+        coc = check_cocycle_conditions(ctx, g)
+        if not coc.all_flags:
+            raise ValueError("cocycle flags not all true: %r" % coc)
     q = convolve(f, conv_inverse(f2))
-    e2 = ctx.unit_cochain(2)
-    if all(q(l) == e2(l) for l in ctx.domain(2).space.basis()):
-        u = ctx.unit_cochain(1)
-        return H2Verdict("cohomologous", u, "trivial ratio")
-
     kind = ctx.domain(2).kind
-    if kind == "graded_connected":
-        return _h2_graded(ctx, f, f2, q)
-    if kind == "grouplike":
-        return _h2_group(ctx, f, f2, q)
-    return H2Verdict("inconclusive", detail="unsupported domain kind %r" % kind)
+    if conv_equal(q, ctx.unit_cochain(2))[0]:
+        u = ctx.unit_cochain(1)
+    elif kind == "graded_connected":
+        from .workbench import xi_h2_witness
+        u = xi_h2_witness(ctx, conv_log(q))
+    elif kind == "grouplike":
+        u = _h2_group(ctx, q)
+    else:
+        return H2Verdict("inconclusive",
+                         detail="unsupported domain kind %r" % kind)
+    if isinstance(u, H2Verdict):
+        return u
+    passed, checked, skipped = conv_equal(
+        convolve(q, conv_inverse(differential(ctx, u))), ctx.unit_cochain(2))
+    if not passed:
+        return H2Verdict("inconclusive",
+                         detail="the witness fails q * D(u)^-1 = e")
+    return H2Verdict("cohomologous", u,
+                     "q * D(u)^-1 = e on %d tuples, %d skipped for budget"
+                     % (checked, skipped))
 
 
-def _h2_graded(ctx, f, f2, q):
-    """log-linearized solve: delta(v) = log(q) over the exact window."""
-    mad = ctx.mad
-    A = mad.algebra
-    try:
-        w = conv_log(q)
-    except Exception as exc:
-        return H2Verdict("inconclusive", detail="log failed: %s" % exc)
+def coboundary_preimage(ctx: SweedlerContext, basis, w: ConvMap):
+    """A combination v of the 1-cochains in `basis` (non-empty) with
+    additive_coboundary(v) = w on every label where w is defined, or None
+    when there is none."""
+    images = [additive_coboundary(ctx, b) for b in basis]
+    labels = list(w.values.columns)
 
-    C1 = ctx.domain(1)
-    H1 = C1.space
-    c_labels = [lab for lab in H1.basis()
-                if all(s.degree(a) > 0 for s, a in zip(H1.slots, lab))]
-    a_labels = list(A.space.basis())
-    var = {(cl, al): j for j, (cl, al) in
-           enumerate(itertools.product(c_labels, a_labels))}
-    cap = A.space.budget
+    def flat(g):
+        return {(lab, out): v for lab in labels
+                for out, v in g(lab).coeffs.items()}
 
-    # value-degree cap: contributions above the cap belong to equation
-    # components we do not (and need not) impose; the system below is closed
-    rows, rhs = [], []
-    eqs = {}
-
-    def acc(eq_key, j, v):
-        eqs.setdefault(eq_key, {})[j] = eqs.setdefault(eq_key, {}).get(j, Fraction(0)) + v
-
-    rhs_map = {}
-    C2 = ctx.domain(2)
-    for lab in C2.space.basis():
-        x1, x2 = lab[:1], lab[1:]
-        if any(s.degree(a) == 0 for s, a in zip(C2.space.slots, lab)):
-            continue
-        # delta(v)(x1, x2) = x1 . v(x2) - v(x1 x2)   (the eps-term vanishes)
-        for al in a_labels:
-            j = var[(x2, al)]
-            try:
-                img = mad.act(Element.basis_vector(mad.hopf.space, x1),
-                              Element.basis_vector(A.space, al))
-            except TruncationOverflow:
-                # recompute with projection: only components <= cap matter
-                img = _act_projected(mad, x1, al, cap)
-            for out, v in img.coeffs.items():
-                acc((lab, out), j, v)
-        prod = mad.hopf.mul.apply(Element.basis_vector(
-            mad.hopf.space.tensor(mad.hopf.space), (x1[0], x2[0])))
-        for (hm,), hv in prod.coeffs.items():
-            for al in a_labels:
-                j = var[((hm,), al)]
-                acc((lab, al), j, -hv)
-        try:
-            w_val = w(lab)
-        except TruncationOverflow:
-            continue
-        for out, v in w_val.coeffs.items():
-            rhs_map[(lab, out)] = v
-
-    # compatibility/centrality of v (membership in the normalized carrier)
-    for cl in c_labels:
-        for al in a_labels:
-            j = var[(cl, al)]
-            # s-compatibility row: s(h (x) v(x)) = v(x) (x) h for every h
-            for hl in mad.hopf.space.basis():
-                try:
-                    d = mad.s.apply(tensor(Element.basis_vector(mad.hopf.space, hl),
-                                           Element.basis_vector(A.space, al))) \
-                        - tensor(Element.basis_vector(A.space, al),
-                                 Element.basis_vector(mad.hopf.space, hl))
-                except TruncationOverflow:
-                    continue
-                for out, v in d.coeffs.items():
-                    acc(("compat", cl, hl, out), j, v)
-    # s-centrality rows: v(c) a = mu (A (x) v) s(c (x) a), per A generator
-    for cl in c_labels:
-        for aa in A.space.basis():
-            if A.space.degree(aa) != 1:
-                continue
-            for al in a_labels:
-                j = var[(cl, al)]
-                try:
-                    prod = A.multiply(Element.basis_vector(A.space, al),
-                                      Element.basis_vector(A.space, aa))
-                except TruncationOverflow:
-                    prod = Element.zero(A.space)   # component above the cap
-                for out, v in prod.coeffs.items():
-                    acc(("central", cl, aa, out), j, v)
-            try:
-                crossed = mad.s.apply(tensor(
-                    Element.basis_vector(mad.hopf.space, cl),
-                    Element.basis_vector(A.space, aa)))
-            except TruncationOverflow:
-                continue
-            for pair, wcf in crossed.coeffs.items():
-                ap, cp_ = pair[0], pair[1:]
-                for al in a_labels:
-                    j = var[(cp_, al)]
-                    try:
-                        prod = A.multiply(Element.basis_vector(A.space, (ap,)),
-                                          Element.basis_vector(A.space, al))
-                    except TruncationOverflow:
-                        prod = Element.zero(A.space)
-                    for out, v in prod.coeffs.items():
-                        acc(("central", cl, aa, out), j, -wcf * v)
-
-    keys = sorted(set(eqs) | set(rhs_map), key=repr)
-    rows = [eqs.get(k, {}) for k in keys]
-    dense_rhs = [rhs_map.get(k, Fraction(0)) for k in keys]
-    sol = solve(rows, len(var), dense_rhs)
+    sol = span_coefficients([flat(img) for img in images], flat(w))
     if sol is None:
-        return H2Verdict(
-            "inequivalent", detail="coboundary equation inconsistent on the "
-            "degree window (exact rows, no truncation)")
-    C1 = ctx.domain(1)
-    cols = {lab: Element.zero(A.space) for lab in C1.space.basis()}
-    for (cl, al), j in var.items():
-        if sol[j]:
-            cols[cl] = cols[cl] + sol[j] * Element.basis_vector(A.space, al)
-    v = ConvMap(C1, A, LinMap(C1.space, A.space, cols))
-    u = conv_exp(v)
-    return H2Verdict("cohomologous", u)
+        return None
+    return sum((c * b for c, b in zip(sol, basis) if c), 0 * basis[0])
 
 
-def _act_projected(mad, h_lab, a_lab, cap):
-    """Action value with components above the cap discarded (solver-only)."""
-    spec = getattr(mad, "poly_spec", None)
-    if spec is None:
-        raise TruncationOverflow("no projected action available")
-    (a, b), = h_lab
-    vec = spec.act(a, b, a_lab[0], cap)
-    return Element(mad.algebra.space, {(e_,): c for e_, c in vec.items()},
-                   validate=False)
-
-
-def _h2_group(ctx, f, f2, q):
-    """Cyclic-group pointwise solve over the scalar line plus nilpotents."""
+def _h2_group(ctx, q):
+    """Cyclic-group pointwise reduction over the scalar line plus
+    nilpotents: the witness u to check, or the verdict if there is none."""
     mad = ctx.mad
     A = mad.algebra
     group = getattr(mad, "group", None) or getattr(mad.hopf, "group", None)
@@ -617,56 +521,16 @@ def _h2_group(ctx, f, f2, q):
     cand = ConvMap.from_function(
         C1, A, lambda lab: u0[lab[0]] * A.unit)
     resid = convolve(q, conv_inverse(differential(ctx, cand)))
-    e2 = ctx.unit_cochain(2)
-    if all(resid(l) == e2(l) for l in ctx.domain(2).space.basis()):
-        return H2Verdict("cohomologous", cand)
 
     # nilpotent residue: solve the linearized coboundary equation
-    labels = list(A.space.basis())
-    var = {(g_, al): j for j, (g_, al) in
-           enumerate(itertools.product(group.elements, labels))}
-    eqs, rhs_map = {}, {}
-    for g1 in group.elements:
-        for g2 in group.elements:
-            resv = resid((g1, g2)) - e2((g1, g2))
-            # delta(v)(g1,g2) = g1.v(g2) - v(g1 g2) + v(g1)
-            for al in labels:
-                img = mad.act(Element.basis_vector(mad.hopf.space, (g1,)),
-                              Element.basis_vector(A.space, al))
-                for out, vv in img.coeffs.items():
-                    key = ((g1, g2), out)
-                    eqs.setdefault(key, {})[var[(g2, al)]] = \
-                        eqs.setdefault(key, {}).get(var[(g2, al)], Fraction(0)) + vv
-                key = ((g1, g2), al)
-                j12 = var[(group.mul(g1, g2), al)]
-                eqs.setdefault(key, {})[j12] = \
-                    eqs.setdefault(key, {}).get(j12, Fraction(0)) - 1
-                j1 = var[(g1, al)]
-                eqs.setdefault(key, {})[j1] = \
-                    eqs.setdefault(key, {}).get(j1, Fraction(0)) + 1
-            for out, vv in resv.coeffs.items():
-                rhs_map[((g1, g2), out)] = vv
-    keys = sorted(set(eqs) | set(rhs_map), key=repr)
-    sol = solve([eqs.get(k, {}) for k in keys], len(var),
-                [rhs_map.get(k, Fraction(0)) for k in keys])
-    if sol is None:
+    grid = carrier_grid(C1, A)
+    units = [grid_cochain(C1, A, grid, {j: 1}) for j in range(len(grid))]
+    v = coboundary_preimage(ctx, units, resid - ctx.unit_cochain(2))
+    if v is None:
         return H2Verdict("inconclusive",
                          detail="scalar part trivial but nilpotent residue "
                                 "not linearizable")
-    cols = {}
-    for g_ in group.elements:
-        val = Element.zero(A.space)
-        for al in labels:
-            if sol[var[(g_, al)]]:
-                val = val + sol[var[(g_, al)]] * Element.basis_vector(A.space, al)
-        cols[(g_,)] = val
-    vmap = ConvMap(C1, A, LinMap(C1.space, A.space, cols))
-    u = convolve(cand, vmap + ctx.unit_cochain(1))
-    Du = differential(ctx, u)
-    if all(convolve(q, conv_inverse(Du))(l) == e2(l)
-           for l in ctx.domain(2).space.basis()):
-        return H2Verdict("cohomologous", u)
-    return H2Verdict("inconclusive", detail="pointwise reduction failed")
+    return convolve(cand, v + ctx.unit_cochain(1))
 
 
 def _rational_nth_root(x: Fraction, n: int):

@@ -774,6 +774,18 @@ def solve(rows, ncols, rhs):
     return sol
 
 
+def span_coefficients(vectors, target):
+    """One c with sum c[j] vectors[j] = target, or None if target is not in
+    the span; vectors and target are sparse {key: coefficient} dicts."""
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for key, v in vec.items():
+            rows.setdefault(key, {})[j] = v
+    keys = list(rows) + [key for key in target if key not in rows]
+    return solve([rows.get(key, {}) for key in keys], len(vectors),
+                 [target.get(key, 0) for key in keys])
+
+
 def kernel_image_quotient(f: LinMap):
     """Exact (kernel basis, image basis, cokernel representative labels)."""
     dom_labels = list(f.domain.basis())

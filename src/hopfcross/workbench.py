@@ -4,23 +4,24 @@ report emitters."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow, rat,
-                    rat_str, rref)
+from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
+                    add_into, rat, rat_str, rref, span_coefficients)
 from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
                    build_group_algebra, build_truncated_enveloping, Report)
 from .actions import (AlgebraData, InvalidAction, InvalidGradation,
                       ModuleAlgebraData, PolyActionSpec,
                       action_module_algebra, build_poly_action,
-                      check_poly_action_validity, graded_module_algebra,
-                      matrix_order, trivial_module_algebra,
+                      check_poly_action_validity, example_entwining,
+                      graded_module_algebra, matrix_order,
+                      trivial_module_algebra,
                       _mat_eq, IDENT2)
-from .convolution import ConvMap
-from .sweedler import SweedlerContext, conv_exp
+from .convolution import ConvMap, hom_psi_subspace
+from .sweedler import SweedlerContext, additive_coboundary, conv_exp
 from .ce import (CEAlgebra, CETransposition, BarComparison,
                  evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
-from .crossed import (CrossedProductAlgebra, check_cocycle_conditions,
+from .crossed import (CrossedProductAlgebra, H2Verdict,
+                      check_cocycle_conditions, coboundary_preimage,
                       trivial_cocycle, verify_crossed_product)
 
 
@@ -603,6 +604,57 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     return conv_exp(transport_cochain(ctx, ce, bc, {(0, 1): b}))
 
 
+def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
+    """u = exp(t) with additive_coboundary(t) = w, found on the Xi side, or
+    the H2Verdict that says why there is none.
+
+    The Lie class of w is b = w(X1 (x) X2) - w(X2 (x) X1), w evaluated on
+    phi_2(e_1 e_2).  It is solved against the d2 images of Xi(D_1) at the
+    value window N - 1, the system behind `classify`'s d2_rank.  No
+    preimage means w is no coboundary (inequivalent), unless evaluating d2
+    met the truncation boundary (inconclusive).  A preimage f1 gives
+    t = transport(f1); a nonzero residue w - delta(t) is solved over the
+    n = 1 carrier, and is inconclusive when that grid holds no solution.
+    """
+    mad = ctx.mad
+    if getattr(mad, "poly_spec", None) is None:
+        return H2Verdict("inconclusive", detail="no Xi side: not a poly2 "
+                         "instance")
+    A = mad.algebra
+    ce, trans = ce_transposition(mad)
+    bc = BarComparison(ce, mad.hopf)
+    b = {}
+    for (_, mid, _), c in bc.phi_closed((0, 1)).items():
+        add_into(b, w(mid).coeffs, c)
+    window = A.space.budget - 1
+    lo, hi = (xi_space(ce, n, trans, window=window) for n in (1, 2))
+    images, overflow = xi_differential_matrix(ce, trans, lo, hi, 2)
+    sol = span_coefficients([img[(0, 1)].coeffs for img in images], b)
+    if sol is None:
+        if overflow:
+            return H2Verdict("inconclusive", detail="d2 met the truncation "
+                             "boundary at window %d" % window)
+        return H2Verdict("inequivalent", detail="Lie class %s is not in "
+                         "d2(Xi(D_1)) at window %d"
+                         % (_poly_str(Element(A.space, b)), window))
+    f1 = {S: {} for S in lo.e_sets}
+    for c, base in zip(sol, lo.basis):
+        for S, val in base.items():
+            add_into(f1[S], val.coeffs, c)
+    t = transport_cochain(ctx, ce, bc, {
+        S: Element(A.space, val, validate=False) for S, val in f1.items()})
+    residue = w - additive_coboundary(ctx, t)
+    if not residue.is_zero():
+        v = coboundary_preimage(
+            ctx, hom_psi_subspace(example_entwining(mad, 1)), residue)
+        if v is None:
+            return H2Verdict("inconclusive", detail="the residue of the "
+                             "transported preimage is no coboundary on the "
+                             "carrier grid")
+        t = t + v
+    return conv_exp(t)
+
+
 def _y_polynomial(A: AlgebraData, coeffs, where):
     """sum c_e Y^e in k[Y], from a coefficient list [c_0, c_1, ...] or an
     object {e: c_e} of a spec document."""
@@ -667,7 +719,7 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     # membership of b in Xi(D_2) is a precondition of the construction
     ce, trans = ce_transposition(mad)
     xi2 = xi_space(ce, 2, trans, window=N - 1)
-    if not _in_span(A, xi2, b):
+    if not _in_span(xi2, b):
         raise InputError("b is not in Xi(D_2) at this budget")
 
     f = xi2_cocycle(ctx, b) if not b.is_zero() else trivial_cocycle(ctx)
@@ -707,20 +759,6 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     return cp, report
 
 
-def _in_span(A, xi2: 'XiSolution', b: Element) -> bool:
-    if b.is_zero():
-        return True
-    labels = list(A.space.basis())
-    idx = {l: i for i, l in enumerate(labels)}
-    from .exact import solve
-    cols = []
-    for base in xi2.basis:
-        val = base[(0, 1)]
-        cols.append({idx[l]: v for l, v in val.coeffs.items()})
-    rows = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    all_rows = [rows.get(i, {}) for i in range(len(labels))]
-    rhs = [b.coeffs.get(l, Fraction(0)) for l in labels]
-    return solve(all_rows, len(cols), rhs) is not None
+def _in_span(xi2: 'XiSolution', b: Element) -> bool:
+    return span_coefficients([base[(0, 1)].coeffs for base in xi2.basis],
+                             b.coeffs) is not None

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -332,12 +333,16 @@ def test_equivalence_relation_properties(sctx, sign_action):
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def _fixture_crossed_product(name, cocycle, budget):
-    from hopfcross.workbench import (WorkbenchSpec, build_poly2_instance,
-                                     cocycle_from_doc)
+def _fixture_ctx(name, budget):
+    from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
     spec = WorkbenchSpec.load(os.path.join(FIXTURES, name + ".json"))
     spec.set_budget(budget)
-    ctx = SweedlerContext(build_poly2_instance(spec))
+    return SweedlerContext(build_poly2_instance(spec))
+
+
+def _fixture_crossed_product(name, cocycle, budget):
+    from hopfcross.workbench import cocycle_from_doc
+    ctx = _fixture_ctx(name, budget)
     with open(os.path.join(FIXTURES, cocycle + ".json")) as fh:
         coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, json.load(fh)))
     assert coc.all_flags
@@ -408,3 +413,134 @@ def test_comodule_check_keeps_the_skip_count_of_the_term_loop():
     assert (check.checked, check.skipped, check.failures) == \
         (ref.checked, ref.skipped, ref.failures)
     assert check.passed and check.skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# the H^2 decision against the classifier goldens
+
+GOLDENS = os.path.join(os.path.dirname(__file__), "goldens")
+
+
+def _golden_h2_exact(name):
+    with open(os.path.join(GOLDENS, name + ".txt")) as fh:
+        return next(line.split(": ", 1)[1].strip() for line in fh
+                    if line.startswith("H2_exact: "))
+
+
+def _golden_coboundary(h2_exact, b):
+    """Whether the golden H^2 makes the Xi(D_2) element b a coboundary:
+    all of it for H^2 = 0, the ideal <Y^d> for k[Y]/<Y^d>, and only 0 for
+    the other goldens, whose d2 vanishes."""
+    if h2_exact == "0":
+        return True
+    m = re.match(r"k\[Y\]/<Y(?:\^(\d+))?> ", h2_exact)
+    if m:
+        return min(e for (e,) in b.coeffs) >= int(m.group(1) or 1)
+    return b.is_zero()
+
+
+def _xi2_samples(ctx):
+    """The Xi(D_2) basis values and the nonzero d2 images of Xi(D_1) at the
+    classifier's window, without repeats."""
+    from hopfcross.ce import xi_differential_matrix, xi_space
+    from hopfcross.workbench import ce_transposition
+    mad = ctx.mad
+    ce, trans = ce_transposition(mad)
+    window = mad.algebra.space.budget - 1
+    lo, hi = (xi_space(ce, n, trans, window=window) for n in (1, 2))
+    images, _ = xi_differential_matrix(ce, trans, lo, hi, 2)
+    out = []
+    for b in ([base[(0, 1)] for base in hi.basis]
+              + [img[(0, 1)] for img in images]):
+        if not b.is_zero() and b not in out:
+            out.append(b)
+    return out
+
+
+POLY2 = ["case1a_q2", "case1a_qm1", "case1b_q1q2_1", "case1b_q1q2_ne1",
+         "case2_beta1_Y", "case2_beta1_Y2", "case3a", "case3b"]
+
+
+@pytest.mark.parametrize("name,budget",
+                         [(n, 4) for n in POLY2]
+                         + [("case2_beta1_Y", 5), ("case2_beta1_Y2", 5)])
+def test_h2_verdicts_agree_with_golden_H2_exact(name, budget):
+    from hopfcross.workbench import xi2_cocycle
+    ctx = _fixture_ctx(name, budget)
+    h2 = _golden_h2_exact(name)
+    samples = _xi2_samples(ctx)
+    assert samples or h2 == "0"
+    for b in samples:
+        v = h2_correspondence(ctx, xi2_cocycle(ctx, b), trivial_cocycle(ctx))
+        want = "cohomologous" if _golden_coboundary(h2, b) else "inequivalent"
+        assert v.status == want, (b, v)
+
+
+@pytest.mark.parametrize("budget", [4, 5, 6])
+def test_h2_lie_class_Y_is_a_coboundary_with_a_verified_witness(budget):
+    from hopfcross.workbench import xi2_cocycle
+    ctx = _fixture_ctx("case2_beta1_Y", budget)
+    A = ctx.mad.algebra
+    f = xi2_cocycle(ctx, Element.basis_vector(A.space, (1,)))
+    v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert v.status == "cohomologous", v
+    assert v.detail.endswith(", 0 skipped for budget")
+    rep, iso = check_equivalence(ctx, f, trivial_cocycle(ctx), v.u)
+    assert rep.ok, rep.summary()
+    assert iso is not None
+
+
+def test_h2_refuses_a_non_cocycle():
+    from hopfcross.workbench import xi2_cocycle
+    ctx = _fixture_ctx("case3a", 4)
+    A = ctx.mad.algebra
+    f = xi2_cocycle(ctx, Element.basis_vector(A.space, (1,)))
+    assert not check_cocycle_conditions(ctx, f).s_compatible
+    with pytest.raises(ValueError, match="cocycle flags not all true"):
+        h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    with pytest.raises(ValueError, match="cocycle flags not all true"):
+        h2_correspondence(ctx, trivial_cocycle(ctx), f)
+
+
+@pytest.mark.parametrize("mad_name", ["sign_action", "z3_graded"])
+def test_additive_coboundary_gives_the_group_rows(mad_name, request):
+    """On a group domain, delta(v)(g1, g2) = g1.v(g2) - v(g1 g2) + v(g1) for
+    every unit cochain of the grid the H^2 group solve runs over."""
+    from hopfcross.convolution import carrier_grid, grid_cochain
+    mad = request.getfixturevalue(mad_name)
+    ctx = SweedlerContext(mad)
+    h, A = mad.hopf, mad.algebra
+    C1 = ctx.domain(1)
+    grid = carrier_grid(C1, A)
+    assert len(grid) == C1.space.dim() * A.space.dim()
+    for j in range(len(grid)):
+        v = grid_cochain(C1, A, grid, {j: 1})
+        dv = additive_coboundary(ctx, v)
+        for g1, g2 in ctx.domain(2).space.basis():
+            g12 = h.mul.apply(Element.basis_vector(h.space.tensor(h.space),
+                                                   (g1, g2)))
+            want = (mad.act(Element.basis_vector(h.space, (g1,)), v((g2,)))
+                    - v.apply(g12) + v((g1,)))
+            assert dv((g1, g2)) == want, (grid[j], g1, g2)
+
+
+def test_h2_graded_instance_without_a_xi_side():
+    """k[X1,X2] acting trivially on k[Y]: equal cocycles are cohomologous,
+    and a coboundary is inconclusive, since only poly2 instances have the
+    Xi side."""
+    from hopfcross.actions import poly_algebra
+    from hopfcross.hopf import build_truncated_poly_hopf
+    mad = trivial_module_algebra(build_truncated_poly_hopf(2, 3),
+                                 poly_algebra(3))
+    ctx = SweedlerContext(mad)
+    A = mad.algebra
+    y = Element.basis_vector(A.space, (1,))
+    v = ConvMap.from_function(
+        ctx.domain(1), A,
+        lambda lab: y if lab in (((1, 1),), ((2, 0),)) else 0 * y)
+    f = differential(ctx, conv_exp(v))
+    assert check_cocycle_conditions(ctx, f).all_flags
+    assert h2_correspondence(ctx, f, f).status == "cohomologous"
+    v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert (v.status, v.detail) == ("inconclusive",
+                                    "no Xi side: not a poly2 instance")
