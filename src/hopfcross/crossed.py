@@ -414,11 +414,13 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
     in Reg_+^s(H, A) with q = f * f2^-1 = D(u).
 
     Both inputs must pass every cocycle flag; otherwise ValueError, as in
-    `build_crossed_product`.  Graded-connected domains are decided on the
-    Xi side (`workbench.xi_h2_witness`): the Lie class of w = log q is
-    solved against d2(Xi(D_1)), which certifies inequivalence when it has
-    no preimage, and otherwise the preimage is transported to the bar side
-    and completed by one carrier solve.  Group domains use the pointwise
+    `build_crossed_product`.  Graded-connected domains go through
+    `workbench.xi_h2_witness`: on a poly2 instance the Lie class of
+    w = log q is solved against d2(Xi(D_1)) on the value window, and no
+    preimage there certifies inequivalence (unless d2 met the truncation
+    boundary or can lower degrees).  A preimage is transported to the bar
+    side and completed by one carrier solve; an instance with no Xi side
+    gets the carrier solve alone.  Group domains use the pointwise
     reduction for cyclic groups.  Either way, `cohomologous` is answered
     only once q * D(u)^-1 = e holds on every tuple inside the budget; the
     detail counts the tuples skipped for budget.
@@ -428,24 +430,26 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
         if not coc.all_flags:
             raise ValueError("cocycle flags not all true: %r" % coc)
     q = convolve(f, conv_inverse(f2))
-    kind = ctx.domain(2).kind
-    if conv_equal(q, ctx.unit_cochain(2))[0]:
-        u = ctx.unit_cochain(1)
-    elif kind == "graded_connected":
-        from .workbench import xi_h2_witness
-        u = xi_h2_witness(ctx, conv_log(q))
-    elif kind == "grouplike":
-        u = _h2_group(ctx, q)
-    else:
-        return H2Verdict("inconclusive",
-                         detail="unsupported domain kind %r" % kind)
-    if isinstance(u, H2Verdict):
-        return u
-    passed, checked, skipped = conv_equal(
-        convolve(q, conv_inverse(differential(ctx, u))), ctx.unit_cochain(2))
+    e2 = ctx.unit_cochain(2)
+    u = ctx.unit_cochain(1)
+    passed, checked, skipped = conv_equal(q, e2)
     if not passed:
-        return H2Verdict("inconclusive",
-                         detail="the witness fails q * D(u)^-1 = e")
+        kind = ctx.domain(2).kind
+        if kind == "graded_connected":
+            from .workbench import xi_h2_witness
+            u = xi_h2_witness(ctx, conv_log(q))
+        elif kind == "grouplike":
+            u = _h2_group(ctx, q)
+        else:
+            return H2Verdict("inconclusive",
+                             detail="unsupported domain kind %r" % kind)
+        if isinstance(u, H2Verdict):
+            return u
+        passed, checked, skipped = conv_equal(
+            convolve(q, conv_inverse(differential(ctx, u))), e2)
+        if not passed:
+            return H2Verdict("inconclusive",
+                             detail="the witness fails q * D(u)^-1 = e")
     return H2Verdict("cohomologous", u,
                      "q * D(u)^-1 = e on %d tuples, %d skipped for budget"
                      % (checked, skipped))

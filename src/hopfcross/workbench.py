@@ -605,21 +605,45 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
 
 
 def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
-    """u = exp(t) with additive_coboundary(t) = w, found on the Xi side, or
-    the H2Verdict that says why there is none.
+    """u = exp(t) with additive_coboundary(t) = w, or the H2Verdict that
+    says why none is found.
 
-    The Lie class of w is b = w(X1 (x) X2) - w(X2 (x) X1), w evaluated on
-    phi_2(e_1 e_2).  It is solved against the d2 images of Xi(D_1) at the
-    value window N - 1, the system behind `classify`'s d2_rank.  No
-    preimage means w is no coboundary (inequivalent), unless evaluating d2
-    met the truncation boundary (inconclusive).  A preimage f1 gives
-    t = transport(f1); a nonzero residue w - delta(t) is solved over the
-    n = 1 carrier, and is inconclusive when that grid holds no solution.
+    On a poly2 instance, the Lie class of w is b = w(X1 (x) X2) -
+    w(X2 (x) X1), w evaluated on phi_2(e_1 e_2).  It is solved against the
+    d2 images of Xi(D_1) at the value window N - 1, the system behind
+    `classify`'s d2_rank; failing that, its part on the window is solved
+    against the window part of those images.  d2 lowers no degree
+    unless some beta_l has a constant term, so the window part of d2(f1)
+    depends only on the window part of f1: no preimage then means that w
+    is no coboundary (inequivalent).  It is inconclusive instead when
+    evaluating d2 met the truncation boundary or a beta_l has a constant
+    term.  A preimage f1 gives t = transport(f1).  Without a Xi side t = 0.
+    A nonzero residue w - delta(t) is solved over the n = 1 carrier, and is
+    inconclusive when that grid holds no solution.
     """
     mad = ctx.mad
     if getattr(mad, "poly_spec", None) is None:
-        return H2Verdict("inconclusive", detail="no Xi side: not a poly2 "
-                         "instance")
+        t = 0 * ctx.unit_cochain(1)
+    else:
+        t = _lie_class_preimage(ctx, w)
+        if isinstance(t, H2Verdict):
+            return t
+    residue = w - additive_coboundary(ctx, t)
+    if not residue.is_zero():
+        v = coboundary_preimage(
+            ctx, hom_psi_subspace(example_entwining(mad, 1)), residue)
+        if v is None:
+            return H2Verdict("inconclusive", detail="the residue w - delta(t)"
+                             " is no coboundary on the carrier grid")
+        t = t + v
+    return conv_exp(t)
+
+
+def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
+    """transport(f1) for an f1 in Xi(D_1) whose d2 image is the Lie class
+    b of w, or failing that agrees with b on the value window; or the
+    H2Verdict if there is none (see `xi_h2_witness`)."""
+    mad = ctx.mad
     A = mad.algebra
     ce, trans = ce_transposition(mad)
     bc = BarComparison(ce, mad.hopf)
@@ -627,32 +651,33 @@ def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
     for (_, mid, _), c in bc.phi_closed((0, 1)).items():
         add_into(b, w(mid).coeffs, c)
     window = A.space.budget - 1
+
+    def low(vec):
+        return {l: v for l, v in vec.items() if A.space.degree(l) <= window}
+
     lo, hi = (xi_space(ce, n, trans, window=window) for n in (1, 2))
     images, overflow = xi_differential_matrix(ce, trans, lo, hi, 2)
-    sol = span_coefficients([img[(0, 1)].coeffs for img in images], b)
+    vectors = [img[(0, 1)].coeffs for img in images]
+    sol = span_coefficients(vectors, b)
+    if sol is None:
+        # the rest of b may come from the part of f1 above the window
+        sol = span_coefficients([low(vec) for vec in vectors], low(b))
     if sol is None:
         if overflow:
             return H2Verdict("inconclusive", detail="d2 met the truncation "
                              "boundary at window %d" % window)
+        if any(0 in mad.poly_spec.beta_support(l) for l in (0, 1)):
+            return H2Verdict("inconclusive", detail="d2 lowers the degree "
+                             "(a beta_l has a constant term)")
         return H2Verdict("inequivalent", detail="Lie class %s is not in "
-                         "d2(Xi(D_1)) at window %d"
-                         % (_poly_str(Element(A.space, b)), window))
+                         "d2(Xi(D_1)) on the window %d"
+                         % (_poly_str(Element(A.space, low(b))), window))
     f1 = {S: {} for S in lo.e_sets}
     for c, base in zip(sol, lo.basis):
         for S, val in base.items():
             add_into(f1[S], val.coeffs, c)
-    t = transport_cochain(ctx, ce, bc, {
+    return transport_cochain(ctx, ce, bc, {
         S: Element(A.space, val, validate=False) for S, val in f1.items()})
-    residue = w - additive_coboundary(ctx, t)
-    if not residue.is_zero():
-        v = coboundary_preimage(
-            ctx, hom_psi_subspace(example_entwining(mad, 1)), residue)
-        if v is None:
-            return H2Verdict("inconclusive", detail="the residue of the "
-                             "transported preimage is no coboundary on the "
-                             "carrier grid")
-        t = t + v
-    return conv_exp(t)
 
 
 def _y_polynomial(A: AlgebraData, coeffs, where):

@@ -525,9 +525,8 @@ def test_additive_coboundary_gives_the_group_rows(mad_name, request):
 
 
 def test_h2_graded_instance_without_a_xi_side():
-    """k[X1,X2] acting trivially on k[Y]: equal cocycles are cohomologous,
-    and a coboundary is inconclusive, since only poly2 instances have the
-    Xi side."""
+    """k[X1,X2] acting trivially on k[Y] has no Xi side: the carrier solve
+    alone finds the witness of a coboundary."""
     from hopfcross.actions import poly_algebra
     from hopfcross.hopf import build_truncated_poly_hopf
     mad = trivial_module_algebra(build_truncated_poly_hopf(2, 3),
@@ -541,6 +540,27 @@ def test_h2_graded_instance_without_a_xi_side():
     f = differential(ctx, conv_exp(v))
     assert check_cocycle_conditions(ctx, f).all_flags
     assert h2_correspondence(ctx, f, f).status == "cohomologous"
+    verdict = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert verdict.status == "cohomologous", verdict
+    rep, iso = check_equivalence(ctx, f, trivial_cocycle(ctx), verdict.u)
+    assert rep.ok, rep.summary()
+    assert iso is not None
+
+
+@pytest.mark.parametrize("beta1,budget,degree",
+                         [([0, 1], 4, 4), ([0, 1], 5, 5), ([1], 4, 3)],
+                         ids=["Y-4", "Y-5", "1-4"])
+def test_h2_lie_class_reached_only_from_above_the_window(beta1, budget,
+                                                         degree):
+    """b = Y^degree is d2 of a cochain with values above the window N - 1:
+    X1 acts as Y d/dY (beta1 = Y) or as d/dY (beta1 = 1).  No witness is on
+    the degree-bounded grid, and no preimage on the window may certify the
+    classes inequivalent, so the verdict is inconclusive."""
+    from hopfcross.workbench import xi2_cocycle
+    ctx = SweedlerContext(build_poly_action([[1, 0], [0, 1]], beta1, [0],
+                                            budget))
+    A = ctx.mad.algebra
+    f = xi2_cocycle(ctx, Element.basis_vector(A.space, (degree,)))
+    assert check_cocycle_conditions(ctx, f).all_flags
     v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
-    assert (v.status, v.detail) == ("inconclusive",
-                                    "no Xi side: not a poly2 instance")
+    assert v.status == "inconclusive", v
