@@ -5,6 +5,8 @@ each slot carrying an ordered atomic basis and an optional degree per
 atom.  Labels of a space are tuples of atoms, one per slot, so tensor
 products flatten to concatenation and associativity is definitional.
 All coefficients are `fractions.Fraction`; nothing here ever rounds.
+`scaled_integers` and `combine_scaled` hold a vector as int numerators over
+one denominator, for hot loops that make a Fraction only at their boundary.
 
 A map made by `LinMap.from_function` builds each column the first time it
 is read, so a caller pays only for the columns it uses; the function that
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import contains, getitem
 
 Q = Fraction
@@ -312,6 +315,43 @@ def add_into(out, coeffs, scale):
             del out[lab]
 
 
+def scaled_integers(coeffs):
+    """A label -> rational dict as a scaled-integer vector (den, nums): den
+    is the lcm of the coefficients' denominators, and nums maps each label,
+    in order, to the int n with n / den its coefficient."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {lab: c.numerator * (den // c.denominator)
+                 for lab, c in coeffs.items()}
+
+
+def combine_scaled(terms):
+    """The scaled-integer vector of the sum of (p / q) * v over the terms
+    (p, q, v), p and q ints and v a vector (den, nums); its den is the lcm of
+    the terms' q * den.
+
+    The sum runs in ints with the cancellation rule of `add_into`, so its
+    labels and their order are those of the same sum over Fractions.  The
+    vectors are only read: one may be a shared cache entry.
+    """
+    terms = [(p, q * den, nums) for p, q, (den, nums) in terms if p]
+    den = lcm(*[d for _, d, _ in terms])
+    out = {}
+    get = out.get
+    for p, d, nums in terms:
+        m = p * (den // d)
+        for lab, n in nums.items():
+            old = get(lab)
+            if old is None:
+                out[lab] = m * n
+            else:
+                v = old + m * n
+                if v:
+                    out[lab] = v
+                else:
+                    del out[lab]
+    return den, out
+
+
 def add_basis_term(out, space, lab, c):
     """out += c * Element.basis_vector(space, lab), in place on a coefficient
     dict, with the cancellation rule of `add_into`."""
@@ -531,7 +571,8 @@ class LinMap:
             items, _, fits = entry
             if not fits:
                 raise SpaceMismatch("adding elements of different spaces")
-            unit = c == 1
+            # `is`, not ==: a 1 that is not ONE multiplies, to an equal value
+            unit = c is ONE
             for img, ci in items.items():
                 v = c if ci is None else ci if unit else c * ci
                 old = get(img)
@@ -625,7 +666,8 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
         check = budget is not None and (
             sum(map(getitem, pre_degrees, pre))
             + sum(map(getitem, post_degrees, post)) + top > budget)
-        unit = c == 1
+        # `is`, not ==: a 1 that is not ONE multiplies, to an equal value
+        unit = c is ONE
         for img, ci in items.items():
             new = pre + img + post
             if check and codomain.degree(new) > budget:

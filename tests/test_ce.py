@@ -3,7 +3,8 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import Element, LinMap, TruncationOverflow
+from hopfcross.exact import (Element, LinMap, TruncationOverflow,
+                             combine_scaled)
 from hopfcross.hopf import LieSpec, _exponent_labels, \
     build_truncated_enveloping, build_truncated_poly_hopf
 from hopfcross.actions import build_poly_action
@@ -244,6 +245,37 @@ def test_warm_caches_agree_with_a_fresh_instance(lie):
         nfs, d, g, sig, parts = got
         assert all(_all_fractions(v) for v in nfs + [d, g, sig])
         assert all(_all_fractions(v) for v in parts.values())
+
+
+@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
+def test_identity_checks_see_a_scaled_coefficient_of_a_cached_d_image(lie):
+    ce = CEAlgebra(lie)
+    mono = one_mono(ce, S=(0, 1))
+    den, nums = ce._d((1, {mono: 1}))
+    # a term of d(mono) whose gamma is not 0, so gamma d(mono) moves too
+    key = next(k for k in nums if ce._gamma((1, {k: 1}))[1])
+    ce._d_images[mono] = (den, {k: 2 * n if k == key else n
+                                for k, n in nums.items()})
+    checks = {c.name: c for c in
+              verify_resolution_identities(ce, budget=3).checks}
+    assert mono in checks["ce.d_squared_zero"].failures
+    assert mono in checks["ce.homotopy_scaling"].failures
+
+
+@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
+def test_every_p0_component_passes_the_homotopy_check(lie):
+    ce = CEAlgebra(lie)
+    rep = verify_resolution_identities(ce, budget=3)
+    assert rep.ok, rep.summary()
+    parts = [ce._p_parts((1, {m: 1})).get(0)
+             for n in range(4) for m in ce.monomials(n, 3)]
+    parts = [part for part in parts if part is not None]
+    assert len(parts) > 10
+    for part in parts:
+        # on p = 0 the check wants gamma d + d gamma to be the empty vector
+        total = combine_scaled([(1, 1, ce._gamma(ce._d(part))),
+                                (1, 1, ce._d(ce._gamma(part)))])
+        assert total[1] == {}
 
 
 def test_nf_twice_gives_equal_dicts():

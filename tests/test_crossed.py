@@ -490,6 +490,23 @@ def test_h2_lie_class_Y_is_a_coboundary_with_a_verified_witness(budget):
     assert iso is not None
 
 
+def test_h2_a_wrong_witness_fails_the_final_check(monkeypatch):
+    import hopfcross.workbench as workbench
+    from hopfcross.workbench import xi2_cocycle
+    ctx = _fixture_ctx("case2_beta1_Y", 4)
+    A = ctx.mad.algebra
+    f = xi2_cocycle(ctx, Element.basis_vector(A.space, (1,)))
+    right = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert right.status == "cohomologous", right
+    witness = workbench.xi_h2_witness
+    monkeypatch.setattr(workbench, "xi_h2_witness",
+                        lambda *args: 2 * witness(*args))
+    v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert (v.status, v.detail) == ("inconclusive",
+                                    "the witness fails q * D(u)^-1 = e")
+    assert v.u is None
+
+
 def test_h2_refuses_a_non_cocycle():
     from hopfcross.workbench import xi2_cocycle
     ctx = _fixture_ctx("case3a", 4)

@@ -368,6 +368,31 @@ def test_kernel_entries_belong_to_their_map():
         assert shift.apply(elt).coeffs == {(1,): 1, (3,): 1}
 
 
+def test_a_unit_coefficient_that_is_not_ONE_applies_like_a_basis_vector():
+    from hopfcross.exact import ONE
+    P = Space((Slot("P", range(4), {i: i for i in range(4)}),), 3)
+    # columns mixing coefficient 1 (kept as None in the term entry) and others
+    f = LinMap(P, P, {(0,): Element(P, {(1,): 1, (2,): Fraction(-3, 2)}),
+                      (1,): Element(P, {(3,): 2, (1,): 1}),
+                      (2,): Element(P, {(2,): 1}),
+                      (3,): Element.zero(P)})
+    PP = Space(P.slots * 2, 3)
+    for lab in [(0,), (1,), (2,), (3,)]:
+        x = Element(P, {lab: Fraction(1)})
+        assert x.coeffs[lab] == 1 and x.coeffs[lab] is not ONE
+        want = f.apply(Element.basis_vector(P, lab))
+        got = f.apply(x)
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert got.space == want.space
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        pair = (0,) + lab
+        x2 = Element(PP, {pair: Fraction(1)})
+        want2 = apply_at(f, Element.basis_vector(PP, pair), 1)
+        got2 = apply_at(f, x2, 1)
+        assert list(got2.coeffs.items()) == list(want2.coeffs.items())
+        assert got2.space == want2.space
+
+
 def test_apply_at_result_space_follows_position_and_budget():
     T = Slot("T", ["t"], {"t": 1})
     f = LinMap.from_function(Space((_P,)), Space((T,)),
