@@ -15,7 +15,7 @@ from math import comb
 
 from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
                     TruncationOverflow, apply_at, invert_linmap, rat,
-                    slot_permutation, tensor)
+                    slot_permutation, span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_truncated_poly_hopf,
                    check_equal_on, check_invertible, GroupSpec)
 
@@ -58,20 +58,10 @@ class AlgebraData:
 
     def element_inverse(self, a: Element) -> Element:
         """Two-sided inverse via an exact linear solve; loud on one-sided."""
-        from .exact import solve
         labels = list(self.space.basis())
-        idx = {l: i for i, l in enumerate(labels)}
-        n = len(labels)
-        unit_vec = {idx[m]: c for m, c in self.unit.coeffs.items()}
-        left_cols = [self.multiply(a, Element.basis_vector(self.space, lab))
-                     for lab in labels]
-        rows_sys = {}
-        for j, img in enumerate(left_cols):
-            for m, c in img.coeffs.items():
-                rows_sys.setdefault(idx[m], {})[j] = c
-        all_rows = [rows_sys.get(i, {}) for i in range(n)]
-        dense_rhs = [unit_vec.get(i, Fraction(0)) for i in range(n)]
-        sol = solve(all_rows, n, dense_rhs)
+        sol = span_coefficients(
+            [self.multiply(a, Element.basis_vector(self.space, lab)).coeffs
+             for lab in labels], self.unit.coeffs)
         if sol is None:
             raise NotInvertible("element has no right inverse")
         cand = Element(self.space,
@@ -483,8 +473,7 @@ def _item4_rhs(d: ModuleAlgebraData, x: Element) -> Element:
     return d.algebra.mul.apply(x)
 
 
-def verify_module_coalgebra(d: ModuleCoalgebraData, budget=None,
-                            sample=None) -> Report:
+def verify_module_coalgebra(d: ModuleCoalgebraData, budget=None) -> Report:
     """Items (1)-(5) of the module-coalgebra characterization."""
     report = Report("module coalgebra: %s" % d.name)
     h = d.hopf
@@ -496,17 +485,16 @@ def verify_module_coalgebra(d: ModuleCoalgebraData, budget=None,
     check_equal_on(report, "comodule.coassociativity", C,
                    lambda x, t: apply_at(d.comul, d.comul.apply(x), 0),
                    lambda x, t: apply_at(d.comul, d.comul.apply(x), C.arity),
-                   budget, sample)
+                   budget)
     check_equal_on(report, "comodule.counit", C,
                    lambda x, t: apply_at(d.counit, d.comul.apply(x), 0),
-                   lambda x, t: x, budget, sample)
+                   lambda x, t: x, budget)
     check_equal_on(report, "module.unit_acts_trivially", C,
                    lambda x, t: rho.apply(tensor(h.unit, x)),
-                   lambda x, t: x, budget, sample)
+                   lambda x, t: x, budget)
     check_equal_on(report, "module.action_associative", HHC,
                    lambda x, t: rho.apply(apply_at(rho, x, 1)),
-                   lambda x, t: rho.apply(apply_at(h.mul, x, 0)),
-                   budget, sample)
+                   lambda x, t: rho.apply(apply_at(h.mul, x, 0)), budget)
     cop = type("CoalgView", (), {"space": C, "comul": d.comul,
                                  "counit": d.counit,
                                  "counit_value": d.counit_value})()
@@ -515,15 +503,15 @@ def verify_module_coalgebra(d: ModuleCoalgebraData, budget=None,
     check_equal_on(report, "module.item3_rho_transposition", HHC,
                    lambda x, t: s.apply(apply_at(rho, x, 1)),
                    lambda x, t: apply_at(rho, apply_at(s, apply_at(h.braid, x, 0), 1), 0),
-                   budget, sample)
+                   budget)
     check_equal_on(report, "module.item4_delta_of_action", HC,
                    lambda x, t: d.comul.apply(rho.apply(x)),
-                   lambda x, t: _coalg_item4_rhs(d, x), budget, sample)
+                   lambda x, t: _coalg_item4_rhs(d, x), budget)
     check_equal_on(report, "module.item5_counit_of_action", HC,
                    lambda x, t: d.counit.apply(rho.apply(x)),
                    lambda x, t: Element.scalar(h.counit_value(t[0])
                                                * d.counit_value(t[1:])),
-                   budget, sample)
+                   budget)
     return report
 
 
@@ -537,7 +525,7 @@ def _coalg_item4_rhs(d: ModuleCoalgebraData, x: Element) -> Element:
     return apply_at(d.rho, x, nc)
 
 
-def verify_entwining(e_data: EntwiningData, budget=None, sample=None) -> Report:
+def verify_entwining(e_data: EntwiningData, budget=None) -> Report:
     """Mixed compatibilities of psi and the braid hexagon with varsigma."""
     report = Report("entwining structure")
     C, A = e_data.coalgebra, e_data.algebra
@@ -550,23 +538,23 @@ def verify_entwining(e_data: EntwiningData, budget=None, sample=None) -> Report:
     check_equal_on(report, "entwining.counit_compat", CA,
                    lambda x, t: apply_at(C.counit, psi.apply(x), 1),
                    lambda x, t: C.counit_value(t[:nc])
-                   * Element.basis_vector(A.space, t[nc:]), budget, sample)
+                   * Element.basis_vector(A.space, t[nc:]), budget)
     check_equal_on(report, "entwining.comul_compat", CA,
                    lambda x, t: apply_at(C.comul, psi.apply(x), 1),
                    lambda x, t: apply_at(psi, apply_at(psi, apply_at(
-                       C.comul, x, 0), nc), 0), budget, sample)
+                       C.comul, x, 0), nc), 0), budget)
     check_equal_on(report, "entwining.mul_compat", CAA,
                    lambda x, t: psi.apply(apply_at(A.mul, x, nc)),
                    lambda x, t: apply_at(A.mul, apply_at(psi, apply_at(
-                       psi, x, 0), 1), 0), budget, sample)
+                       psi, x, 0), 1), 0), budget)
     check_equal_on(report, "entwining.unit_compat", C.space,
                    lambda x, t: psi.apply(tensor(x, A.unit)),
-                   lambda x, t: tensor(A.unit, x), budget, sample)
+                   lambda x, t: tensor(A.unit, x), budget)
     check_equal_on(report, "entwining.varsigma_hexagon", CCA,
                    lambda x, t: apply_at(C.varsigma, apply_at(psi, apply_at(
                        psi, x, nc), 0), 1),
                    lambda x, t: apply_at(psi, apply_at(psi, apply_at(
-                       C.varsigma, x, 0), nc), 0), budget, sample)
+                       C.varsigma, x, 0), nc), 0), budget)
     check_invertible(report, "entwining.bijective", psi)
     return report
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .exact import (Element, TruncationOverflow, add_basis_term, add_into,
-                    combine_scaled, echelon_basis, nullspace,
+                    add_term, combine_scaled, echelon_basis, nullspace,
                     scaled_integers, solution_space, tensor)
 from .hopf import CheckResult, HopfData, LieSpec, Report
 from .actions import ModuleAlgebraData
@@ -54,15 +54,6 @@ class AlphaConditionViolated(Exception):
         super().__init__("alpha condition (%s) violated%s"
                          % (cond, ": " + msg if msg else ""))
         self.cond = cond
-
-
-def _dadd(out, key, val):
-    old = out.get(key)
-    v = val if old is None else old + val
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
 
 
 #: the zero scaled-integer vector, shared by the cache entries that are 0
@@ -415,7 +406,7 @@ class CEAlgebra:
         """sigma_0: H -> D_0 on the PBW basis, x^a -> Y^a."""
         out = {}
         for (a,), c in h_elt.coeffs.items():
-            _dadd(out, (a, (), (0,) * self.r), c)
+            add_term(out, (a, (), (0,) * self.r), c)
         return out
 
 
@@ -521,14 +512,14 @@ class CETransposition:
                     for t in range(r):
                         val = image(g, t, la)
                         for out_lab, v in val.coeffs.items():
-                            _dadd(lhs, (out_lab, t), c * v)
+                            add_term(lhs, (out_lab, t), c * v)
                 rhs = {}
                 for l, m in itertools.combinations(range(r), 2):
                     val = alpha[i][l].apply(image(j, m, la)) - \
                         alpha[i][m].apply(image(j, l, la))
                     for g, c in self.ce.lie.bracket(l, m).items():
                         for out_lab, v in val.coeffs.items():
-                            _dadd(rhs, (out_lab, g), c * v)
+                            add_term(rhs, (out_lab, g), c * v)
                 if lhs != rhs:
                     raise AlphaConditionViolated("d", "at basis %r" % (la,))
 
@@ -661,7 +652,7 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
                     ok = False
                     break
                 for out, v in prod.coeffs.items():
-                    _dadd(eq.setdefault(out, {}), j, v)
+                    add_term(eq.setdefault(out, {}), j, v)
             if not ok:
                 caveat = True
                 continue
@@ -679,7 +670,7 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
                         ok = False
                         break
                     for out, v in prod.coeffs.items():
-                        _dadd(eq.setdefault(out, {}), j, -v)
+                        add_term(eq.setdefault(out, {}), j, -v)
                 if not ok:
                     break
             if not ok:
@@ -692,7 +683,7 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
         for S in e_sets:
             acc = {}
             for z_i, zb in enumerate(zsa):
-                c = vec[set_index[S] * nz + z_i]
+                c = vec.get(set_index[S] * nz + z_i)
                 if c:
                     add_into(acc, zb.coeffs, c)
             val[S] = Element(A.space, acc, validate=False)
@@ -827,7 +818,7 @@ class BarComparison:
                         if h0b == self.unit_atom:
                             continue
                         key = (self.unit_atom, (h0b,) + mid, h1b)
-                        _dadd(out, key, c * v * c0 * c1)
+                        add_term(out, key, c * v * c0 * c1)
         return out
 
     def phi_closed(self, S):
@@ -836,7 +827,8 @@ class BarComparison:
         for tau in itertools.permutations(range(len(S))):
             sign = _perm_sign(tau)
             mid = tuple(self._gen_atom(S[t]) for t in tau)
-            _dadd(out, (self.unit_atom, mid, self.unit_atom), Fraction(sign))
+            add_term(out, (self.unit_atom, mid, self.unit_atom),
+                     Fraction(sign))
         return out
 
     def bar_differential(self, n, key):
@@ -848,7 +840,7 @@ class BarComparison:
         def emit(h0e, mid_entries, h1e, sign):
             for (h0b,), c0 in h0e.coeffs.items():
                 for (h1b,), c1 in h1e.coeffs.items():
-                    _dadd(out, (h0b, mid_entries, h1b), sign * c0 * c1)
+                    add_term(out, (h0b, mid_entries, h1b), sign * c0 * c1)
 
         h0e = Element.basis_vector(H.space, (h0,))
         h1e = Element.basis_vector(H.space, (h1,))
@@ -887,7 +879,7 @@ class BarComparison:
                     + self.ce.mono_word(mono)
                     + tuple(("Z", i) for i in _word_of(h1)))
             for m, v in self.ce.nf(word).items():
-                _dadd(out, m, c * v)
+                add_term(out, m, c * v)
         return out
 
     def _Phi_core(self, mid):
@@ -902,7 +894,7 @@ class BarComparison:
         acc = {}
         for (h0, mid2, h1), c in bprime.items():
             for mono, v in self.Phi((h0, mid2, h1)).items():
-                _dadd(acc, mono, c * v)
+                add_term(acc, mono, c * v)
         out = self.ce.sigma(acc)
         self._phi_memo[mid] = out
         return out
@@ -938,7 +930,7 @@ class BarComparison:
                 cv = c * v
                 top = tuple(map(add, map(add, a, h0), h1))
                 for i, b in terms:
-                    _dadd(acc, (tuple(map(sub, top, i)), S,
+                    add_term(acc, (tuple(map(sub, top, i)), S,
                                 tuple(map(add, k, i))),
                           cv if b == 1 else cv * b)
         out = self._phi_t_memo[mid] = _sigma_t(acc)
@@ -952,7 +944,7 @@ class BarComparison:
             top = tuple(map(add, map(add, a, h0), k))
             for i, b in self._expansion(k):
                 # (Y - Z)^k has the coefficients of (Y - T)^k, Z for T
-                _dadd(out, (tuple(map(sub, top, i)), S,
+                add_term(out, (tuple(map(sub, top, i)), S,
                             tuple(map(add, i, h1))),
                       c if b == 1 else c * b)
         return out
@@ -987,7 +979,7 @@ def _sigma_t(elt):
                 continue
             pos = bisect.bisect(S, j)
             eps = sign if (len(S) - pos) % 2 == 0 else -sign
-            _dadd(out, (a, S[:pos] + (j,) + S[pos:],
+            add_term(out, (a, S[:pos] + (j,) + S[pos:],
                         k[:j] + (kj - 1,) + k[j + 1:]),
                   c * Fraction(eps * kj, p))
     return out

@@ -417,8 +417,7 @@ def hom_psi_subspace(ent: EntwiningData, central=True):
                  + [(j, A.multiply(a, aa), -1)
                     for j, a in unknowns.get(lab[:nc], ())])
 
-    return [grid_cochain(C, A, grid, dict(enumerate(v)))
-            for v in nullspace(rows, len(grid))]
+    return [grid_cochain(C, A, grid, v) for v in nullspace(rows, len(grid))]
 
 
 def random_combination(rng, basis, span=4):

@@ -352,17 +352,22 @@ def combine_scaled(terms):
     return den, out
 
 
+def add_term(out, key, c):
+    """out[key] += c, in place, with the cancellation rule of `add_into`."""
+    old = out.get(key)
+    v = c if old is None else old + c
+    if v:
+        out[key] = v
+    elif old is not None:
+        del out[key]
+
+
 def add_basis_term(out, space, lab, c):
     """out += c * Element.basis_vector(space, lab), in place on a coefficient
     dict, with the cancellation rule of `add_into`."""
     if not space.contains(lab):
         raise space.label_error(lab)
-    old = out.get(lab)
-    v = c if old is None else old + c
-    if v:
-        out[lab] = v
-    elif old is not None:
-        del out[lab]
+    add_term(out, lab, c)
 
 
 def _label_key(label):
@@ -688,7 +693,7 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
 # ---------------------------------------------------------------------------
 # sparse exact row reduction
 
-def rref(rows, ncols=None):
+def rref(rows):
     """Reduced row echelon form of sparse rows (dicts col -> Fraction).
 
     Returns (reduced_rows, pivots) with pivots[i] the pivot column of row i.
@@ -710,8 +715,7 @@ def rref(rows, ncols=None):
                 if lead is None:
                     lead = r
                 else:
-                    factor = r[piv] / lead[piv]
-                    _row_submul(r, lead, factor)
+                    add_into(r, lead, -(r[piv] / lead[piv]))
                     if r:
                         keep.append(r)
             else:
@@ -720,7 +724,7 @@ def rref(rows, ncols=None):
         lead = {c: v * inv for c, v in lead.items()}
         for r in reduced:
             if piv in r:
-                _row_submul(r, lead, r[piv])
+                add_into(r, lead, -r[piv])
         reduced.append(lead)
         pivots.append(piv)
         work = keep
@@ -728,31 +732,23 @@ def rref(rows, ncols=None):
     return [reduced[i] for i in order], [pivots[i] for i in order]
 
 
-def _row_submul(r, lead, factor):
-    if not factor:
-        return
-    for c, v in lead.items():
-        old = r.get(c)
-        nv = -(factor * v) if old is None else old - factor * v
-        if nv:
-            r[c] = nv
-        elif old is not None:
-            del r[c]
-
-
 def nullspace(rows, ncols):
-    """Basis of solutions x (dense lists) of the homogeneous system rows@x=0."""
+    """Basis of the solutions x of the homogeneous system rows @ x = 0, one
+    per free column: a sparse dict col -> nonzero Fraction in ascending
+    column order, 1 at its free column."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, piv in zip(red, pivots):
-            vec[piv] = -row.get(fc, Fraction(0))
-        basis.append(vec)
-    return basis
+    basis = {c: {} for c in range(ncols) if c not in pivot_set}
+    # a reduced row is 0 on the other pivot columns, so each of its non-pivot
+    # entries lies in a free column; rows come in ascending pivot order, and a
+    # free column lies right of the pivot of every row that has it
+    for row, piv in zip(red, pivots):
+        for c, v in row.items():
+            if c != piv:
+                basis[c][piv] = -v
+    for c, vec in basis.items():
+        vec[c] = ONE
+    return list(basis.values())
 
 
 def solution_space(space, unknowns, conditions):
@@ -778,9 +774,8 @@ def solution_space(space, unknowns, conditions):
     basis = []
     for vec in nullspace(rows, len(unknowns)):
         out = {}
-        for c, u in zip(vec, unknowns):
-            if c:
-                add_into(out, u.coeffs, c)
+        for j, c in vec.items():
+            add_into(out, unknowns[j].coeffs, c)
         basis.append(_element(space, out))
     return basis
 
@@ -873,33 +868,22 @@ def invert_linmap(f: LinMap) -> LinMap:
             raise NotInvertible("degree-%s block is not square" % deg)
         n = len(dls)
         cidx = {lab: i for i, lab in enumerate(cls)}
-        # Gauss-Jordan on the block augmented with the identity, on sparse
-        # rows (column -> nonzero entry): only nonzero entries are touched
-        rows = [{n + i: Fraction(1)} for i in range(n)]
+        # [block | I], row i at codomain label i, reduces to [I | inverse]
+        rows = [{n + i: ONE} for i in range(n)]
         for j, dl in enumerate(dls):
             for cl, v in f.columns[dl].coeffs.items():
                 if f.codomain.degree(cl) != deg:
                     raise NotInvertible("map does not preserve degree blocks")
                 rows[cidx[cl]][j] = v
-        for col in range(n):
-            piv = next((r for r in range(col, n) if col in rows[r]), None)
-            if piv is None:
-                wit = _kernel(f, dls)
-                raise NotInvertible("singular block at degree %s" % deg,
-                                    wit[0] if wit else None)
-            rows[col], rows[piv] = rows[piv], rows[col]
-            lead = rows[col]
-            pv = lead[col]
-            if pv != 1:
-                lead = rows[col] = {k: x / pv for k, x in lead.items()}
-            for r in range(n):
-                fac = rows[r].get(col) if r != col else None
-                if fac is not None:
-                    _row_submul(rows[r], lead, fac)
+        red, pivots = rref(rows)
+        if pivots != list(range(n)):
+            wit = _kernel(f, dls)
+            raise NotInvertible("singular block at degree %s" % deg,
+                                wit[0] if wit else None)
         for i, cl in enumerate(cls):
             inv_cols[cl] = Element(f.domain,
-                                   {dls[j]: rows[j][n + i] for j in range(n)
-                                    if n + i in rows[j]},
+                                   {dls[j]: red[j][n + i] for j in range(n)
+                                    if n + i in red[j]},
                                    validate=False)
     return LinMap(f.codomain, f.domain, inv_cols)
 

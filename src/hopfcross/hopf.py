@@ -74,16 +74,19 @@ class Report:
         return "Report(%s, ok=%s)" % (self.title, self.ok)
 
 
-def compare_on(space, lhs, rhs, budget=None, sample=None, name="",
-               max_witness=3, first_failure=False) -> CheckResult:
+#: the failing labels a CheckResult keeps as witnesses
+MAX_WITNESS = 3
+
+
+def compare_on(space, lhs, rhs, budget=None, name="",
+               first_failure=False) -> CheckResult:
     """The comparison loop behind every identity check.
 
     lhs and rhs are called as side(x, t) on each label t of space of degree
-    <= budget (the first `sample` such labels when sample is given) and its
-    basis vector x.  A label whose evaluation raises TruncationOverflow is
-    skipped and counted; every other label is checked, and up to max_witness
-    failing labels are kept as witnesses.  With first_failure=True the loop
-    stops at the first failure.
+    <= budget and its basis vector x.  A label whose evaluation raises
+    TruncationOverflow is skipped and counted; every other label is checked,
+    and up to MAX_WITNESS failing labels are kept as witnesses.  With
+    first_failure=True the loop stops at the first failure.
     """
     res = CheckResult(name)
     labels = space.basis()
@@ -91,7 +94,7 @@ def compare_on(space, lhs, rhs, budget=None, sample=None, name="",
     # up to the space's own budget nor their basis vectors need a check
     if budget is not None and (space.budget is None or budget < space.budget):
         labels = (t for t in labels if space.degree(t) <= budget)
-    for t in itertools.islice(labels, sample):
+    for t in labels:
         x = _element(space, {t: ONE})
         try:
             a, b = lhs(x, t), rhs(x, t)
@@ -100,23 +103,22 @@ def compare_on(space, lhs, rhs, budget=None, sample=None, name="",
             continue
         res.checked += 1
         if a != b:
-            if len(res.failures) < max_witness:
+            if len(res.failures) < MAX_WITNESS:
                 res.failures.append(t)
             if first_failure:
                 break
     return res
 
 
-def check_equal_on(report, name, space, lhs, rhs, budget=None, sample=None):
+def check_equal_on(report, name, space, lhs, rhs, budget=None):
     """Check lhs = rhs on the basis of space within the degree budget.
 
     lhs and rhs are called as side(x, t) on each label t of degree <= budget
-    (the first `sample` such labels when sample is given) and its basis
-    vector x.  Labels whose evaluation leaves the budget are counted as
-    skipped, never as passing.  The CheckResult, with at most three failing
-    labels as witnesses, is added to report and returned.
+    and its basis vector x.  Labels whose evaluation leaves the budget are
+    counted as skipped, never as passing.  The CheckResult, with at most
+    MAX_WITNESS failing labels as witnesses, is added to report and returned.
     """
-    return report.add(compare_on(space, lhs, rhs, budget, sample, name=name))
+    return report.add(compare_on(space, lhs, rhs, budget, name=name))
 
 
 def check_invertible(report, name, f: LinMap):

@@ -628,3 +628,96 @@ def test_kernel_of_a_partial_map_with_a_missing_column_raises():
 
     with pytest.raises(KeyError):
         kernel_image_quotient(LinMap.from_function(P, P, col, partial=True))
+
+
+# ---------------------------------------------------------------------------
+# every solve goes through rref: nullspace, invert_linmap, element_inverse
+
+def _reference_nullspace(rows, ncols):
+    """nullspace as dense vectors read off rref, then made sparse."""
+    red, pivots = rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, piv in zip(red, pivots):
+            vec[piv] = -row.get(fc, Fraction(0))
+        basis.append({j: v for j, v in enumerate(vec) if v})
+    return basis
+
+
+def _random_sparse_rows(rng, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        rows.append({j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for j in rng.sample(range(ncols), ncols)
+                     if rng.random() < density})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nullspace_is_sparse_and_matches_a_dense_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        ncols = rng.randint(1, 9)
+        rows = _random_sparse_rows(rng, rng.randint(0, 9), ncols,
+                                   rng.choice((0.0, 0.2, 0.5)))
+        rows.insert(rng.randint(0, len(rows)), {})      # an empty row
+        got = nullspace(rows, ncols)
+        want = _reference_nullspace(rows, ncols)
+        assert [list(v.items()) for v in got] == \
+            [list(v.items()) for v in want]
+        _, pivots = rref(rows)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(got) == len(free)
+        for vec, fc in zip(got, free):
+            assert list(vec) == sorted(vec)
+            assert all(type(v) is Fraction and v for v in vec.values())
+            assert vec[fc] == 1 and max(vec) == fc
+            for row in rows:
+                assert sum(v * vec.get(j, 0) for j, v in row.items()) == 0
+    # an all-pivot system has only the zero solution
+    full = [{j: Fraction(1) for j in range(i, 4)} for i in range(4)]
+    assert nullspace(full, 4) == []
+    assert nullspace([{}, {}], 2) == [{0: 1}, {1: 1}]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invert_linmap_on_random_graded_bijections(seed):
+    rng = random.Random(seed)
+    sizes = {0: 2, 1: 3, 2: 2, 3: 1}
+    labels = ["x%d_%d" % (d, i) for d, n in sizes.items() for i in range(n)]
+    S = Slot("S", labels, {lab: int(lab[1]) for lab in labels})
+    V = Space((S,), budget=3)
+    by_degree = S.labels_by_degree()
+    for _ in range(5):
+        while True:
+            cols = {}
+            for (lab,) in V.basis():
+                block = by_degree[S.degree(lab)]
+                cols[(lab,)] = Element(V, {
+                    (m,): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for m in block})
+            f = LinMap(V, V, cols)
+            try:
+                inv = invert_linmap(f)
+                break
+            except NotInvertible:
+                continue
+        assert compose(f, inv) == LinMap.identity(V)
+        assert compose(inv, f) == LinMap.identity(V)
+
+
+def test_element_inverse_on_the_dual_numbers():
+    from hopfcross.actions import AlgebraData
+    D = AlgebraData.from_table(
+        "D", ["1", "t"],
+        {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1}, ("t", "1"): {"t": 1}},
+        "1")
+    one, t = (Element.basis_vector(D.space, (lab,)) for lab in ("1", "t"))
+    assert D.element_inverse(one + t) == one - t
+    assert D.element_inverse(2 * one) == Fraction(1, 2) * one
+    with pytest.raises(NotInvertible, match="^element has no right inverse$"):
+        D.element_inverse(t)
