@@ -39,10 +39,10 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .exact import (Element, TruncationOverflow, add_basis_term, add_into,
-                    add_term, combine_scaled, echelon_basis, nullspace,
-                    scaled_integers, solution_space, tensor)
-from .hopf import CheckResult, HopfData, LieSpec, Report
+from .exact import (Element, Slot, Space, TruncationOverflow, add_basis_term,
+                    add_into, add_term, combine_scaled, echelon_basis,
+                    nullspace, scaled_integers, solution_space, tensor)
+from .hopf import CheckResult, HopfData, LieSpec, Report, compare_on
 from .actions import ModuleAlgebraData
 from .sweedler import _commutators, invariant_subspace
 
@@ -440,6 +440,14 @@ def verify_resolution_identities(ce: CEAlgebra, budget=None):
 # ---------------------------------------------------------------------------
 # the transposition s_D induced by an alpha matrix
 
+def _gather(terms):
+    """Sum (key, Element) terms into a dict that keeps no zero value."""
+    out = {}
+    for k, v in terms:
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
 class CETransposition:
     """s_D on every degree of D, from alpha_i^j with conditions (a)-(d)."""
 
@@ -549,43 +557,36 @@ class CETransposition:
         return {m: v for m, v in out.items() if not v.is_zero()}
 
     def respects_relations(self, budget_labels=None) -> bool:
-        """s_T of both sides of every defining relation agree in normal form."""
+        """s_T of both sides of every defining relation agree in normal form:
+        Y_i Y_j = Y_j Y_i + 1/2 Y_[i,j], e_i Y_j = Y_j e_i + 1/2 e_[i,j] and
+        e_i^2 = 0, on each A label of budget_labels (default: all of A)."""
         A = self.mad.algebra
         labels = budget_labels if budget_labels is not None \
             else list(A.space.basis())
         r = self.ce.r
-        pairs = [(i, j) for i in range(r) for j in range(r)]
+        # each relation is a pair of sides, a side a list of (coeff, word)
+        relations = []
+        for i in range(r):
+            for j in range(r):
+                br = self.ce.lie.bracket(i, j).items()
+                for kind in ("Y", "E"):
+                    relations.append((
+                        [(1, ((kind, i), ("Y", j)))],
+                        [(1, (("Y", j), (kind, i)))]
+                        + [(HALF * c, ((kind, g),)) for g, c in br]))
+        relations += [([(1, (("E", i), ("E", i)))], []) for i in range(r)]
 
-        def eq(d1, d2):
-            keys = set(d1) | set(d2)
-            zero = Element.zero(A.space)
-            return all(d1.get(k, zero) == d2.get(k, zero) for k in keys)
+        def side(k):
+            def value(x, t):
+                la, rel = t
+                a = Element.basis_vector(A.space, la)
+                return _gather((m, c * v) for c, word in relations[rel][k]
+                               for m, v in self.cross_word(word, a).items())
+            return value
 
-        for la in labels:
-            a = Element.basis_vector(A.space, la)
-            for i, j in pairs:
-                br = self.ce.lie.bracket(i, j)
-                # (1) Y_i Y_j = Y_j Y_i + 1/2 Y_[i,j]
-                lhs = self.cross_word((("Y", i), ("Y", j)), a)
-                rhs = self.cross_word((("Y", j), ("Y", i)), a)
-                for g, c in br.items():
-                    for m, v in self.cross_word((("Y", g),), a).items():
-                        rhs[m] = rhs.get(m, Element.zero(A.space)) + HALF * c * v
-                if not eq(lhs, rhs):
-                    return False
-                # (4) e_i Y_j = Y_j e_i + 1/2 e_[i,j]
-                lhs = self.cross_word((("E", i), ("Y", j)), a)
-                rhs = self.cross_word((("Y", j), ("E", i)), a)
-                for g, c in br.items():
-                    for m, v in self.cross_word((("E", g),), a).items():
-                        rhs[m] = rhs.get(m, Element.zero(A.space)) + HALF * c * v
-                if not eq(lhs, rhs):
-                    return False
-            # (6) e_i^2 = 0
-            for i in range(r):
-                if self.cross_word((("E", i), ("E", i)), a):
-                    return False
-        return True
+        space = Space((Slot("A", labels), Slot("relation",
+                                               range(len(relations)))))
+        return compare_on(space, side(0), side(1), first_failure=True).passed
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +602,10 @@ def center_of_invariants(mad: ModuleAlgebraData, window=None):
 
 
 class XiSolution:
-    def __init__(self, e_sets, basis, window, boundary_caveat=False):
+    def __init__(self, e_sets, basis, window):
         self.e_sets = e_sets        # ordered generator subsets of this degree
         self.basis = basis          # list of dicts S -> Element of A
         self.window = window
-        self.boundary_caveat = boundary_caveat
 
     @property
     def dim(self):
@@ -618,7 +618,9 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
     {e_S}, phi-central against the degree-one generators of A.
 
     Centrality on generators extends to the whole of A and the bimodule, so
-    the linear system below is the full condition set.
+    the linear system below is the full condition set.  A product that
+    leaves A's budget raises TruncationOverflow; `trans.center(window)`
+    keeps Z(sA) below the budget for every window the callers pass.
     """
     mad = trans.mad
     A = mad.algebra
@@ -635,47 +637,26 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
     if not gens and len(list(A.space.basis())) > 1:
         gens = [lab for lab in A.space.basis() if A.space.degree(lab) > 0]
     rows = []
-    caveat = False
     set_index = {S: k for k, S in enumerate(e_sets)}
     for S in e_sets:
         mono = ((0,) * r, S, (0,) * r)
         for gl in gens:
             g = Element.basis_vector(A.space, gl)
             eq = {}
-            ok = True
             # lhs: b_S * g
             for z_i, zb in enumerate(zsa):
                 j = set_index[S] * nz + z_i
-                try:
-                    prod = A.multiply(zb, g)
-                except TruncationOverflow:
-                    ok = False
-                    break
-                for out, v in prod.coeffs.items():
+                for out, v in A.multiply(zb, g).coeffs.items():
                     add_term(eq.setdefault(out, {}), j, v)
-            if not ok:
-                caveat = True
-                continue
             # rhs: sum over s_D(e_S (x) g)
-            crossed = trans.cross(mono, g)
-            for mono2, a_val in crossed.items():
+            for mono2, a_val in trans.cross(mono, g).items():
                 S2 = mono2[1]
                 if mono2[0] != (0,) * r or mono2[2] != (0,) * r:
                     continue
                 for z_i, zb in enumerate(zsa):
                     j = set_index[S2] * nz + z_i
-                    try:
-                        prod = A.multiply(a_val, zb)
-                    except TruncationOverflow:
-                        ok = False
-                        break
-                    for out, v in prod.coeffs.items():
+                    for out, v in A.multiply(a_val, zb).coeffs.items():
                         add_term(eq.setdefault(out, {}), j, -v)
-                if not ok:
-                    break
-            if not ok:
-                caveat = True
-                continue
             rows.extend(eq.values())
     basis = []
     for vec in nullspace(rows, nvars):
@@ -689,7 +670,7 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
             val[S] = Element(A.space, acc, validate=False)
         if any(not v.is_zero() for v in val.values()):
             basis.append(val)
-    return XiSolution(e_sets, basis, window, caveat)
+    return XiSolution(e_sets, basis, window)
 
 
 def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
@@ -724,13 +705,12 @@ def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
 
 
 def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
-                           lo: XiSolution, hi: XiSolution, n: int,
-                           project=True):
+                           lo: XiSolution, hi: XiSolution, n: int):
     """Matrix of f -> f o d_n from Xi(D_{n-1}) to coordinates of Xi(D_n)'s
-    ambient value grid; components above the window are dropped only when
-    project=True (reported by the caller as a truncation caveat)."""
+    ambient value grid.  Components above the budget are dropped, and the
+    returned flag says whether any was (the caller reports it as a
+    truncation caveat)."""
     mad = trans.mad
-    A = mad.algebra
     r = ce.r
     images = []
     overflow = False
@@ -742,8 +722,6 @@ def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
             try:
                 val = evaluate_bimodule_cochain(ce, mad, f, d_mono)
             except TruncationOverflow:
-                if not project:
-                    raise
                 overflow = True
                 val = evaluate_bimodule_cochain(ce, mad, f, d_mono,
                                                 project=True)
@@ -1000,188 +978,86 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
 
     Conditions involving the Hopf leg are imposed against the Lie generators;
     together with multiplicativity of the transposition this covers all of H.
+    Each condition is one `compare_on` over the monomials of degree n, the
+    generator indices and the A labels inside the window; a tuple whose
+    product leaves A's budget is skipped.  Both sides are {mono: Element}
+    dicts without zero values (keyed (mono, Hopf label) for condition 3).
     """
     mad = trans.mad
     A = mad.algebra
+    cross = trans.cross
     report = Report("bimodule transposition on degree %d" % n)
     monos = ce.monomials(n, pbw_budget)
-    a_labels = [l for l in A.space.basis()
-                if a_window is None or A.space.degree(l) <= a_window]
-    zero = Element.zero(A.space)
+    mono_slot = Slot("mono", monos)
+    gen_slot = Slot("gen", range(ce.r))
+    a_slot = Slot("A", [l for l in A.space.basis()
+                        if a_window is None or A.space.degree(l) <= a_window])
+    gens = [Element.basis_vector(mad.hopf.space, (tuple(
+        1 if t == i else 0 for t in range(ce.r)),)) for i in range(ce.r)]
 
-    def dict_eq(d1, d2):
-        keys = set(d1) | set(d2)
-        return all(d1.get(k, zero) == d2.get(k, zero) for k in keys)
+    def e(la):
+        return Element.basis_vector(A.space, la)
 
-    def cross_elt(zdict, a_elt):
-        out = {}
-        for m, c in zdict.items():
-            for m2, v in trans.cross(m, a_elt).items():
-                out[m2] = out.get(m2, zero) + c * v
-        return {m: v for m, v in out.items() if not v.is_zero()}
+    def check(name, slots, lhs, rhs):
+        return report.add(compare_on(Space(slots), lambda x, t: lhs(*t),
+                                     lambda x, t: rhs(*t), name=name))
 
-    res1 = CheckResult("def52.1_algebra_compat")
-    for mono in monos:
-        for la, lb in itertools.product(a_labels, repeat=2):
-            ea, eb = Element.basis_vector(A.space, la), Element.basis_vector(A.space, lb)
-            try:
-                prod = A.multiply(ea, eb)
-            except TruncationOverflow:
-                res1.skipped += 1
-                continue
-            res1.checked += 1
-            lhs = trans.cross(mono, prod)
-            rhs = {}
-            for m1, a1 in trans.cross(mono, ea).items():
-                for m2, a2 in trans.cross(m1, eb).items():
-                    try:
-                        val = A.multiply(a1, a2)
-                    except TruncationOverflow:
-                        val = None
-                    if val is None:
-                        rhs = None
-                        break
-                    rhs[m2] = rhs.get(m2, zero) + val
-                if rhs is None:
-                    break
-            if rhs is None:
-                res1.skipped += 1
-                continue
-            rhs = {m: v for m, v in rhs.items() if not v.is_zero()}
-            if not dict_eq(lhs, rhs):
-                if len(res1.failures) < 3:
-                    res1.failures.append((mono, la, lb))
-        if trans.cross(mono, A.unit) != {mono: A.unit}:
-            res1.failures.append((mono, "unit"))
-    report.add(res1)
+    res1 = check(
+        "def52.1_algebra_compat", (mono_slot, a_slot, a_slot),
+        lambda mono, la, lb: cross(mono, A.multiply(e(la), e(lb))),
+        lambda mono, la, lb: _gather(
+            (m2, A.multiply(a1, a2))
+            for m1, a1 in cross(mono, e(la)).items()
+            for m2, a2 in cross(m1, e(lb)).items()))
+    res1.failures.extend((mono, "unit") for mono in monos
+                         if cross(mono, A.unit) != {mono: A.unit})
 
-    gens = list(range(ce.r))
+    check("def52.2_action_compat", (mono_slot, gen_slot, a_slot),
+          lambda mono, i, la: cross(mono, mad.act(gens[i], e(la))),
+          lambda mono, i, la: _gather(
+              (m1, mad.act(gens[i], a1))
+              for m1, a1 in cross(mono, e(la)).items()))
 
-    def gen_elt(i):
-        return Element.basis_vector(
-            mad.hopf.space, (tuple(1 if t == i else 0 for t in range(ce.r)),))
+    def s_terms(i, a_elt):
+        """s(x_i (x) a) as (A label, Hopf label, coefficient) triples."""
+        return [(ap, hp, w) for (ap, hp), w in
+                mad.s.apply(tensor(gens[i], a_elt)).coeffs.items()]
 
-    res2 = CheckResult("def52.2_action_compat")
-    for mono in monos:
-        for i in gens:
-            for la in a_labels:
-                ea = Element.basis_vector(A.space, la)
-                try:
-                    acted = mad.act(gen_elt(i), ea)
-                except TruncationOverflow:
-                    res2.skipped += 1
-                    continue
-                res2.checked += 1
-                lhs = cross_elt({mono: Fraction(1)}, acted) \
-                    if not acted.is_zero() else {}
-                rhs = {}
-                ok = True
-                for m1, a1 in trans.cross(mono, ea).items():
-                    try:
-                        rhs[m1] = rhs.get(m1, zero) + mad.act(gen_elt(i), a1)
-                    except TruncationOverflow:
-                        ok = False
-                        break
-                if not ok:
-                    res2.skipped += 1
-                    continue
-                rhs = {m: v for m, v in rhs.items() if not v.is_zero()}
-                if not dict_eq(lhs, rhs):
-                    if len(res2.failures) < 3:
-                        res2.failures.append((mono, i, la))
-    report.add(res2)
+    check("def52.3_s_exchange", (mono_slot, gen_slot, a_slot),
+          lambda mono, i, la: _gather(
+              ((m1, hp), w * a1) for ap, hp, w in s_terms(i, e(la))
+              for m1, a1 in cross(mono, e((ap,))).items()),
+          lambda mono, i, la: _gather(
+              ((m1, hp), w * e((ap,)))
+              for m1, a1 in cross(mono, e(la)).items()
+              for ap, hp, w in s_terms(i, a1)))
 
-    res3 = CheckResult("def52.3_s_exchange")
-    for mono in monos:
-        for i in gens:
-            for la in a_labels:
-                ea = Element.basis_vector(A.space, la)
-                try:
-                    crossed = mad.s.apply(tensor(gen_elt(i), ea))
-                except TruncationOverflow:
-                    res3.skipped += 1
-                    continue
-                res3.checked += 1
-                lhs = {}
-                for (ap, hp), w in crossed.coeffs.items():
-                    for m1, a1 in trans.cross(
-                            mono, Element.basis_vector(A.space, (ap,))).items():
-                        key = (m1, hp)
-                        lhs[key] = lhs.get(key, zero) + w * a1
-                rhs = {}
-                ok = True
-                for m1, a1 in trans.cross(mono, ea).items():
-                    try:
-                        mid = mad.s.apply(tensor(gen_elt(i), a1))
-                    except TruncationOverflow:
-                        ok = False
-                        break
-                    for (ap, hp), w in mid.coeffs.items():
-                        key = (m1, hp)
-                        rhs[key] = rhs.get(key, zero) + \
-                            w * Element.basis_vector(A.space, (ap,))
-                if not ok:
-                    res3.skipped += 1
-                    continue
-                lhs = {k: v for k, v in lhs.items() if not v.is_zero()}
-                rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
-                if not dict_eq(lhs, rhs):
-                    if len(res3.failures) < 3:
-                        res3.failures.append((mono, i, la))
-    report.add(res3)
+    def letters(kind, hp):
+        """The word of a Hopf label hp in the letters Y or Z."""
+        return tuple((kind, t) for t in _atom_word(hp))
 
-    res4 = CheckResult("def52.4_right_action")
-    res5 = CheckResult("def52.5_left_action")
-    for mono, res, side in [(m, res4, "Z") for m in monos] + \
-                           [(m, res5, "Y") for m in monos]:
-        word = ce.mono_word(mono)
-        for i in gens:
-            acted_word = word + (("Z", i),) if side == "Z" \
-                else (("Y", i),) + word
-            acted = ce.nf(acted_word)
-            for la in a_labels:
-                ea = Element.basis_vector(A.space, la)
-                lhs = cross_elt(acted, ea)
-                rhs = {}
-                ok = True
-                if side == "Z":
-                    try:
-                        mid = mad.s.apply(tensor(gen_elt(i), ea))
-                    except TruncationOverflow:
-                        res.skipped += 1
-                        continue
-                    for (ap, hp), w in mid.coeffs.items():
-                        for m1, a1 in trans.cross(
-                                mono, Element.basis_vector(A.space, (ap,))).items():
-                            # right-multiply m1 by the crossed Hopf leg
-                            hw = ce.nf(ce.mono_word(m1) + tuple(
-                                ("Z", t) for t in _atom_word(hp)))
-                            for m2, c in hw.items():
-                                rhs[m2] = rhs.get(m2, zero) + w * c * a1
-                else:
-                    for m1, a1 in trans.cross(mono, ea).items():
-                        try:
-                            mid = mad.s.apply(tensor(gen_elt(i), a1))
-                        except TruncationOverflow:
-                            ok = False
-                            break
-                        for (ap, hp), w in mid.coeffs.items():
-                            hw = ce.nf(tuple(("Y", t) for t in _atom_word(hp))
-                                       + ce.mono_word(m1))
-                            for m2, c in hw.items():
-                                rhs[m2] = rhs.get(m2, zero) + \
-                                    w * Element.basis_vector(A.space, (ap,))
-                    if not ok:
-                        res.skipped += 1
-                        continue
-                res.checked += 1
-                rhs = {m: v for m, v in rhs.items() if not v.is_zero()}
-                lhs2 = {m: v for m, v in lhs.items() if not v.is_zero()}
-                if not dict_eq(lhs2, rhs):
-                    if len(res.failures) < 3:
-                        res.failures.append((mono, side, i, la))
-    report.add(res4)
-    report.add(res5)
+    # the one-label side slot keeps the (mono, side, i, la) witnesses
+    check("def52.4_right_action", (mono_slot, Slot("side", ("Z",)),
+                                   gen_slot, a_slot),
+          lambda mono, _, i, la: _gather(
+              (m2, c * v) for m, c in ce.nf(
+                  ce.mono_word(mono) + (("Z", i),)).items()
+              for m2, v in cross(m, e(la)).items()),
+          lambda mono, _, i, la: _gather(
+              (m2, w * c * a1) for ap, hp, w in s_terms(i, e(la))
+              for m1, a1 in cross(mono, e((ap,))).items()
+              for m2, c in ce.nf(ce.mono_word(m1) + letters("Z", hp)).items()))
+    check("def52.5_left_action", (mono_slot, Slot("side", ("Y",)),
+                                  gen_slot, a_slot),
+          lambda mono, _, i, la: _gather(
+              (m2, c * v) for m, c in ce.nf(
+                  (("Y", i),) + ce.mono_word(mono)).items()
+              for m2, v in cross(m, e(la)).items()),
+          lambda mono, _, i, la: _gather(
+              (m2, w * c * e((ap,)))
+              for m1, a1 in cross(mono, e(la)).items()
+              for ap, hp, w in s_terms(i, a1)
+              for m2, c in ce.nf(letters("Y", hp) + ce.mono_word(m1)).items()))
     return report
 
 

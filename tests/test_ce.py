@@ -209,6 +209,82 @@ def test_def52_action_checks_count_a_skipped_tuple_once():
     assert counts["def52.5_left_action"] == (60, 20)
 
 
+@pytest.fixture(scope="module")
+def trans_qneg():
+    """Q = -ide, beta1 = Y + Y^3, beta2 = Y at budget 4: beta1 raises the
+    degree, so the action check skips more tuples than the s exchange."""
+    mad = build_poly_action([[-1, 0], [0, -1]], [0, 1, 0, 1], [0, 1], 4)
+    return CETransposition(CEAlgebra(AB2), mad, poly_alpha_maps(mad))
+
+
+_DEF52 = ("def52.1_algebra_compat", "def52.2_action_compat",
+          "def52.3_s_exchange", "def52.4_right_action", "def52.5_left_action")
+
+
+@pytest.mark.parametrize("instance, n, pbw, window, counts", [
+    ("trans1b", 0, 1, None, [(105, 75)] + [(50, 10)] * 4),
+    ("trans1b", 1, 1, None, [(210, 150)] + [(100, 20)] * 4),
+    ("trans1b", 2, 1, None, [(105, 75)] + [(50, 10)] * 4),
+    ("trans1b", 0, 2, 3, [(225, 15)] + [(120, 0)] * 4),
+    ("trans1b", 1, 2, 3, [(450, 30)] + [(240, 0)] * 4),
+    ("trans1b", 2, 2, 3, [(225, 15)] + [(120, 0)] * 4),
+    ("trans_qneg", 1, 2, None,
+     [(450, 300), (210, 90), (240, 60), (240, 60), (240, 60)]),
+])
+def test_def52_checked_and_skipped_counts(request, instance, n, pbw, window,
+                                          counts):
+    trans = request.getfixturevalue(instance)
+    rep = verify_bimodule_transposition(trans.ce, trans, n, pbw_budget=pbw,
+                                        a_window=window)
+    assert rep.ok, rep.summary()
+    assert [(c.name, c.checked, c.skipped) for c in rep.checks] == \
+        [(name,) + pair for name, pair in zip(_DEF52, counts)]
+
+
+def test_def52_failures_keep_their_witnesses(mad1b):
+    # s_D doubled on e_1 Z_2 whenever its A argument has a Y^2 term: the
+    # algebra and action-by-monomial checks see it, while the action and
+    # s-exchange checks double both sides alike
+    trans = CETransposition(CEAlgebra(AB2), mad1b, poly_alpha_maps(mad1b))
+    cross, bad = trans.cross, ((0, 0), (1,), (0, 1))
+
+    def doubled(mono, a_elt):
+        out = cross(mono, a_elt)
+        if mono == bad and (2,) in a_elt.coeffs:
+            return {m: 2 * v for m, v in out.items()}
+        return out
+
+    trans.cross = doubled
+    rep = verify_bimodule_transposition(trans.ce, trans, 1, pbw_budget=1)
+    failures = {c.name: c.failures for c in rep.checks}
+    assert failures == {
+        "def52.1_algebra_compat": [(bad, (1,), (1,)), (bad, (1,), (2,)),
+                                   (bad, (2,), (1,))],
+        "def52.2_action_compat": [],
+        "def52.3_s_exchange": [],
+        "def52.4_right_action": [(((0, 0), (1,), (0, 0)), "Z", 1, (2,)),
+                                 (bad, "Z", 0, (2,)), (bad, "Z", 1, (2,))],
+        "def52.5_left_action": [(bad, "Y", 0, (2,)), (bad, "Y", 1, (2,))],
+    }
+
+
+def test_perturbed_transposition_breaks_a_relation(mad1b):
+    # s_T doubled on the word Y_1 Y_2 when A's argument has a Y^2 term
+    # breaks Y_1 Y_2 = Y_2 Y_1
+    trans = CETransposition(CEAlgebra(AB2), mad1b, poly_alpha_maps(mad1b))
+    assert trans.respects_relations()
+    cross_word = trans.cross_word
+
+    def doubled(word, a_elt):
+        out = cross_word(word, a_elt)
+        if tuple(word) == (("Y", 0), ("Y", 1)) and (2,) in a_elt.coeffs:
+            return {m: 2 * v for m, v in out.items()}
+        return out
+
+    trans.cross_word = doubled
+    assert not trans.respects_relations()
+
+
 # ---------------------------------------------------------------------------
 # the caches of CEAlgebra, against a fresh instance
 
