@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
-                    TruncationOverflow, apply_at, invert_linmap, rat,
+                    TruncationOverflow, apply_at, rat,
                     slot_permutation, span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_truncated_poly_hopf,
                    check_equal_on, check_invertible, GroupSpec)
@@ -40,10 +40,9 @@ class AlgebraData:
         self.unit = unit
 
     @staticmethod
-    def from_table(name, labels, table, unit_label, degrees=None, budget=None):
+    def from_table(name, labels, table, unit_label):
         """table maps (a, b) to {label: coeff}; absent pairs multiply to 0."""
-        slot = Slot(name, labels, degrees)
-        space = Space((slot,), budget)
+        space = Space((Slot(name, labels),))
         sq = space.tensor(space)
         cols = {}
         for lab in sq.basis():
@@ -88,15 +87,10 @@ def poly_algebra(N, name="kY") -> AlgebraData:
 class Transposition:
     """Invertible s: H (x) V -> V (x) H, later subjected to the full suite."""
 
-    def __init__(self, hopf: HopfData, target: AlgebraData, s: LinMap,
-                 kind="algebra"):
+    def __init__(self, hopf: HopfData, target: AlgebraData, s: LinMap):
         self.hopf = hopf
         self.target = target
         self.s = s
-        self.kind = kind
-
-    def inverse(self):
-        return invert_linmap(self.s)
 
 
 class ModuleAlgebraData:
@@ -495,11 +489,8 @@ def verify_module_coalgebra(d: ModuleCoalgebraData, budget=None) -> Report:
     check_equal_on(report, "module.action_associative", HHC,
                    lambda x, t: rho.apply(apply_at(rho, x, 1)),
                    lambda x, t: rho.apply(apply_at(h.mul, x, 0)), budget)
-    cop = type("CoalgView", (), {"space": C, "comul": d.comul,
-                                 "counit": d.counit,
-                                 "counit_value": d.counit_value})()
     verify_transposition(h, None, s, report=report, budget=budget,
-                         coalgebra=cop)
+                         coalgebra=d)
     check_equal_on(report, "module.item3_rho_transposition", HHC,
                    lambda x, t: s.apply(apply_at(rho, x, 1)),
                    lambda x, t: apply_at(rho, apply_at(s, apply_at(h.braid, x, 0), 1), 0),
@@ -622,7 +613,7 @@ def _auto_compose(f, g):
 
 
 def build_graded_transposition(g: GroupSpec, algebra: AlgebraData,
-                               grading, autos, hopf=None):
+                               grading, autos):
     """s(g (x) a) = a (x) zeta(g) for a homogeneous of degree zeta.
 
     grading maps each basis label of A to an automorphism name; autos maps
@@ -630,7 +621,7 @@ def build_graded_transposition(g: GroupSpec, algebra: AlgebraData,
     for the opposite composition, or InvalidGradation is raised.
     """
     from .hopf import build_group_algebra
-    h = hopf if hopf is not None else build_group_algebra(g)
+    h = build_group_algebra(g)
 
     for name, table in autos.items():
         if set(table) != set(g.elements) or set(table.values()) != set(g.elements):
@@ -700,14 +691,14 @@ def _mat_eq(P, R):
 IDENT2 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
-def matrix_order(Qm, bound=6):
+def matrix_order(Qm):
     """Order of a rational 2x2 matrix, or None if infinite.
 
     Rational 2x2 matrices of finite order have order in {1,2,3,4,6} (their
     eigenvalues are roots of degree <= 2 cyclotomic polynomials).
     """
     for n in (1, 2, 3, 4, 6):
-        if n <= bound and _mat_eq(_mat_pow(Qm, n), IDENT2):
+        if _mat_eq(_mat_pow(Qm, n), IDENT2):
             return n
     return None
 
@@ -766,18 +757,16 @@ class PolyActionSpec:
         self._beta_powers[l][n] = out
         return out
 
-    def act(self, a, b, n, cap=None):
+    def act(self, a, b, n):
         """X1^a X2^b . Y^n as {exponent: coeff}, extending beta by the
-        braided Leibniz rule; with a cap, the components above it are
-        dropped after every step."""
+        braided Leibniz rule."""
         vec = {n: Fraction(1)}
         for l, times in ((1, b), (0, a)):
             for _ in range(times):
                 nxt = {}
                 for e_, c in vec.items():
                     for e2, c2 in self.beta_of_power(l, e_).items():
-                        if cap is None or e2 <= cap:
-                            nxt[e2] = nxt.get(e2, Fraction(0)) + c * c2
+                        nxt[e2] = nxt.get(e2, Fraction(0)) + c * c2
                 vec = {e_: c for e_, c in nxt.items() if c != 0}
         return vec
 

@@ -20,16 +20,14 @@ from .convolution import (ConvMap, carrier_grid, conv_equal,
 from .sweedler import (AdditiveComplex, SweedlerContext, additive_coboundary,
                        conv_exp, conv_log, differential, gimel,
                        barr_differential, h0)
-from .ce import (BarComparison, CEAlgebra, verify_resolution_identities,
-                 xi_space, xi_differential_matrix)
+from .ce import CEAlgebra, verify_resolution_identities
 from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
                       verify_crossed_product)
-from .workbench import (InputError, NotJordanForm,
-                        WorkbenchSpec, build_group_instance,
-                        build_lie_instance, build_poly2_instance,
-                        ce_transposition, classify_crossed_products,
+from .workbench import (InputError, NotJordanForm, WorkbenchSpec, XiComplex,
+                        build_group_instance, build_lie_instance,
+                        build_poly2_instance, classify_crossed_products,
                         cocycle_from_doc, presentation_relations,
-                        transport_cochain, xi_cohomology_dim)
+                        transport_cochain)
 
 OK, FAIL, BADINPUT, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -97,18 +95,16 @@ def cmd_cohomology(spec, args, out):
     elif spec.kind != "poly2":
         raise InputError("cohomology dimensions: use poly2 or group kinds")
     else:
-        mad = build_poly2_instance(spec)
-        if args.degree > 2:
-            lines.append("degree %d: the resolution has length 2; H^n = 0"
-                         % args.degree)
+        xi = XiComplex(build_poly2_instance(spec))
+        if args.degree > xi.length:
+            lines.append("degree %d: the resolution has length %d; H^n = 0"
+                         % (args.degree, xi.length))
             data["H_dim"] = 0
         else:
-            window = spec.budget - 1
-            data["H_dim"], overflow = xi_cohomology_dim(mad, args.degree,
-                                                        window)
-            data["window"] = window
+            data["H_dim"], overflow = xi.cohomology_dim(args.degree)
+            data["window"] = xi.window
             lines.append("H^%d dimension at window %d: %d"
-                         % (args.degree, window, data["H_dim"]))
+                         % (args.degree, xi.window, data["H_dim"]))
             if overflow:
                 lines.append("caveat: differential met the truncation boundary")
                 code = INCONCLUSIVE
@@ -255,20 +251,14 @@ def _random_group_cochain(rng, ctx, n):
 
 def _bar_vs_resolution(ctx, lines):
     """Transported cocycle/coboundary verdicts agree between the two sides."""
-    mad = ctx.mad
-    N = mad.algebra.space.budget
-    ce, trans = ce_transposition(mad)
-    xi1 = xi_space(ce, 1, trans, window=N - 1)
-    xi2 = xi_space(ce, 2, trans, window=N - 1)
-    imgs, _ = xi_differential_matrix(ce, trans, xi1, xi2, 2)
+    xi = XiComplex(ctx.mad)
+    imgs, _ = xi.d(2)
     # every d2-image class transports to an additive coboundary on the bar side
-    bc = BarComparison(ce, mad.hopf)
     agree = True
     skipped_total = 0
-    for f1, img in zip(xi1.basis[:3], imgs[:3]):
-        b = img[(0, 1)]
-        g2 = transport_cochain(ctx, ce, bc, {(0, 1): b})     # Xi(D2) -> C^2_s
-        g1 = transport_cochain(ctx, ce, bc, {(0,): f1[(0,)], (1,): f1[(1,)]})
+    for f1, img in zip(xi.space(1).basis[:3], imgs[:3]):
+        g2 = transport_cochain(ctx, xi.ce, xi.bar, img)     # Xi(D2) -> C^2_s
+        g1 = transport_cochain(ctx, xi.ce, xi.bar, f1)
         same, _, skipped = conv_equal(additive_coboundary(ctx, g1), g2)
         skipped_total += skipped
         if not same:

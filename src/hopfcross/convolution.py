@@ -55,13 +55,9 @@ class ConvMap:
         return ConvMap(coalgebra, algebra, vals)
 
     @staticmethod
-    def from_table(coalgebra, algebra, table, default_zero=True):
+    def from_table(coalgebra, algebra, table):
         def fn(lab):
-            if lab in table:
-                return table[lab]
-            if default_zero:
-                return Element.zero(algebra.space)
-            raise KeyError(lab)
+            return table[lab] if lab in table else Element.zero(algebra.space)
         return ConvMap.from_function(coalgebra, algebra, fn)
 
     def __call__(self, label):
@@ -192,22 +188,14 @@ def conv_inverse(f: ConvMap) -> ConvMap:
 # ---------------------------------------------------------------------------
 # psi-compatibility and psi-centrality
 
-def _verdict(res, witness):
-    if witness:
-        return res.passed, res.failures[0] if res.failures else None
-    return res.passed
-
-
-def is_psi_compatible(f: ConvMap, ent: EntwiningData, budget=None,
-                      witness=False):
+def is_psi_compatible(f: ConvMap, ent: EntwiningData, budget=None):
     """psi o (C (x) f) = (f (x) C) o varsigma, exactly on every basis label."""
     C = ent.coalgebra
     nc = C.space.arity
-    res = compare_on(C.space.tensor(C.space),
-                     lambda x, t: ent.psi.apply(apply_at(f.values, x, nc)),
-                     lambda x, t: apply_at(f.values, C.varsigma.apply(x), 0),
-                     budget, first_failure=True)
-    return _verdict(res, witness)
+    return compare_on(C.space.tensor(C.space),
+                      lambda x, t: ent.psi.apply(apply_at(f.values, x, nc)),
+                      lambda x, t: apply_at(f.values, C.varsigma.apply(x), 0),
+                      budget, first_failure=True).passed
 
 
 def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData, budget=None):
@@ -227,7 +215,9 @@ def is_psi_central(f: ConvMap, ent: EntwiningData, budget=None, witness=False):
                      lambda x, t: A.mul.apply(apply_at(f.values, ent.psi.apply(x), 1)),
                      lambda x, t: A.mul.apply(apply_at(f.values, x, 0)),
                      budget, first_failure=True)
-    return _verdict(res, witness)
+    if witness:
+        return res.passed, res.failures[0] if res.failures else None
+    return res.passed
 
 
 def is_h_linear(f: ConvMap, mad: ModuleAlgebraData, rho_C: LinMap,
@@ -367,9 +357,10 @@ def grid_cochain(C, A, grid, vec) -> ConvMap:
         for c, vals in cols.items()}))
 
 
-def hom_psi_subspace(ent: EntwiningData, central=True):
-    """Basis of the carrier: the cochains on `carrier_grid` that are
-    compatible with psi (and psi-central), as ConvMaps.
+def carrier_solve(ent: EntwiningData):
+    """(grid, vectors): the `carrier_grid` of ent and a basis of the
+    carrier, the cochains on it that are compatible with psi and
+    psi-central, as coefficient vectors over the grid.
 
     Both conditions are linear in f, so the carrier is the nullspace of an
     exact rational system, in `nullspace`'s free-variable form.  Each site
@@ -406,26 +397,31 @@ def hom_psi_subspace(ent: EntwiningData, central=True):
                 for pair, w in C.varsigma.columns[lab].coeffs.items()
                 for j, a in unknowns.get(pair[:nc], ())])
 
-    if central:
-        # centrality: sum a' f(c') over psi(c (x) aa)  =  f(c) aa
-        for lab in C.space.tensor(A.space).basis():
-            aa = bv(A.space, lab[nc:])
-            mid = ent.psi.apply(tensor(bv(C.space, lab[:nc]), aa))
-            site([(j, A.multiply(bv(A.space, pair[:na]), a), w)
-                  for pair, w in mid.coeffs.items()
-                  for j, a in unknowns.get(pair[na:], ())]
-                 + [(j, A.multiply(a, aa), -1)
-                    for j, a in unknowns.get(lab[:nc], ())])
+    # centrality: sum a' f(c') over psi(c (x) aa)  =  f(c) aa
+    for lab in C.space.tensor(A.space).basis():
+        aa = bv(A.space, lab[nc:])
+        mid = ent.psi.apply(tensor(bv(C.space, lab[:nc]), aa))
+        site([(j, A.multiply(bv(A.space, pair[:na]), a), w)
+              for pair, w in mid.coeffs.items()
+              for j, a in unknowns.get(pair[na:], ())]
+             + [(j, A.multiply(a, aa), -1)
+                for j, a in unknowns.get(lab[:nc], ())])
 
-    return [grid_cochain(C, A, grid, v) for v in nullspace(rows, len(grid))]
+    return grid, nullspace(rows, len(grid))
 
 
-def random_combination(rng, basis, span=4):
+def hom_psi_subspace(ent: EntwiningData):
+    """Basis of the carrier (`carrier_solve`) as ConvMaps."""
+    grid, vectors = carrier_solve(ent)
+    return [grid_cochain(ent.coalgebra, ent.algebra, grid, v)
+            for v in vectors]
+
+
+def random_combination(rng, basis):
     """Random exact-rational combination of a subspace basis."""
     if not basis:
         raise ValueError("empty basis")
     out = Fraction(0) * basis[0]
     for b in basis:
-        out = out + Fraction(rng.randint(-span, span),
-                             rng.randint(1, span)) * b
+        out = out + Fraction(rng.randint(-4, 4), rng.randint(1, 4)) * b
     return out

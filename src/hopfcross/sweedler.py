@@ -17,9 +17,8 @@ from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     solution_space, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
-from .convolution import (ConvMap, carrier_grid, conv_inverse, conv_unit,
-                          convolve, grid_cochain, hom_psi_subspace,
-                          unit_coalgebra)
+from .convolution import (ConvMap, carrier_grid, carrier_solve, conv_inverse,
+                          conv_unit, convolve, grid_cochain, unit_coalgebra)
 from .hopf import compare_on
 
 
@@ -395,7 +394,7 @@ class AdditiveComplex:
     from grid positions to coefficients): it vanishes whenever a slot is
     scalar, and its value at a tuple has degree at most the tuple's, which
     keeps products and the exp/log series inside the budget.  The carrier
-    condition (compatible with s and s-central) is `hom_psi_subspace`.
+    condition (compatible with s and s-central) is `carrier_solve`.
     """
 
     def __init__(self, mad: ModuleAlgebraData):
@@ -404,15 +403,9 @@ class AdditiveComplex:
         self._bases = {}
 
     def cochain_basis(self, n):
-        """Basis of C^n_s: the maps `hom_psi_subspace` returns, as
-        coefficient vectors over the grid."""
+        """Basis of C^n_s: the vectors `carrier_solve` returns."""
         if n not in self._bases:
-            ent = example_entwining(self.mad, n)
-            grid = carrier_grid(ent.coalgebra, ent.algebra)
-            self._bases[n] = [
-                {j: v for j, (c, a) in enumerate(grid)
-                 if (v := f(c).coeffs.get(a))}
-                for f in hom_psi_subspace(ent, central=True)]
+            _, self._bases[n] = carrier_solve(example_entwining(self.mad, n))
         return self._bases[n]
 
     def to_convmap(self, n, vec) -> ConvMap:

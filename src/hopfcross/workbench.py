@@ -3,6 +3,7 @@ report emitters."""
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
@@ -18,7 +19,7 @@ from .actions import (AlgebraData, InvalidAction, InvalidGradation,
                       _mat_eq, IDENT2)
 from .convolution import ConvMap, hom_psi_subspace
 from .sweedler import SweedlerContext, additive_coboundary, conv_exp
-from .ce import (CEAlgebra, CETransposition, BarComparison,
+from .ce import (CEAlgebra, CETransposition, BarComparison, XiSolution,
                  evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
 from .crossed import (CrossedProductAlgebra, H2Verdict,
                       check_cocycle_conditions, coboundary_preimage,
@@ -293,7 +294,7 @@ def build_lie_instance(spec: WorkbenchSpec):
 # ---------------------------------------------------------------------------
 # classification of Q
 
-def classify_Q(Qm, order_bound=6):
+def classify_Q(Qm):
     """Case tag of an invertible Jordan-form 2x2 rational matrix.
 
     Finite order is decided by checking the orders a rational 2x2 matrix can
@@ -312,7 +313,7 @@ def classify_Q(Qm, order_bound=6):
         return {"case": "2", "Q": Q}
     if jordan:
         return {"case": "1a", "Q": Q, "q": Q[0][0]}
-    m = matrix_order(Q, bound=order_bound)
+    m = matrix_order(Q)
     if m is None:
         return {"case": "1b", "Q": Q, "q1": Q[0][0], "q2": Q[1][1],
                 "order": "infinite (no order in {1,2,3,4,6})"}
@@ -361,62 +362,96 @@ def action_validity_verdicts(spec: PolyActionSpec, n_check=8):
 # ---------------------------------------------------------------------------
 # Section 7: the functor Xi on the resolution of k[X1,X2]
 
-def ce_transposition(mad: ModuleAlgebraData):
-    """(CEAlgebra, CETransposition) of the abelian 2-dimensional Lie algebra
-    acting through the poly2 instance mad."""
-    ce = CEAlgebra(LieSpec.abelian(2))
-    return ce, CETransposition(ce, mad, poly_alpha_maps(mad))
+class XiComplex:
+    """Hom(D_*, A) through the functor Xi, for the poly2 instance mad.
 
-
-def xi_rank(ce, trans, lo, hi, n, window):
-    """Rank of f -> f o d_n from Xi(D_{n-1}) to Xi(D_n), as (rank, overflow,
-    dropped).
-
-    The cokernel lives on the value window: image components above it are
-    projected away, and dropped says whether any were.  overflow says
-    whether evaluating the differential met the truncation boundary.
+    D is the Chevalley-Eilenberg resolution of the abelian 2-dimensional
+    Lie algebra L, k[X1,X2] = U(L), and the values lie in A = k[Y].  This
+    object owns the choices of Section 7: the Lie algebra, the top
+    generator set, the resolution length and the value window N - 1.  The
+    transposition s_D, the spaces Xi(D_n) and the differentials are built
+    on first use, so a caller that only transports a class builds none of
+    them.
     """
-    images, overflow = xi_differential_matrix(ce, trans, lo, hi, n)
-    A = trans.mad.algebra
-    a_labels = list(A.space.basis())
-    aidx = {l: i for i, l in enumerate(a_labels)}
-    dropped = False
-    rows = []
-    for img in images:
-        row = {}
-        for si, S in enumerate(hi.e_sets):
-            val = img.get(S)
-            if val is None:
-                continue
-            for l, v in val.coeffs.items():
-                if A.space.degree(l) > window:
-                    dropped = True
-                    continue
-                row[si * len(a_labels) + aidx[l]] = v
-        rows.append(row)
-    _, piv = rref(rows)
-    return len(piv), overflow, dropped
+
+    def __init__(self, mad: ModuleAlgebraData):
+        self.mad = mad
+        self.ce = CEAlgebra(LieSpec.abelian(2))
+        self.length = self.ce.r
+        self.top = tuple(range(self.length))
+        self.window = mad.algebra.space.budget - 1
+        self._spaces = {}
+        self._d = {}
+
+    @functools.cached_property
+    def trans(self) -> CETransposition:
+        return CETransposition(self.ce, self.mad, poly_alpha_maps(self.mad))
+
+    @functools.cached_property
+    def bar(self) -> BarComparison:
+        return BarComparison(self.ce, self.mad.hopf)
+
+    def space(self, n) -> XiSolution:
+        """Xi(D_n) at the window."""
+        if n not in self._spaces:
+            self._spaces[n] = xi_space(self.ce, n, self.trans,
+                                       window=self.window)
+        return self._spaces[n]
+
+    def d(self, n):
+        """(images, overflow) of f -> f o d_n on the basis of Xi(D_{n-1}),
+        as `xi_differential_matrix` returns them."""
+        if n not in self._d:
+            self._d[n] = xi_differential_matrix(
+                self.ce, self.trans, self.space(n - 1), self.space(n), n)
+        return self._d[n]
+
+    def vector(self, img, cut=False):
+        """The values {S: Element of A} of a cochain as a sparse vector
+        {(S, A label): coefficient}; cut leaves out the components above
+        the window."""
+        degree = self.mad.algebra.space.degree
+        return {(S, l): v for S, val in img.items()
+                for l, v in val.coeffs.items()
+                if not cut or degree(l) <= self.window}
+
+    def rank(self, n):
+        """Rank of d_n on the window, as (rank, overflow, dropped).
+
+        The cokernel lives on the value window: image components above it
+        are projected away, and dropped says whether any were.  overflow
+        says whether evaluating the differential met the truncation
+        boundary.
+        """
+        images, overflow = self.d(n)
+        rows = [self.vector(img, cut=True) for img in images]
+        dropped = any(len(self.vector(img)) > len(row)
+                      for img, row in zip(images, rows))
+        _, piv = rref(rows)
+        return len(piv), overflow, dropped
+
+    def cohomology_dim(self, n):
+        """(dim H^n, overflow) at the window, for 0 <= n <= length;
+        overflow says whether a differential met the truncation boundary."""
+        dim, overflow = self.space(n).dim, False
+        for k in (n, n + 1):
+            if 0 < k <= self.length:
+                rank, of, _ = self.rank(k)
+                dim -= rank
+                overflow = overflow or of
+        return dim, overflow
 
 
-def xi_cohomology_dim(mad: ModuleAlgebraData, n, window):
-    """(dim H^n, overflow) of Hom(D_*, A) through Xi at the value window,
-    for n <= 2; overflow says whether a differential met the truncation
-    boundary."""
-    ce, trans = ce_transposition(mad)
-    xs = [xi_space(ce, k, trans, window=window) for k in (0, 1, 2)]
-    rank_hi, of_hi = 0, False
-    if n < 2:
-        rank_hi, of_hi, _ = xi_rank(ce, trans, xs[n], xs[n + 1], n + 1, window)
-    rank_lo, of_lo = 0, False
-    if n > 0:
-        rank_lo, of_lo, _ = xi_rank(ce, trans, xs[n - 1], xs[n], n, window)
-    return xs[n].dim - rank_hi - rank_lo, of_hi or of_lo
+def ce_transposition(mad: ModuleAlgebraData):
+    """(CEAlgebra, CETransposition) of the `XiComplex` of mad."""
+    xi = XiComplex(mad)
+    return xi.ce, xi.trans
 
 
 # ---------------------------------------------------------------------------
 # the classification report
 
-def _poly_str(coeffs, varname="Y"):
+def _poly_str(coeffs):
     """Canonical ascending-degree polynomial text from {exp: Fraction}."""
     if isinstance(coeffs, Element):
         coeffs = {lab[0]: c for lab, c in coeffs.coeffs.items()}
@@ -428,7 +463,7 @@ def _poly_str(coeffs, varname="Y"):
         if e == 0:
             terms.append(rat_str(c))
         else:
-            mono = varname if e == 1 else "%s^%d" % (varname, e)
+            mono = "Y" if e == 1 else "Y^%d" % e
             terms.append(mono if c == 1 else "%s*%s" % (rat_str(c), mono))
     return " + ".join(terms) if terms else "0"
 
@@ -474,13 +509,9 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
 
     aspec = PolyActionSpec(Q, beta1, beta2)
     verdicts = action_validity_verdicts(aspec, n_check=min(N, 8))
-    mad = build_poly_action(Q, beta1, beta2, N)
-    ce, trans = ce_transposition(mad)
-    window = N - 1
-    xi = [xi_space(ce, n, trans, window=window) for n in (0, 1, 2)]
-
-    d1_rank, of1, dropped1 = xi_rank(ce, trans, xi[0], xi[1], 1, window)
-    d2_rank, of2, dropped2 = xi_rank(ce, trans, xi[1], xi[2], 2, window)
+    xi = XiComplex(build_poly_action(Q, beta1, beta2, N))
+    d1_rank, of1, dropped1 = xi.rank(1)
+    d2_rank, of2, dropped2 = xi.rank(2)
     caveat = ""
     if of1 or of2:
         caveat = ("the image of the differential interacts with the "
@@ -490,7 +521,7 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         caveat = ("the image of the differential interacts with the "
                   "truncation boundary; truncated dimensions are reported "
                   "with projection onto the window")
-    h2_trunc = xi[2].dim - d2_rank
+    dims = [xi.space(n).dim for n in range(xi.length + 1)]
     data = {
         "case": case,
         "Q": [[rat_str(x) for x in row] for row in Q],
@@ -498,11 +529,11 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "beta2": _poly_str({i: c for i, c in enumerate(beta2)}),
         "validity": verdicts,
         "budget": N,
-        "window": window,
-        "xi_dims": [x.dim for x in xi],
+        "window": xi.window,
+        "xi_dims": dims,
         "d1_rank": d1_rank,
         "d2_rank": d2_rank,
-        "H2_dim": h2_trunc,
+        "H2_dim": dims[2] - d2_rank,
         "H2_exact": h2_exact(qinfo, aspec),
         "truncation_caveat": caveat,
         "relations": presentation_relations(aspec),
@@ -599,9 +630,8 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     the bar side through the comparison map, so that the resulting cocycle
     satisfies f(X1 (x) X2) = -f(X2 (x) X1) = b/2.
     """
-    ce = CEAlgebra(LieSpec.abelian(2))
-    bc = BarComparison(ce, ctx.mad.hopf)
-    return conv_exp(transport_cochain(ctx, ce, bc, {(0, 1): b}))
+    xi = XiComplex(ctx.mad)
+    return conv_exp(transport_cochain(ctx, xi.ce, xi.bar, {xi.top: b}))
 
 
 def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
@@ -645,38 +675,35 @@ def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
     H2Verdict if there is none (see `xi_h2_witness`)."""
     mad = ctx.mad
     A = mad.algebra
-    ce, trans = ce_transposition(mad)
-    bc = BarComparison(ce, mad.hopf)
-    b = {}
-    for (_, mid, _), c in bc.phi_closed((0, 1)).items():
-        add_into(b, w(mid).coeffs, c)
-    window = A.space.budget - 1
-
-    def low(vec):
-        return {l: v for l, v in vec.items() if A.space.degree(l) <= window}
-
-    lo, hi = (xi_space(ce, n, trans, window=window) for n in (1, 2))
-    images, overflow = xi_differential_matrix(ce, trans, lo, hi, 2)
-    vectors = [img[(0, 1)].coeffs for img in images]
-    sol = span_coefficients(vectors, b)
+    xi = XiComplex(mad)
+    acc = {}
+    for (_, mid, _), c in xi.bar.phi_closed(xi.top).items():
+        add_into(acc, w(mid).coeffs, c)
+    b = {xi.top: Element(A.space, acc, validate=False)}
+    images, overflow = xi.d(2)
+    sol = span_coefficients([xi.vector(img) for img in images], xi.vector(b))
     if sol is None:
         # the rest of b may come from the part of f1 above the window
-        sol = span_coefficients([low(vec) for vec in vectors], low(b))
+        low = xi.vector(b, cut=True)
+        sol = span_coefficients([xi.vector(img, cut=True) for img in images],
+                                low)
     if sol is None:
         if overflow:
             return H2Verdict("inconclusive", detail="d2 met the truncation "
-                             "boundary at window %d" % window)
-        if any(0 in mad.poly_spec.beta_support(l) for l in (0, 1)):
+                             "boundary at window %d" % xi.window)
+        if any(0 in mad.poly_spec.beta_support(l) for l in range(xi.ce.r)):
             return H2Verdict("inconclusive", detail="d2 lowers the degree "
                              "(a beta_l has a constant term)")
         return H2Verdict("inequivalent", detail="Lie class %s is not in "
                          "d2(Xi(D_1)) on the window %d"
-                         % (_poly_str(Element(A.space, low(b))), window))
+                         % (_poly_str({l[0]: v for (_, l), v in low.items()}),
+                            xi.window))
+    lo = xi.space(1)
     f1 = {S: {} for S in lo.e_sets}
     for c, base in zip(sol, lo.basis):
         for S, val in base.items():
             add_into(f1[S], val.coeffs, c)
-    return transport_cochain(ctx, ce, bc, {
+    return transport_cochain(ctx, xi.ce, xi.bar, {
         S: Element(A.space, val, validate=False) for S, val in f1.items()})
 
 
@@ -735,16 +762,15 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
                                   assoc_budget=None):
     """Instantiate the commutator parameter, rebuild A #_f H and verify the
     emitted relations inside the constructed algebra."""
-    N = spec.budget
     mad = build_poly2_instance(spec)
     ctx = SweedlerContext(mad)
     A = mad.algebra
 
     b = _y_polynomial(A, b_coeffs, "b")
     # membership of b in Xi(D_2) is a precondition of the construction
-    ce, trans = ce_transposition(mad)
-    xi2 = xi_space(ce, 2, trans, window=N - 1)
-    if not _in_span(xi2, b):
+    xi = XiComplex(mad)
+    top = [xi.vector(base) for base in xi.space(xi.length).basis]
+    if span_coefficients(top, xi.vector({xi.top: b})) is None:
         raise InputError("b is not in Xi(D_2) at this budget")
 
     f = xi2_cocycle(ctx, b) if not b.is_zero() else trivial_cocycle(ctx)
@@ -783,7 +809,3 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
         report.add(c)
     return cp, report
 
-
-def _in_span(xi2: 'XiSolution', b: Element) -> bool:
-    return span_coefficients([base[(0, 1)].coeffs for base in xi2.basis],
-                             b.coeffs) is not None

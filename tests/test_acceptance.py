@@ -70,7 +70,7 @@ def test_acceptance_02_convolution_closure_and_inverses(sign_action,
     pairs_per_instance = 100
     for mad, n in ((sign_action, 1), (sign_action, 2), (z3_graded, 1)):
         ent = example_entwining(mad, n)
-        basis = hom_psi_subspace(ent, central=True)
+        basis = hom_psi_subspace(ent)
         e = conv_unit(ent.coalgebra, ent.algebra)
         inverses = 0
         for _ in range(pairs_per_instance):

@@ -300,7 +300,7 @@ def test_hom_psi_subspace_pinned_on_group_instances(name, n, request):
         tuple(lab.split(",")): Element(A.space, {(a,): v
                                                  for a, v in col.items()})
         for lab, col in table.items()}) for table in PINNED_HOM_PSI[name, n]]
-    assert hom_psi_subspace(ent, central=True) == want
+    assert hom_psi_subspace(ent) == want
 
 
 def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
@@ -310,7 +310,7 @@ def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
     for mad in (sign_action, z3_graded):
         for n in (1, 2):
             ent = example_entwining(mad, n)
-            basis = hom_psi_subspace(ent, central=True)
+            basis = hom_psi_subspace(ent)
             assert basis, "flagged subspace should not be trivial"
             e = conv_unit(ent.coalgebra, ent.algebra)
             assert any(convolve(b, e) == b for b in basis)
@@ -339,7 +339,7 @@ def test_central_compatible_exchange_law(sign_action):
     ent = example_entwining(mad, 1)
     C, A = ent.coalgebra, ent.algebra
     rng = random.Random(9)
-    basis = hom_psi_subspace(ent, central=True)
+    basis = hom_psi_subspace(ent)
     for _ in range(6):
         f = random_combination(rng, basis)
         g = random_combination(rng, basis)
@@ -356,7 +356,7 @@ def test_notation_119_commutative(sign_action):
     # cocommutative domain: the flagged subalgebra is commutative
     ent = example_entwining(sign_action, 2)
     rng = random.Random(13)
-    basis = hom_psi_subspace(ent, central=True)
+    basis = hom_psi_subspace(ent)
     for _ in range(8):
         f = random_combination(rng, basis)
         g = random_combination(rng, basis)

@@ -294,7 +294,7 @@ def test_carrier_maps_are_compatible_and_central(name):
     mad = _poly2(name, 4)
     for n in (1, 2):
         ent = example_entwining(mad, n)
-        basis = hom_psi_subspace(ent, central=True)
+        basis = hom_psi_subspace(ent)
         assert basis
         for f in basis:
             assert is_psi_compatible(f, ent)
@@ -308,7 +308,7 @@ def test_carrier_equation_past_the_budget_raises():
     ent = example_entwining(_poly2("case1a_q2", 3), 1)
     ent.coalgebra.kind = "other"
     with pytest.raises(TruncationOverflow):
-        hom_psi_subspace(ent, central=True)
+        hom_psi_subspace(ent)
 
 
 def _exp_intertwines(ctx, f):

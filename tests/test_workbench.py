@@ -457,7 +457,9 @@ def test_cocycle_values_agree_on_both_Phi_paths(monkeypatch):
     assert nonzero > 90
 
 
-def test_classify_computes_the_center_of_invariants_once(monkeypatch):
+@pytest.mark.parametrize("argv", [["classify"], ["cohomology", "--degree", "1"]],
+                         ids=["classify", "cohomology-1"])
+def test_classify_computes_the_center_of_invariants_once(monkeypatch, argv):
     import hopfcross.ce as ce
     calls = []
     real = ce.center_of_invariants
@@ -467,8 +469,11 @@ def test_classify_computes_the_center_of_invariants_once(monkeypatch):
         return real(mad, window)
 
     monkeypatch.setattr(ce, "center_of_invariants", counting)
-    spec = WorkbenchSpec.load(fixture("case3b.json"))
-    rep = classify_crossed_products(spec)
+    code, out = run_cli(argv[0], fixture("case3b.json"), *argv[1:])
+    assert code == 0
     assert len(calls) == 1
-    with open(os.path.join(GOLDENS, "case3b.txt")) as fh:
-        assert rep.as_text() + "\n" == fh.read()
+    if argv == ["classify"]:
+        with open(os.path.join(GOLDENS, "case3b.txt")) as fh:
+            assert out == fh.read()
+    else:
+        assert out == "H^1 dimension at window 4: 3\n"
