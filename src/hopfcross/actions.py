@@ -840,8 +840,8 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
                                         % (lin + 1, free + 1))
 
 
-def build_poly_action(Qm, beta1, beta2, N, validate=True,
-                      name="") -> ModuleAlgebraData:
+def build_poly_action(Qm, beta1, beta2, N,
+                      validate=True) -> ModuleAlgebraData:
     """Module-algebra structure of truncated k[X1,X2] on truncated k[Y].
 
     The transposition is the multiplicative extension of the matrix action
@@ -915,7 +915,7 @@ def build_poly_action(Qm, beta1, beta2, N, validate=True,
     rho = LinMap.from_function(HV, V, rho_col, partial=True)
 
     mad = ModuleAlgebraData(h, A, s, rho,
-                            name=name or "k[X1,X2] on k[Y] (Q=%r)" % (Qm,))
+                            name="k[X1,X2] on k[Y] (Q=%r)" % (Qm,))
     mad.poly_spec = spec
     mad.budget = N
     return mad

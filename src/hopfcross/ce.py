@@ -4,18 +4,20 @@ normalized bar resolution.
 
 Basis monomials have the normal form Y^a e_S Z^b (Y's sorted, e's strictly
 increasing, Z's sorted).  T_x = Y_x - Z_x is an abbreviation that is expanded
-immediately; the auxiliary grading p is computed in the (Y, e, T) normal form,
-where it is the e-count plus the T-count.  The half coefficients in the
-rewriting rules require characteristic zero.
+immediately; the auxiliary grading p is computed in the (Y, e, T) normal form
+Y^a e_S T^k, where it is |S| + |k|.  One rewriting routine, `_rewrite`, gives
+both normal forms, and both are keyed by the monomial (a, S, c), c the
+exponent of the third letter.  The half coefficients in the rewriting rules
+require characteristic zero.
 
 Inside `CEAlgebra` an element is a scaled-integer vector (den, {key: int})
 (`exact.scaled_integers`), and every sum is an int sum over a common
 denominator (`exact.combine_scaled`).  Normal forms are computed once per
-distinct input and cached in that form: `_nf_z` per T-free word, `nf_t`
-per word in the (Y, e, T) basis, `_nf` per word with a T letter, and `d`
-and `gamma` per basis monomial.  These entries are shared by every caller,
-so they are read-only.  `to_t_words`, `_p_parts` and `_sigma` return
-integer forms too, and `verify_resolution_identities` composes them.
+distinct input and cached in that form: `_rewrite` per word in the basis its
+letters name, `_nf` per word with a T letter, and `d` and `gamma` per basis
+monomial.  These entries are shared by every caller, so they are read-only.
+`to_t_basis`, `_p_parts` and `_sigma` return integer forms too, and
+`verify_resolution_identities` composes them.
 
 Fractions are made only at the public methods: `nf` converts a word's
 normal form once and caches the Fraction dict, a shared read-only entry
@@ -42,7 +44,8 @@ from operator import add, sub
 from .exact import (Element, Slot, Space, TruncationOverflow, add_basis_term,
                     add_into, add_term, combine_scaled, echelon_basis,
                     nullspace, scaled_integers, solution_space, tensor)
-from .hopf import CheckResult, HopfData, LieSpec, Report, compare_on
+from .hopf import (CheckResult, HopfData, LieSpec, Report, _exponent_labels,
+                   _word_of, compare_on)
 from .actions import ModuleAlgebraData
 from .sweedler import _commutators, invariant_subspace
 
@@ -58,6 +61,9 @@ class AlphaConditionViolated(Exception):
 
 #: the zero scaled-integer vector, shared by the cache entries that are 0
 _ZERO = (1, {})
+
+#: the letter order of both normal forms: Y < e < Z, and Y < e < T
+_RANK = {"Y": 0, "E": 1, "Z": 2, "T": 2}
 
 
 def _fractions(vec):
@@ -75,9 +81,8 @@ class CEAlgebra:
     def __init__(self, lie: LieSpec):
         self.lie = lie
         self.r = lie.dim
-        self._nf_memo = {}      # T-free word -> normal form
-        self._nft_memo = {}     # word -> (Y, e, T) normal form
-        self._nf_t_words = {}   # word with a T letter -> normal form
+        self._rewritten = {}    # word -> normal form in its own letters
+        self._nf_t_words = {}   # word with a T letter -> Y/e/Z normal form
         self._nf_fractions = {}  # word -> nf(word), the Fraction dict
         self._d_images = {}     # basis monomial -> d(monomial)
         self._gamma_images = {}  # basis monomial -> gamma(monomial)
@@ -89,32 +94,39 @@ class CEAlgebra:
 
     # -- words are tuples of letters (kind, index), kind in "YZET"
 
-    def mono_word(self, mono):
-        a, S, b = mono
-        Y, E, Z = (self._letters[kind] for kind in "YEZ")
+    def mono_word(self, mono, third="Z"):
+        """The sorted word Y^a e_S X^c of a monomial (a, S, c), where X is
+        the letter `third`: Z, or T in the (Y, e, T) basis."""
+        a, S, c = mono
+        Y, E, X = (self._letters[kind] for kind in ("Y", "E", third))
         word = []
         for i, k in enumerate(a):
             word.extend([Y[i]] * k)
         word.extend(E[s] for s in S)
-        for i, k in enumerate(b):
-            word.extend([Z[i]] * k)
+        for i, k in enumerate(c):
+            word.extend([X[i]] * k)
         return tuple(word)
 
-    def expand_t(self, word):
-        """Expand every T letter into Y - Z; returns {word: +-1}."""
-        Y, Z = self._letters["Y"], self._letters["Z"]
+    def _substitute(self, word, kind, minus):
+        """Replace each `kind` letter of a word by Y minus the `minus` letter
+        of its index; returns {word: +-1}."""
+        Y, M = self._letters["Y"], self._letters[minus]
         out = {(): 1}
         for letter in word:
-            if letter[0] == "T":
-                y, z = Y[letter[1]], Z[letter[1]]
+            if letter[0] == kind:
+                y, m = Y[letter[1]], M[letter[1]]
                 nxt = {}
                 for w, c in out.items():
                     nxt[w + (y,)] = c
-                    nxt[w + (z,)] = -c
+                    nxt[w + (m,)] = -c
                 out = nxt
             else:
                 out = {w + (letter,): c for w, c in out.items()}
         return out
+
+    def expand_t(self, word):
+        """Expand every T letter into Y - Z; returns {word: +-1}."""
+        return self._substitute(word, "T", "Z")
 
     def nf(self, word):
         """Normal form of a word (T letters allowed) in the Y/e/Z basis, as
@@ -133,59 +145,61 @@ class CEAlgebra:
         if cached is not None:
             return cached
         if all(kind != "T" for kind, _ in word):
-            return self._nf_z(word)
+            return self._rewrite(word)
         out = self._nf_t_words[word] = combine_scaled(
-            (c, 1, self._nf_z(w)) for w, c in self.expand_t(word).items())
+            (c, 1, self._rewrite(w)) for w, c in self.expand_t(word).items())
         return out
 
-    def _nf_z(self, word):
-        cached = self._nf_memo.get(word)
+    def _rewrite(self, word):
+        """Normal form of a word with no T letter (the Y/e/Z basis) or no Z
+        letter (the (Y, e, T) basis), as a scaled-integer vector over the
+        monomials (a, S, c) of Y^a e_S X^c, X the word's third letter; a
+        shared cache entry.
+
+        Letters are ordered Y < e < X, and an adjacent pair out of order is
+        exchanged: with sign -1 for e/e, plus the `_corr` terms otherwise;
+        e_i e_i = 0."""
+        cached = self._rewritten.get(word)
         if cached is not None:
             return cached
-        order = {"Y": 0, "E": 1, "Z": 2}
         for k in range(len(word) - 1):
             (k1, i1), (k2, i2) = word[k], word[k + 1]
-            swap = None
-            if order[k1] > order[k2]:
-                swap = True
-            elif k1 == k2 and k1 in ("Y", "Z") and i1 > i2:
-                swap = True
-            elif k1 == k2 == "E" and i1 >= i2:
-                if i1 == i2:
-                    out = self._nf_memo[word] = _ZERO
-                    return out
-                swap = True
-            if not swap:
+            if k1 != k2:
+                if _RANK[k1] < _RANK[k2]:
+                    continue
+            elif i1 < i2 or (i1 == i2 and k1 != "E"):
                 continue
+            elif i1 == i2:                  # e_i e_i = 0
+                out = self._rewritten[word] = _ZERO
+                return out
             pre, post = word[:k], word[k + 2:]
-            swapped = self._nf_z(pre + (word[k + 1], word[k]) + post)
-            if k1 == "E" and k2 == "E":
-                terms = [(-1, 1, swapped)]
-            else:
-                terms = [(1, 1, swapped)]
-                terms.extend((p, q, self._nf_z(pre + (g,) + post))
-                             for g, p, q in self._corr(k1, i1, k2, i2))
-            out = self._nf_memo[word] = combine_scaled(terms)
+            sign = -1 if k1 == k2 == "E" else 1
+            terms = [(sign, 1,
+                      self._rewrite(pre + (word[k + 1], word[k]) + post))]
+            terms.extend((p, q, self._rewrite(pre + (g,) + post))
+                         for g, p, q in self._corr(k1, i1, k2, i2))
+            out = self._rewritten[word] = combine_scaled(terms)
             return out
         # sorted: package into a monomial
         a = [0] * self.r
-        b = [0] * self.r
+        c = [0] * self.r
         S = []
         for kind, i in word:
             if kind == "Y":
                 a[i] += 1
-            elif kind == "Z":
-                b[i] += 1
-            else:
+            elif kind == "E":
                 S.append(i)
-        out = self._nf_memo[word] = (1, {(tuple(a), tuple(S), tuple(b)): 1})
+            else:
+                c[i] += 1
+        out = self._rewritten[word] = (1, {(tuple(a), tuple(S), tuple(c)): 1})
         return out
 
     def _corr(self, k1, i1, k2, i2):
         """Correction terms (letter, p, q), for p/q times the word with that
         letter in place of the pair, of moving (k1,i1) right past (k2,i2);
         computed once per pair.  A letter moves right past Y_j with the
-        correction 1/2 of its kind at the bracket, in both bases."""
+        correction 1/2 of its kind at the bracket, in both bases; the e/e,
+        T/T and T/e exchanges are free."""
         key = (k1, i1, k2, i2)
         terms = self._corrections.get(key)
         if terms is not None:
@@ -198,6 +212,8 @@ class CEAlgebra:
             scaled = [(k1, HALF)]
         elif (k1, k2) == ("Z", "E"):
             scaled = [("E", HALF)]
+        elif (k1, k2) in (("E", "E"), ("T", "T"), ("T", "E")):
+            scaled = []
         else:
             raise AssertionError((k1, k2))
         terms = self._corrections[key] = []
@@ -210,71 +226,22 @@ class CEAlgebra:
 
     # -- the (Y, e, T) basis, used only for the p-grading
 
-    def nf_t(self, word):
-        """Normal form of a word in the (Y, e, T) basis, as a scaled-integer
-        vector over words; a shared cache entry."""
-        cached = self._nft_memo.get(word)
-        if cached is not None:
-            return cached
-        order = {"Y": 0, "E": 1, "T": 2}
-        for k in range(len(word) - 1):
-            (k1, i1), (k2, i2) = word[k], word[k + 1]
-            swap = None
-            if order[k1] > order[k2]:
-                swap = True
-            elif k1 == k2 and k1 in ("Y", "T") and i1 > i2:
-                swap = True
-            elif k1 == k2 == "E" and i1 >= i2:
-                if i1 == i2:
-                    out = self._nft_memo[word] = _ZERO
-                    return out
-                swap = True
-            if not swap:
-                continue
-            pre, post = word[:k], word[k + 2:]
-            sign = -1 if (k1 == "E" and k2 == "E") else 1
-            terms = [(sign, 1, self.nf_t(pre + (word[k + 1], word[k]) + post))]
-            # T/T and T/E exchanges are free
-            if k2 == "Y":
-                terms.extend((p, q, self.nf_t(pre + (g,) + post))
-                             for g, p, q in self._corr(k1, i1, k2, i2))
-            out = self._nft_memo[word] = combine_scaled(terms)
-            return out
-        out = self._nft_memo[word] = (1, {word: 1})
-        return out
-
-    def to_t_words(self, vec):
-        """A scaled-integer vector in the Y/e/Z basis as one over the
-        (Y, e, T)-basis words."""
-        Y, T = self._letters["Y"], self._letters["T"]
+    def to_t_basis(self, vec):
+        """A scaled-integer vector in the Y/e/Z basis as one in the (Y, e, T)
+        basis, over the monomials (a, S, k) of Y^a e_S T^k."""
         den, nums = vec
-        terms = []
-        for mono, n in nums.items():
-            # substitute Z = Y - T letter by letter, then T-normal-form
-            expansion = {(): n}
-            for letter in self.mono_word(mono):
-                if letter[0] == "Z":
-                    y, t = Y[letter[1]], T[letter[1]]
-                    nxt = {}
-                    for w, c in expansion.items():
-                        nxt[w + (y,)] = c
-                        nxt[w + (t,)] = -c
-                    expansion = nxt
-                else:
-                    expansion = {w + (letter,): c
-                                 for w, c in expansion.items()}
-            terms.extend((c, den, self.nf_t(w)) for w, c in expansion.items())
-        return combine_scaled(terms)
-
-    def p_of_t_word(self, word):
-        return sum(1 for kind, _ in word if kind in ("E", "T"))
+        return combine_scaled(
+            (c * n, den, self._rewrite(w)) for mono, n in nums.items()
+            for w, c in self._substitute(self.mono_word(mono), "Z",
+                                         "T").items())
 
     def _by_p(self, vec):
-        """to_t_words(vec) split by p: (den, {p: {word: int}})."""
-        den, nums = self.to_t_words(vec)
+        """to_t_basis(vec) split by p = |S| + |k|:
+        (den, {p: {(a, S, k): int}})."""
+        den, nums = self.to_t_basis(vec)
         by_p = {}
-        for w, n in nums.items():
-            by_p.setdefault(self.p_of_t_word(w), {})[w] = n
+        for m, n in nums.items():
+            by_p.setdefault(len(m[1]) + sum(m[2]), {})[m] = n
         return den, by_p
 
     # -- differential, derivation, homotopy
@@ -350,8 +317,9 @@ class CEAlgebra:
             if p == 0:
                 continue
             # gamma in the T-basis: replace each T by e with the Koszul sign
-            for w, n in part.items():
-                sign = -1 if sum(kind == "E" for kind, _ in w) % 2 else 1
+            for m, n in part.items():
+                w = self.mono_word(m, "T")
+                sign = -1 if len(m[1]) % 2 else 1
                 terms.extend((sign * n, den * p,
                               self._nf(w[:i] + (E[idx],) + w[i + 1:]))
                              for i, (kind, idx) in enumerate(w) if kind == "T")
@@ -366,15 +334,14 @@ class CEAlgebra:
         den, by_p = self._by_p(vec)
         out = {}
         for p, part in by_p.items():
-            zpart = combine_scaled((n, den, self._nf(w))
-                                   for w, n in part.items())
+            zpart = combine_scaled((n, den, self._nf(self.mono_word(m, "T")))
+                                   for m, n in part.items())
             if zpart[1]:
                 out[p] = zpart
         return out
 
     def monomials(self, hom_degree, pbw_budget):
         """All basis monomials of homological degree n with |a|+|b| bounded."""
-        from .hopf import _exponent_labels
         subsets = list(itertools.combinations(range(self.r), hom_degree))
         out = []
         for a in _exponent_labels(self.r, pbw_budget):
@@ -386,20 +353,17 @@ class CEAlgebra:
     def augmentation(self, zdict, hopf: HopfData):
         """mu: D_0 -> H, the retraction along the auxiliary grading.
 
-        The p = 0 component of an element (in the T-normal form) is a pure
-        Y-word; renaming Y to the corresponding PBW monomial of H gives the
-        unique augmentation for which sigma is a contracting homotopy.  For
-        an abelian Lie algebra this is just Y^a Z^b -> x^{a+b}.
+        The p = 0 component of an element (in the T-normal form) is a sum
+        of pure Y-monomials (a, (), 0); renaming Y^a to the PBW monomial x^a
+        of H gives the unique augmentation for which sigma is a contracting
+        homotopy.  For an abelian Lie algebra this is just Y^a Z^b ->
+        x^{a+b}.
         """
-        den, nums = self.to_t_words(scaled_integers(zdict))
+        den, nums = self.to_t_basis(scaled_integers(zdict))
         out = {}
-        for w, n in nums.items():
-            if self.p_of_t_word(w) != 0:
-                continue
-            exp = [0] * self.r
-            for _, i in w:
-                exp[i] += 1
-            add_basis_term(out, hopf.space, (tuple(exp),), Fraction(n, den))
+        for (a, S, k), n in nums.items():
+            if not S and not any(k):
+                add_basis_term(out, hopf.space, (a,), Fraction(n, den))
         return Element(hopf.space, out, validate=False)
 
     def section(self, h_elt: Element):
@@ -694,8 +658,7 @@ def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
             for i in reversed(range(len(a))):
                 for _ in range(a[i]):
                     acc = mad.act(Element.basis_vector(
-                        mad.hopf.space, (tuple(1 if t == i else 0
-                                               for t in range(len(a))),)), acc)
+                        mad.hopf.space, (_gen_atom(len(a), i),)), acc)
         except TruncationOverflow:
             if not project:
                 raise
@@ -741,7 +704,7 @@ class BarComparison:
     from the Lie algebra:
 
     - the reference, `_Phi_core`: every product and every sigma goes
-      through the rewriting system of `ce` (`nf`, `to_t_words`).  It is the
+      through the rewriting system of `ce` (`nf`, `sigma`).  It is the
       only path for a nonabelian L.
     - the commuting path, `_Phi_core_t`, taken when L is abelian
       (`commuting`).  Then D = k[Y, T] (x) Lambda(e) is graded-commutative
@@ -763,9 +726,6 @@ class BarComparison:
 
     # bar elements: dict {(h0, mid_tuple, h1): coeff}
 
-    def _gen_atom(self, i):
-        return tuple(1 if t == i else 0 for t in range(self.r))
-
     def phi_recursive(self, S):
         """phi_n(e_S) by the recursion through d_n."""
         n = len(S)
@@ -784,12 +744,12 @@ class BarComparison:
                     i = a.index(1)
                     h0e = self.hopf.multiply(
                         Element.basis_vector(self.hopf.space,
-                                             (self._gen_atom(i),)), h0e)
+                                             (_gen_atom(self.r, i),)), h0e)
                 if sum(b):
                     i = b.index(1)
                     h1e = self.hopf.multiply(
                         h1e, Element.basis_vector(self.hopf.space,
-                                                  (self._gen_atom(i),)))
+                                                  (_gen_atom(self.r, i),)))
                 for (h0b,), c0 in h0e.coeffs.items():
                     for (h1b,), c1 in h1e.coeffs.items():
                         # prepend 1 and push h0 into the normalized middle
@@ -804,7 +764,7 @@ class BarComparison:
         out = {}
         for tau in itertools.permutations(range(len(S))):
             sign = _perm_sign(tau)
-            mid = tuple(self._gen_atom(S[t]) for t in tau)
+            mid = tuple(_gen_atom(self.r, S[t]) for t in tau)
             add_term(out, (self.unit_atom, mid, self.unit_atom),
                      Fraction(sign))
         return out
@@ -851,7 +811,6 @@ class BarComparison:
             return self._z_basis(self._Phi_core_t(mid), h0, h1)
         core = self._Phi_core(mid)
         out = {}
-        from .hopf import _word_of
         for mono, c in core.items():
             word = (tuple(("Y", i) for i in _word_of(h0))
                     + self.ce.mono_word(mono)
@@ -963,6 +922,11 @@ def _sigma_t(elt):
     return out
 
 
+def _gen_atom(r, i):
+    """The exponent of the generator x_i among r: 1 at i, 0 elsewhere."""
+    return tuple(1 if t == i else 0 for t in range(r))
+
+
 def _perm_sign(tau):
     sign = 1
     for i in range(len(tau)):
@@ -992,8 +956,8 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
     gen_slot = Slot("gen", range(ce.r))
     a_slot = Slot("A", [l for l in A.space.basis()
                         if a_window is None or A.space.degree(l) <= a_window])
-    gens = [Element.basis_vector(mad.hopf.space, (tuple(
-        1 if t == i else 0 for t in range(ce.r)),)) for i in range(ce.r)]
+    gens = [Element.basis_vector(mad.hopf.space, (_gen_atom(ce.r, i),))
+            for i in range(ce.r)]
 
     def e(la):
         return Element.basis_vector(A.space, la)
@@ -1034,7 +998,7 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
 
     def letters(kind, hp):
         """The word of a Hopf label hp in the letters Y or Z."""
-        return tuple((kind, t) for t in _atom_word(hp))
+        return tuple((kind, t) for t in _word_of(hp))
 
     # the one-label side slot keeps the (mono, side, i, la) witnesses
     check("def52.4_right_action", (mono_slot, Slot("side", ("Z",)),
@@ -1060,9 +1024,3 @@ def verify_bimodule_transposition(ce: CEAlgebra, trans: CETransposition,
               for m2, c in ce.nf(letters("Y", hp) + ce.mono_word(m1)).items()))
     return report
 
-
-def _atom_word(atom):
-    out = []
-    for i, k in enumerate(atom):
-        out.extend([i] * k)
-    return out

@@ -63,14 +63,13 @@ class Cocycle2:
     """A 2-cochain together with its verified crossed-product flags."""
 
     def __init__(self, f, normal, cocycle, twisted_module, s_compatible,
-                 invertible, experimental=False):
+                 invertible):
         self.f = f
         self.normal = normal
         self.cocycle = cocycle
         self.twisted_module = twisted_module
         self.s_compatible = s_compatible
         self.invertible = invertible
-        self.experimental = experimental
 
     @property
     def all_flags(self):
@@ -118,14 +117,13 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
         invertible = True
     except NotConvolutionInvertible:
         invertible = False
-    return Cocycle2(f, normal, cocycle, twisted, s_comp, invertible,
-                    experimental=not h.cocommutative)
+    return Cocycle2(f, normal, cocycle, twisted, s_comp, invertible)
 
 
 class CrossedProductAlgebra(AlgebraData):
     """A #_f H on pair labels, with the comodule transposition and coaction."""
 
-    def __init__(self, ctx: SweedlerContext, cocycle: Cocycle2, name=""):
+    def __init__(self, ctx: SweedlerContext, cocycle: Cocycle2):
         mad = ctx.mad
         h, A = mad.hopf, mad.algebra
         self.ctx = ctx
@@ -137,7 +135,7 @@ class CrossedProductAlgebra(AlgebraData):
         AH = A.space.tensor(h.space)
         pair_labels = list(AH.basis())
         degrees = {lab: AH.degree(lab) for lab in pair_labels}
-        slot = Slot(name or "A#H", pair_labels,
+        slot = Slot("A#H", pair_labels,
                     degrees if AH.budget is not None else None)
         space = Space((slot,), AH.budget)
         sq = space.tensor(space)
@@ -154,7 +152,7 @@ class CrossedProductAlgebra(AlgebraData):
 
         unit = Element.basis_vector(space, ((A.unit.items()[0][0][0],
                                              h.unit_label()),))
-        super().__init__(name or "A#_f H", space,
+        super().__init__("A#_f H", space,
                          LinMap.from_function(sq, space, mul_col, partial=True),
                          unit)
         self._AH = AH
@@ -223,10 +221,10 @@ class CrossedProductAlgebra(AlgebraData):
 
 
 def build_crossed_product(ctx: SweedlerContext, cocycle: Cocycle2,
-                          verify=True, name="") -> CrossedProductAlgebra:
+                          verify=True) -> CrossedProductAlgebra:
     if not cocycle.all_flags:
         raise ValueError("cocycle flags not all true: %r" % cocycle)
-    cp = CrossedProductAlgebra(ctx, cocycle, name=name)
+    cp = CrossedProductAlgebra(ctx, cocycle)
     if verify:
         rep = verify_crossed_product(cp)
         if not rep.ok:

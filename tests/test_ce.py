@@ -9,12 +9,13 @@ from hopfcross.hopf import LieSpec, _exponent_labels, \
     build_truncated_enveloping, build_truncated_poly_hopf
 from hopfcross.actions import build_poly_action
 from hopfcross.ce import (AlphaConditionViolated, BarComparison, CEAlgebra,
-                          CETransposition, _sigma_t,
+                          CETransposition, _gen_atom, _sigma_t,
                           evaluate_bimodule_cochain,
                           verify_bimodule_transposition,
                           verify_resolution_identities, xi_differential_matrix,
                           xi_space)
 from hopfcross.workbench import poly_alpha_maps
+from test_ce_pins import LIES as CE_PIN_LIES, _rescaled
 
 HEIS = LieSpec.heisenberg()
 AB2 = LieSpec.abelian(2)
@@ -354,6 +355,31 @@ def test_every_p0_component_passes_the_homotopy_check(lie):
         assert total[1] == {}
 
 
+ROUND_TRIP_LIES = {
+    "heisenberg": _rescaled(*CE_PIN_LIES["heisenberg"]),
+    "sl2": _rescaled(*CE_PIN_LIES["sl2"]),
+    "x0x1=cx1": LieSpec(2, {(0, 1): {1: Fraction(-7, 3)}}),
+    "abelian2": AB2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_LIES))
+def test_p_parts_sum_to_the_element(name):
+    # p_decompose goes to the (Y, e, T) basis and each part back to the
+    # Y/e/Z basis: the parts of every monomial sum to the monomial
+    ce = CEAlgebra(ROUND_TRIP_LIES[name])
+    count = 0
+    for n in range(4):
+        for mono in ce.monomials(n, 3):
+            total = {}
+            for part in ce.p_decompose({mono: Fraction(1)}).values():
+                for m, c in part.items():
+                    total[m] = total.get(m, 0) + c
+            assert {m: c for m, c in total.items() if c} == {mono: 1}, mono
+            count += 1
+    assert count == (672 if ce.r == 3 else 140)
+
+
 def test_nf_twice_gives_equal_dicts():
     ce = CEAlgebra(HEIS)
     for word in [(("Z", 1), ("E", 2), ("Y", 0), ("E", 0)),
@@ -494,7 +520,7 @@ def test_chain_map_properties(lie, comparison):
     # Phi is a chain map on generator-level bar elements
     for n in (1, 2):
         for S in itertools.combinations(range(lie.dim), n):
-            mid = tuple(bc._gen_atom(i) for i in S)
+            mid = tuple(_gen_atom(bc.r, i) for i in S)
             key = (bc.unit_atom, mid, bc.unit_atom)
             lhs = ce.differential(bc.Phi(key))
             rhs = {}

@@ -251,6 +251,17 @@ def test_cli_rejects_string_budget(tmp_path):
     assert out.startswith("input error:") and "budget" in out
 
 
+def test_cli_classify_rejects_an_invalid_action(tmp_path):
+    # Q = diag(2, 1/2) with beta1 = Y^2 breaks eq11: classify refuses the
+    # input before it reports any validity verdict
+    spec = _poly2_spec_file(tmp_path, Q=(("2", "0"), ("0", "1/2")),
+                            beta1=("0", "0", "1"))
+    code, out = run_cli("classify", spec)
+    assert code == 2
+    assert out == ("input error: eq11 violated: Q^1 != ide but beta "
+                   "coefficient 2 nonzero\n")
+
+
 def test_cli_classify_needs_a_budgeted_poly2_spec(tmp_path):
     code, out = run_cli("classify", fixture("heisenberg.json"))
     assert code == 2 and out.startswith("input error:")
