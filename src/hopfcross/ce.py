@@ -637,8 +637,8 @@ def xi_space(ce: CEAlgebra, n: int, trans: CETransposition,
     return XiSolution(e_sets, basis, window)
 
 
-def evaluate_bimodule_cochain(ce: CEAlgebra, mad: ModuleAlgebraData,
-                              values_by_S, zdict, project=False):
+def evaluate_bimodule_cochain(mad: ModuleAlgebraData, values_by_S, zdict,
+                              project=False):
     """Evaluate the bimodule map determined by values on {e_S} at an element.
 
     f(Y^a e_S Z^b) = (x^a) . values[S] . eps(x^b); the trivial right action
@@ -683,11 +683,10 @@ def xi_differential_matrix(ce: CEAlgebra, trans: CETransposition,
             mono = ((0,) * r, S, (0,) * r)
             d_mono = ce.differential({mono: Fraction(1)})
             try:
-                val = evaluate_bimodule_cochain(ce, mad, f, d_mono)
+                val = evaluate_bimodule_cochain(mad, f, d_mono)
             except TruncationOverflow:
                 overflow = True
-                val = evaluate_bimodule_cochain(ce, mad, f, d_mono,
-                                                project=True)
+                val = evaluate_bimodule_cochain(mad, f, d_mono, project=True)
             img[S] = val
         images.append(img)
     return images, overflow

@@ -15,11 +15,9 @@ from fractions import Fraction
 from .exact import LinMap, add_into
 from .hopf import verify_antipode, verify_braided_bialgebra
 from .actions import InvalidAction, verify_module_algebra
-from .convolution import (ConvMap, carrier_grid, conv_equal,
-                          grid_cochain)
-from .sweedler import (AdditiveComplex, SweedlerContext, additive_coboundary,
-                       conv_exp, conv_log, differential, gimel,
-                       barr_differential, h0)
+from .convolution import ConvMap, conv_equal
+from .sweedler import (SweedlerContext, additive_coboundary, conv_exp,
+                       conv_log, differential, gimel, barr_differential, h0)
 from .ce import CEAlgebra, verify_resolution_identities
 from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
                       verify_crossed_product)
@@ -125,7 +123,7 @@ def cmd_crossed_product(spec, args, out):
     if not coc.all_flags:
         _emit({"ok": False, "lines": lines, "flags": repr(coc)}, args.format, out)
         return FAIL
-    cp = CrossedProductAlgebra(ctx, coc)
+    cp = CrossedProductAlgebra(ctx, coc.f)
     rep = verify_crossed_product(cp, budget=args.budget)
     lines.extend(rep.summary().splitlines())
     relations = presentation_relations(mad.poly_spec)
@@ -150,9 +148,8 @@ def cmd_compare(spec, args, out):
     lines = []
     ok = True
     if spec.kind == "poly2":
-        cx = AdditiveComplex(build_poly2_instance(spec))
-        ctx = cx.ctx
-        carrier = cx.cochain_basis(1)
+        ctx = SweedlerContext(build_poly2_instance(spec))
+        carrier = ctx.carrier(1)
         # exp/log roundtrips on random degree-bounded normalized cochains
         for trial in range(args.samples):
             f = _random_additive(rng, ctx, 2)
@@ -209,19 +206,17 @@ def cmd_compare(spec, args, out):
 
 def _random_additive(rng, ctx, n, basis=None):
     """Random normalized additive cochain on H^n: each vector of `basis`
-    (coefficient vectors over `carrier_grid`; by default its unit vectors,
+    (coefficient vectors over `ctx.grid(n)`; by default its unit vectors,
     so the values have degree at most the tuple degree and all series and
     products stay inside the budget) is kept with probability 0.4, with a
     random coefficient."""
-    C, A = ctx.domain(n), ctx.mad.algebra
-    grid = carrier_grid(C, A)
     if basis is None:
-        basis = [{j: 1} for j in range(len(grid))]
+        basis = [{j: 1} for j in range(len(ctx.grid(n)))]
     vec = {}
     for b in basis:
         if rng.random() < 0.4:
             add_into(vec, b, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return grid_cochain(C, A, grid, vec)
+    return ctx.cochain(n, vec)
 
 
 def _random_group_cochain(rng, ctx, n):
@@ -257,8 +252,8 @@ def _bar_vs_resolution(ctx, lines):
     agree = True
     skipped_total = 0
     for f1, img in zip(xi.space(1).basis[:3], imgs[:3]):
-        g2 = transport_cochain(ctx, xi.ce, xi.bar, img)     # Xi(D2) -> C^2_s
-        g1 = transport_cochain(ctx, xi.ce, xi.bar, f1)
+        g2 = transport_cochain(ctx, xi.bar, img)     # Xi(D2) -> C^2_s
+        g1 = transport_cochain(ctx, xi.bar, f1)
         same, _, skipped = conv_equal(additive_coboundary(ctx, g1), g2)
         skipped_total += skipped
         if not same:

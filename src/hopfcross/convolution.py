@@ -343,24 +343,10 @@ def carrier_grid(C: ModuleCoalgebraData, A: AlgebraData):
             for a in A.space.basis() if A.space.degree(a) <= space.degree(c)]
 
 
-def grid_cochain(C, A, grid, vec) -> ConvMap:
-    """The cochain whose value at c is the sum of vec[j] a over the grid
-    positions j with grid[j] = (c, a), and 0 where there is none; `vec`
-    maps grid positions to coefficients."""
-    cols = {c: {} for c in C.space.basis()}
-    for j, v in vec.items():
-        if v:
-            c, a = grid[j]
-            cols[c][a] = v
-    return ConvMap(C, A, LinMap(C.space, A.space, {
-        c: Element(A.space, vals, validate=False)
-        for c, vals in cols.items()}))
-
-
-def carrier_solve(ent: EntwiningData):
-    """(grid, vectors): the `carrier_grid` of ent and a basis of the
-    carrier, the cochains on it that are compatible with psi and
-    psi-central, as coefficient vectors over the grid.
+def carrier_solve(ent: EntwiningData, grid):
+    """A basis of the carrier, the cochains on `grid` (the `carrier_grid`
+    of ent) that are compatible with psi and psi-central, as coefficient
+    vectors over the grid.
 
     Both conditions are linear in f, so the carrier is the nullspace of an
     exact rational system, in `nullspace`'s free-variable form.  Each site
@@ -373,7 +359,6 @@ def carrier_solve(ent: EntwiningData):
     C, A = ent.coalgebra, ent.algebra
     bv = Element.basis_vector
     nc, na = C.space.arity, A.space.arity
-    grid = carrier_grid(C, A)
     unknowns = {}
     for j, (c, a) in enumerate(grid):
         unknowns.setdefault(c, []).append((j, bv(A.space, a)))
@@ -407,14 +392,7 @@ def carrier_solve(ent: EntwiningData):
              + [(j, A.multiply(a, aa), -1)
                 for j, a in unknowns.get(lab[:nc], ())])
 
-    return grid, nullspace(rows, len(grid))
-
-
-def hom_psi_subspace(ent: EntwiningData):
-    """Basis of the carrier (`carrier_solve`) as ConvMaps."""
-    grid, vectors = carrier_solve(ent)
-    return [grid_cochain(ent.coalgebra, ent.algebra, grid, v)
-            for v in vectors]
+    return nullspace(rows, len(grid))
 
 
 def random_combination(rng, basis):

@@ -10,13 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
-                    add_basis_term, apply_at, span_coefficients, tensor)
+                    add_basis_term, apply_at, tensor)
 from .actions import AlgebraData, ModuleAlgebraData
-from .convolution import (ConvMap, NotConvolutionInvertible, carrier_grid,
-                          conv_equal, conv_inverse, convolve, grid_cochain)
+from .convolution import (ConvMap, NotConvolutionInvertible, conv_equal,
+                          conv_inverse, convolve, is_psi_central,
+                          is_s_compatible)
 from .hopf import CheckResult, Report, check_equal_on, compare_on
-from .sweedler import (SweedlerContext, additive_coboundary, coface, conv_log,
-                       differential)
+from .sweedler import SweedlerContext, coface, conv_log, differential
 
 
 class AssociativityFailure(Exception):
@@ -87,8 +87,6 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
     """Normality, the cosimplicial cocycle identity, the twisted-module
     condition (as s-centrality, valid since H is cocommutative),
     s-compatibility and convolution invertibility."""
-    from .convolution import is_psi_central, is_s_compatible
-    from .actions import example_entwining
     mad = ctx.mad
     h = mad.hopf
     unit_atom = h.unit_label()
@@ -109,8 +107,7 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
     cocycle = compare_on(ctx.domain(3).space, lambda x, t: lhs(t),
                          lambda x, t: rhs(t), first_failure=True).passed
 
-    ent = example_entwining(mad, 2)
-    twisted = is_psi_central(f, ent)
+    twisted = is_psi_central(f, ctx.entwining(2))
     s_comp = is_s_compatible(f, mad)
     try:
         conv_inverse(f)
@@ -121,16 +118,18 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
 
 
 class CrossedProductAlgebra(AlgebraData):
-    """A #_f H on pair labels, with the comodule transposition and coaction."""
+    """A #_f H on pair labels, with the comodule transposition and coaction.
 
-    def __init__(self, ctx: SweedlerContext, cocycle: Cocycle2):
+    The multiplication is built from the 2-cochain f as given; callers that
+    need a crossed product check f's cocycle flags first."""
+
+    def __init__(self, ctx: SweedlerContext, f: ConvMap):
         mad = ctx.mad
         h, A = mad.hopf, mad.algebra
         self.ctx = ctx
         self.mad = mad
-        self.cocycle = cocycle
         chi = chi_map(mad)
-        Ff = script_F(ctx, cocycle.f)
+        Ff = script_F(ctx, f)
 
         AH = A.space.tensor(h.space)
         pair_labels = list(AH.basis())
@@ -224,7 +223,7 @@ def build_crossed_product(ctx: SweedlerContext, cocycle: Cocycle2,
                           verify=True) -> CrossedProductAlgebra:
     if not cocycle.all_flags:
         raise ValueError("cocycle flags not all true: %r" % cocycle)
-    cp = CrossedProductAlgebra(ctx, cocycle)
+    cp = CrossedProductAlgebra(ctx, cocycle.f)
     if verify:
         rep = verify_crossed_product(cp)
         if not rep.ok:
@@ -278,8 +277,6 @@ def verify_crossed_product(cp: CrossedProductAlgebra, budget=None) -> Report:
 def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
                            u: ConvMap) -> Report:
     """Conditions (1), (2), (3) and (4') for u to carry f to f2."""
-    from .convolution import is_psi_central
-    from .actions import example_entwining
     mad = ctx.mad
     h, A = mad.hopf, mad.algebra
     report = Report("crossed-product equivalence")
@@ -296,9 +293,8 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
                    lambda x, t: mad.s.apply(apply_at(u.values, x, 1)))
 
     # condition (3), via its centrality equivalent plus the raw display
-    ent1 = example_entwining(mad, 1)
     res = CheckResult("equivalence.3_s_central", checked=1)
-    if not is_psi_central(u, ent1):
+    if not is_psi_central(u, ctx.entwining(1)):
         res.failures.append("u is not s-central")
     report.add(res)
     try:
@@ -347,8 +343,8 @@ def equivalence_isomorphism(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     verified multiplicative on basis pairs.  Returns (ok, g or witness)."""
     mad = ctx.mad
     h, A = mad.hopf, mad.algebra
-    cp_f = CrossedProductAlgebra(ctx, check_cocycle_conditions(ctx, f))
-    cp_g = CrossedProductAlgebra(ctx, check_cocycle_conditions(ctx, f2))
+    cp_f = CrossedProductAlgebra(ctx, f)
+    cp_g = CrossedProductAlgebra(ctx, f2)
 
     pair_set = cp_g.space.slots[0]._set
 
@@ -453,23 +449,6 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
                      % (checked, skipped))
 
 
-def coboundary_preimage(ctx: SweedlerContext, basis, w: ConvMap):
-    """A combination v of the 1-cochains in `basis` (non-empty) with
-    additive_coboundary(v) = w on every label where w is defined, or None
-    when there is none."""
-    images = [additive_coboundary(ctx, b) for b in basis]
-    labels = list(w.values.columns)
-
-    def flat(g):
-        return {(lab, out): v for lab in labels
-                for out, v in g(lab).coeffs.items()}
-
-    sol = span_coefficients([flat(img) for img in images], flat(w))
-    if sol is None:
-        return None
-    return sum((c * b for c, b in zip(sol, basis) if c), 0 * basis[0])
-
-
 def _h2_group(ctx, q):
     """Cyclic-group pointwise reduction over the scalar line plus
     nilpotents: the witness u to check, or the verdict if there is none."""
@@ -525,9 +504,8 @@ def _h2_group(ctx, q):
     resid = convolve(q, conv_inverse(differential(ctx, cand)))
 
     # nilpotent residue: solve the linearized coboundary equation
-    grid = carrier_grid(C1, A)
-    units = [grid_cochain(C1, A, grid, {j: 1}) for j in range(len(grid))]
-    v = coboundary_preimage(ctx, units, resid - ctx.unit_cochain(2))
+    units = [{j: 1} for j in range(len(ctx.grid(1)))]
+    v = ctx.coboundary_preimage(units, resid - ctx.unit_cochain(2))
     if v is None:
         return H2Verdict("inconclusive",
                          detail="scalar part trivial but nilpotent residue "

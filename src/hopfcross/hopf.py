@@ -223,8 +223,8 @@ class GroupSpec:
         raise InvalidGroup("no inverse for %s" % a)
 
     @staticmethod
-    def cyclic(n, prefix="g"):
-        els = ["e"] + ["%s%d" % (prefix, i) for i in range(1, n)]
+    def cyclic(n):
+        els = ["e"] + ["g%d" % i for i in range(1, n)]
         table = {}
         for i in range(n):
             for j in range(n):

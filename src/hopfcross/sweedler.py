@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, add_into, apply_at, echelon_basis,
-                    solution_space, tensor)
+                    solution_space, span_coefficients, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
 from .convolution import (ConvMap, carrier_grid, carrier_solve, conv_inverse,
-                          conv_unit, convolve, grid_cochain, unit_coalgebra)
+                          conv_unit, convolve, unit_coalgebra)
 from .hopf import compare_on
 
 
@@ -27,13 +27,24 @@ class SeriesPreconditionViolated(Exception):
 
 
 class SweedlerContext:
-    """Caches the module-coalgebra structure on every tensor power used."""
+    """Caches the module-coalgebra structure on every tensor power used, and
+    owns the carrier C^n_s of the additive complex.
+
+    A cochain of C^n_s is a coefficient vector over `grid(n)` (a dict from
+    grid positions to coefficients): it vanishes whenever a slot is scalar,
+    and its value at a tuple has degree at most the tuple's, which keeps
+    products and the exp/log series inside the budget.  The carrier
+    condition (compatible with s and s-central) is `carrier_solve`.
+    """
 
     def __init__(self, mad: ModuleAlgebraData):
         if not mad.hopf.cocommutative:
             raise ValueError("the Sweedler complex requires a cocommutative H")
         self.mad = mad
         self._powers = {0: unit_coalgebra(mad.hopf)}
+        self._grids = {}
+        self._entwinings = {}
+        self._carriers = {}
 
     def domain(self, n):
         if n not in self._powers:
@@ -42,6 +53,59 @@ class SweedlerContext:
 
     def unit_cochain(self, n) -> ConvMap:
         return conv_unit(self.domain(n), self.mad.algebra)
+
+    def grid(self, n):
+        """The `carrier_grid` of H^n -> A, the coordinates of every vector."""
+        if n not in self._grids:
+            self._grids[n] = carrier_grid(self.domain(n), self.mad.algebra)
+        return self._grids[n]
+
+    def entwining(self, n):
+        """(H^n, c^n_n, A, s^n), built once."""
+        if n not in self._entwinings:
+            self._entwinings[n] = example_entwining(self.mad, n)
+        return self._entwinings[n]
+
+    def carrier(self, n):
+        """Basis of C^n_s: the vectors `carrier_solve` returns."""
+        if n not in self._carriers:
+            self._carriers[n] = carrier_solve(self.entwining(n), self.grid(n))
+        return self._carriers[n]
+
+    def cochain(self, n, vec) -> ConvMap:
+        """The cochain whose value at c is the sum of vec[j] a over the grid
+        positions j with grid[j] = (c, a), and 0 where there is none."""
+        C, A = self.domain(n), self.mad.algebra
+        grid = self.grid(n)
+        cols = {c: {} for c in C.space.basis()}
+        for j, v in vec.items():
+            if v:
+                c, a = grid[j]
+                cols[c][a] = v
+        return ConvMap(C, A, LinMap(C.space, A.space, {
+            c: Element(A.space, vals, validate=False)
+            for c, vals in cols.items()}))
+
+    def coboundary_preimage(self, vectors, w: ConvMap):
+        """A combination v of the 1-cochain vectors in `vectors` (non-empty)
+        with additive_coboundary(v) = w on every label where w is defined,
+        as a cochain, or None when there is none."""
+        labels = list(w.values.columns)
+
+        def flat(g):
+            return {(lab, out): v for lab in labels
+                    for out, v in g(lab).coeffs.items()}
+
+        sol = span_coefficients(
+            [flat(additive_coboundary(self, self.cochain(1, vec)))
+             for vec in vectors], flat(w))
+        if sol is None:
+            return None
+        out = {}
+        for c, vec in zip(sol, vectors):
+            if c:
+                add_into(out, vec, c)
+        return self.cochain(1, out)
 
 
 def coface(ctx: SweedlerContext, i: int, f: ConvMap) -> ConvMap:
@@ -382,35 +446,6 @@ def barr_differential(ctx: SweedlerContext, table, n: int):
             acc = A.multiply(acc, val)
         out[tup] = acc
     return out
-
-
-# ---------------------------------------------------------------------------
-# additive complex of the enveloping-algebra case
-
-class AdditiveComplex:
-    """(C^*_s, delta^*) of the enveloping-algebra case, all entries exact.
-
-    A cochain of C^n_s is a coefficient vector over `carrier_grid` (a dict
-    from grid positions to coefficients): it vanishes whenever a slot is
-    scalar, and its value at a tuple has degree at most the tuple's, which
-    keeps products and the exp/log series inside the budget.  The carrier
-    condition (compatible with s and s-central) is `carrier_solve`.
-    """
-
-    def __init__(self, mad: ModuleAlgebraData):
-        self.ctx = SweedlerContext(mad)
-        self.mad = mad
-        self._bases = {}
-
-    def cochain_basis(self, n):
-        """Basis of C^n_s: the vectors `carrier_solve` returns."""
-        if n not in self._bases:
-            _, self._bases[n] = carrier_solve(example_entwining(self.mad, n))
-        return self._bases[n]
-
-    def to_convmap(self, n, vec) -> ConvMap:
-        C, A = self.ctx.domain(n), self.mad.algebra
-        return grid_cochain(C, A, carrier_grid(C, A), vec)
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,22 @@ import json
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
                     add_into, rat, rat_str, rref, span_coefficients)
-from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
-                   build_group_algebra, build_truncated_enveloping, Report)
+from .hopf import (CheckResult, GroupSpec, InvalidGroup, InvalidLieAlgebra,
+                   LieSpec, build_group_algebra, build_truncated_enveloping,
+                   Report)
 from .actions import (AlgebraData, InvalidGradation,
                       ModuleAlgebraData, PolyActionSpec,
                       action_module_algebra, build_poly_action,
-                      example_entwining, graded_module_algebra, matrix_order,
+                      graded_module_algebra, matrix_order,
                       trivial_module_algebra,
                       _mat_eq, IDENT2)
-from .convolution import ConvMap, hom_psi_subspace
+from .convolution import ConvMap
 from .sweedler import SweedlerContext, additive_coboundary, conv_exp
 from .ce import (CEAlgebra, CETransposition, BarComparison, XiSolution,
                  evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
 from .crossed import (CrossedProductAlgebra, H2Verdict,
-                      check_cocycle_conditions, coboundary_preimage,
-                      trivial_cocycle, verify_crossed_product)
+                      check_cocycle_conditions, trivial_cocycle,
+                      verify_crossed_product)
 
 
 class InputError(Exception):
@@ -601,7 +602,7 @@ def presentation_relations(aspec: PolyActionSpec):
 # ---------------------------------------------------------------------------
 # end-to-end: rebuild a presentation from its cocycle class
 
-def transport_cochain(ctx: SweedlerContext, ce, bc, values):
+def transport_cochain(ctx: SweedlerContext, bc, values):
     """The bar-side cochain of the bimodule cochain with the given values on
     {e_S}: its value at a tuple x is that cochain evaluated at
     Phi(1 | x | 1), and 0 on tuples with a scalar slot.  Values that leave
@@ -613,7 +614,7 @@ def transport_cochain(ctx: SweedlerContext, ce, bc, values):
         if any(sum(a) == 0 for a in lab):
             return Element.zero(mad.algebra.space)
         zdict = bc.Phi((bc.unit_atom, lab, bc.unit_atom))
-        return evaluate_bimodule_cochain(ce, mad, values, zdict)
+        return evaluate_bimodule_cochain(mad, values, zdict)
 
     return ConvMap.from_function(C, mad.algebra, fn, partial=True)
 
@@ -626,7 +627,7 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     satisfies f(X1 (x) X2) = -f(X2 (x) X1) = b/2.
     """
     xi = XiComplex(ctx.mad)
-    return conv_exp(transport_cochain(ctx, xi.ce, xi.bar, {xi.top: b}))
+    return conv_exp(transport_cochain(ctx, xi.bar, {xi.top: b}))
 
 
 def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
@@ -655,8 +656,7 @@ def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
             return t
     residue = w - additive_coboundary(ctx, t)
     if not residue.is_zero():
-        v = coboundary_preimage(
-            ctx, hom_psi_subspace(example_entwining(mad, 1)), residue)
+        v = ctx.coboundary_preimage(ctx.carrier(1), residue)
         if v is None:
             return H2Verdict("inconclusive", detail="the residue w - delta(t)"
                              " is no coboundary on the carrier grid")
@@ -698,7 +698,7 @@ def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
     for c, base in zip(sol, lo.basis):
         for S, val in base.items():
             add_into(f1[S], val.coeffs, c)
-    return transport_cochain(ctx, xi.ce, xi.bar, {
+    return transport_cochain(ctx, xi.bar, {
         S: Element(A.space, val, validate=False) for S, val in f1.items()})
 
 
@@ -772,7 +772,7 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     coc = check_cocycle_conditions(ctx, f)
     if not coc.all_flags:
         raise InputError("constructed cochain fails the cocycle flags: %r" % coc)
-    cp = CrossedProductAlgebra(ctx, coc)
+    cp = CrossedProductAlgebra(ctx, f)
     report = verify_crossed_product(cp, budget=assoc_budget)
 
     # the emitted relations hold in the built algebra
@@ -783,7 +783,6 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     W1, W2 = cp.include_hopf(x1), cp.include_hopf(x2)
     Ye = cp.include_algebra(y)
     rel = Report("presentation relations")
-    from .hopf import CheckResult
     spec_obj = mad.poly_spec
     for i, W in ((0, W1), (1, W2)):
         lhs = cp.multiply(W, Ye)

@@ -17,12 +17,11 @@ from hopfcross.hopf import (GroupSpec, LieSpec, build_group_algebra,
                             build_truncated_enveloping,
                             build_truncated_poly_hopf, verify_antipode,
                             verify_braided_bialgebra)
-from hopfcross.actions import (build_poly_action, example_entwining,
-                               tensor_power_coalgebra)
+from hopfcross.actions import build_poly_action, tensor_power_coalgebra
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,
-                                   hom_psi_subspace, is_psi_central,
-                                   is_psi_compatible, random_combination)
+                                   is_psi_central, is_psi_compatible,
+                                   random_combination)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
                                 barr_differential, conv_exp, conv_log,
                                 differential, digamma_membership, gimel,
@@ -69,8 +68,9 @@ def test_acceptance_02_convolution_closure_and_inverses(sign_action,
     ok = True
     pairs_per_instance = 100
     for mad, n in ((sign_action, 1), (sign_action, 2), (z3_graded, 1)):
-        ent = example_entwining(mad, n)
-        basis = hom_psi_subspace(ent)
+        ctx = SweedlerContext(mad)
+        ent = ctx.entwining(n)
+        basis = [ctx.cochain(n, v) for v in ctx.carrier(n)]
         e = conv_unit(ent.coalgebra, ent.algebra)
         inverses = 0
         for _ in range(pairs_per_instance):

@@ -626,8 +626,8 @@ def test_transported_cochain_evaluation(case2_beta_y):
     A = mad.algebra
     values = {(0, 1): A.unit}
     z = bc.Phi((bc.unit_atom, ((1, 0), (0, 1)), bc.unit_atom))
-    assert evaluate_bimodule_cochain(ce, mad, values, z) == \
+    assert evaluate_bimodule_cochain(mad, values, z) == \
         Fraction(1, 2) * A.unit
     z = bc.Phi((bc.unit_atom, ((0, 1), (1, 0)), bc.unit_atom))
-    assert evaluate_bimodule_cochain(ce, mad, values, z) == \
+    assert evaluate_bimodule_cochain(mad, values, z) == \
         Fraction(-1, 2) * A.unit

@@ -11,11 +11,12 @@ from hopfcross.actions import (AlgebraData, action_module_algebra,
                                tensor_power_coalgebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,
-                                   hom_psi_subspace, iota, iota_inverse,
+                                   iota, iota_inverse,
                                    is_psi_central, is_psi_compatible,
                                    is_s_compatible, random_combination,
                                    reg_membership, transfer_TAC,
                                    transfer_TAC_inverse, unit_coalgebra)
+from hopfcross.sweedler import SweedlerContext
 
 
 @pytest.fixture(scope="module")
@@ -268,10 +269,11 @@ def test_iota_centrality_equivalence(z3_graded):
     assert seen_central and seen_noncentral
 
 
-# The bases `hom_psi_subspace` returns on the unbudgeted group instances, in
-# order: the closure tests and acceptance 02 draw their random combinations
-# from them, so a change to the solve must leave them as they are.  A map is
-# given by its nonzero columns, C label -> {A atom: coefficient}.
+# The carrier bases `SweedlerContext.carrier` solves on the unbudgeted group
+# instances, as cochains in order: the closure tests and acceptance 02 draw
+# their random combinations from them, so a change to the solve must leave
+# them as they are.  A map is given by its nonzero columns, C label ->
+# {A atom: coefficient}.
 PINNED_HOM_PSI = {
     ("sign_action", 1): [
         {"e": {"1": 1}}, {"e": {"t": 1}}, {"g1": {"1": 1}}, {"g1": {"t": 1}}],
@@ -294,13 +296,14 @@ PINNED_HOM_PSI = {
 @pytest.mark.parametrize("name,n", sorted(PINNED_HOM_PSI))
 def test_hom_psi_subspace_pinned_on_group_instances(name, n, request):
     mad = request.getfixturevalue(name)
-    ent = example_entwining(mad, n)
+    ctx = SweedlerContext(mad)
+    ent = ctx.entwining(n)
     C, A = ent.coalgebra, ent.algebra
     want = [ConvMap.from_table(C, A, {
         tuple(lab.split(",")): Element(A.space, {(a,): v
                                                  for a, v in col.items()})
         for lab, col in table.items()}) for table in PINNED_HOM_PSI[name, n]]
-    assert hom_psi_subspace(ent) == want
+    assert [ctx.cochain(n, v) for v in ctx.carrier(n)] == want
 
 
 def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
@@ -308,9 +311,10 @@ def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
     # inverses of flagged invertible maps stay flagged (exact equality)
     rng = random.Random(7)
     for mad in (sign_action, z3_graded):
+        ctx = SweedlerContext(mad)
         for n in (1, 2):
-            ent = example_entwining(mad, n)
-            basis = hom_psi_subspace(ent)
+            ent = ctx.entwining(n)
+            basis = [ctx.cochain(n, v) for v in ctx.carrier(n)]
             assert basis, "flagged subspace should not be trivial"
             e = conv_unit(ent.coalgebra, ent.algebra)
             assert any(convolve(b, e) == b for b in basis)
@@ -335,11 +339,11 @@ def test_flagged_subalgebra_closure_and_inverses(sign_action, z3_graded):
 def test_central_compatible_exchange_law(sign_action):
     # for f compatible and g central: g*f = mu (f (x) g) varsigma Delta
     from hopfcross.exact import apply_at
-    mad = sign_action
-    ent = example_entwining(mad, 1)
+    ctx = SweedlerContext(sign_action)
+    ent = ctx.entwining(1)
     C, A = ent.coalgebra, ent.algebra
     rng = random.Random(9)
-    basis = hom_psi_subspace(ent)
+    basis = [ctx.cochain(1, v) for v in ctx.carrier(1)]
     for _ in range(6):
         f = random_combination(rng, basis)
         g = random_combination(rng, basis)
@@ -354,9 +358,9 @@ def test_central_compatible_exchange_law(sign_action):
 
 def test_notation_119_commutative(sign_action):
     # cocommutative domain: the flagged subalgebra is commutative
-    ent = example_entwining(sign_action, 2)
+    ctx = SweedlerContext(sign_action)
     rng = random.Random(13)
-    basis = hom_psi_subspace(ent)
+    basis = [ctx.cochain(2, v) for v in ctx.carrier(2)]
     for _ in range(8):
         f = random_combination(rng, basis)
         g = random_combination(rng, basis)

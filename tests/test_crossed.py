@@ -110,8 +110,8 @@ def test_trivial_crossed_product_is_smash(sctx, sign_action):
 
 
 def test_case2_weyl_commutator(pctx, weyl_cocycle):
-    coc = check_cocycle_conditions(pctx, weyl_cocycle)
-    cp = CrossedProductAlgebra(pctx, coc)
+    assert check_cocycle_conditions(pctx, weyl_cocycle).all_flags
+    cp = CrossedProductAlgebra(pctx, weyl_cocycle)
     H = pctx.mad.hopf.space
     W1 = cp.include_hopf(Element.basis_vector(H, ((1, 0),)))
     W2 = cp.include_hopf(Element.basis_vector(H, ((0, 1),)))
@@ -292,6 +292,31 @@ def test_h2_coboundary_found_with_verified_iso(pctx):
     assert iso is not None
 
 
+def test_h2_decisions_on_one_context_solve_the_carrier_once(
+        case2_beta_y, monkeypatch):
+    import hopfcross.sweedler as sweedler
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return carrier_solve(*args)
+
+    carrier_solve = sweedler.carrier_solve
+    monkeypatch.setattr(sweedler, "carrier_solve", counted)
+    ctx = SweedlerContext(case2_beta_y)
+    A = ctx.mad.algebra
+    y = Element.basis_vector(A.space, (1,))
+    u = ConvMap.from_function(
+        ctx.domain(1), A,
+        lambda lab: A.unit if lab == ((0, 0),) else
+        y if lab in (((1, 0),), ((0, 1),)) else 0 * y)
+    f = differential(ctx, u)
+    for _ in range(2):
+        assert h2_correspondence(ctx, f, trivial_cocycle(ctx)).status == \
+            "cohomologous"
+    assert len(calls) == 1
+
+
 def test_h2_group_scalar_obstruction(sctx, sign_action):
     # f(g,g) = 2: the scalar class 2 is not a square in Q
     A = sign_action.algebra
@@ -346,7 +371,7 @@ def _fixture_crossed_product(name, cocycle, budget):
     with open(os.path.join(FIXTURES, cocycle + ".json")) as fh:
         coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, json.load(fh)))
     assert coc.all_flags
-    return CrossedProductAlgebra(ctx, coc)
+    return CrossedProductAlgebra(ctx, coc.f)
 
 
 def _reference_twisted_mul(cp, x, y):
@@ -523,15 +548,14 @@ def test_h2_refuses_a_non_cocycle():
 def test_additive_coboundary_gives_the_group_rows(mad_name, request):
     """On a group domain, delta(v)(g1, g2) = g1.v(g2) - v(g1 g2) + v(g1) for
     every unit cochain of the grid the H^2 group solve runs over."""
-    from hopfcross.convolution import carrier_grid, grid_cochain
     mad = request.getfixturevalue(mad_name)
     ctx = SweedlerContext(mad)
     h, A = mad.hopf, mad.algebra
     C1 = ctx.domain(1)
-    grid = carrier_grid(C1, A)
+    grid = ctx.grid(1)
     assert len(grid) == C1.space.dim() * A.space.dim()
     for j in range(len(grid)):
-        v = grid_cochain(C1, A, grid, {j: 1})
+        v = ctx.cochain(1, {j: 1})
         dv = additive_coboundary(ctx, v)
         for g1, g2 in ctx.domain(2).space.basis():
             g12 = h.mul.apply(Element.basis_vector(h.space.tensor(h.space),

@@ -12,10 +12,9 @@ from hopfcross.actions import (build_poly_action, example_entwining,
                                graded_module_algebra, tensor_power_coalgebra,
                                trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, conv_equal, conv_unit, convolve,
-                                   hom_psi_subspace, is_psi_central,
-                                   is_psi_compatible, is_s_compatible,
-                                   random_combination)
-from hopfcross.sweedler import (AdditiveComplex, SeriesPreconditionViolated,
+                                   is_psi_central, is_psi_compatible,
+                                   is_s_compatible, random_combination)
+from hopfcross.sweedler import (SeriesPreconditionViolated,
                                 SweedlerContext, additive_coboundary,
                                 barr_differential, codegeneracy, coface,
                                 conv_exp, conv_log, differential,
@@ -268,12 +267,12 @@ def test_additive_complex_dimensions(case2_beta_y, case1b):
     # when Q = ide and a proper subspace when Q = diag(2, 1/2); delta o delta
     # = 0 on the basis either way
     for mad, dim in ((case2_beta_y, 90), (case1b, 38)):
-        cx = AdditiveComplex(mad)
-        b1 = cx.cochain_basis(1)
+        ctx = SweedlerContext(mad)
+        b1 = ctx.carrier(1)
         assert len(b1) == dim
         for vec in b1:
-            f = cx.to_convmap(1, vec)
-            ddf = additive_coboundary(cx.ctx, additive_coboundary(cx.ctx, f))
+            f = ctx.cochain(1, vec)
+            ddf = additive_coboundary(ctx, additive_coboundary(ctx, f))
             assert all(col.is_zero() for col in ddf.values.columns.values())
 
 
@@ -285,16 +284,16 @@ CARRIER_DIMS = {"case2_beta1_Y": 90, "case1a_q2": 36, "case1a_qm1": 38,
 
 @pytest.mark.parametrize("name", sorted(CARRIER_DIMS))
 def test_carrier_dimension(name):
-    assert len(AdditiveComplex(_poly2(name, 5)).cochain_basis(1)) == \
+    assert len(SweedlerContext(_poly2(name, 5)).carrier(1)) == \
         CARRIER_DIMS[name]
 
 
 @pytest.mark.parametrize("name", ["case1a_q2", "case3a"])
 def test_carrier_maps_are_compatible_and_central(name):
-    mad = _poly2(name, 4)
+    ctx = SweedlerContext(_poly2(name, 4))
     for n in (1, 2):
-        ent = example_entwining(mad, n)
-        basis = hom_psi_subspace(ent)
+        ent = ctx.entwining(n)
+        basis = [ctx.cochain(n, v) for v in ctx.carrier(n)]
         assert basis
         for f in basis:
             assert is_psi_compatible(f, ent)
@@ -305,10 +304,27 @@ def test_carrier_equation_past_the_budget_raises():
     # on a domain taken as ungraded every (c, a) is an unknown, so the
     # compatibility site X1 (x) 1 reads f(1) at Y^N: psi(X1 (x) Y^N) leaves
     # the budget, and the solve says so instead of dropping the equation
-    ent = example_entwining(_poly2("case1a_q2", 3), 1)
-    ent.coalgebra.kind = "other"
+    ctx = SweedlerContext(_poly2("case1a_q2", 3))
+    ctx.domain(1).kind = "other"
     with pytest.raises(TruncationOverflow):
-        hom_psi_subspace(ent)
+        ctx.carrier(1)
+
+
+def test_coboundary_preimage_solves_the_carrier_and_refuses_a_class():
+    # delta of a seeded carrier draw comes back solved on case2_beta1_Y;
+    # the b = 1 class, which acceptance 10 certifies inequivalent, has no
+    # preimage on the carrier
+    from hopfcross.cli import _random_additive
+    from hopfcross.workbench import xi2_cocycle
+    ctx = SweedlerContext(_poly2("case2_beta1_Y", 4))
+    w = additive_coboundary(ctx, _random_additive(random.Random(3), ctx, 1,
+                                                  ctx.carrier(1)))
+    assert not w.is_zero()
+    v = ctx.coboundary_preimage(ctx.carrier(1), w)
+    assert v is not None
+    assert additive_coboundary(ctx, v) == w
+    f = xi2_cocycle(ctx, ctx.mad.algebra.unit)
+    assert ctx.coboundary_preimage(ctx.carrier(1), conv_log(f)) is None
 
 
 def _exp_intertwines(ctx, f):
@@ -332,10 +348,10 @@ def test_per_column_draw_leaves_the_carrier():
 def test_carrier_draw_is_s_compatible_and_intertwines():
     from hopfcross.cli import _random_additive
     mad = _poly2("case1a_q2", 4)
-    cx = AdditiveComplex(mad)
-    f = _random_additive(random.Random(0), cx.ctx, 1, cx.cochain_basis(1))
+    ctx = SweedlerContext(mad)
+    f = _random_additive(random.Random(0), ctx, 1, ctx.carrier(1))
     assert is_s_compatible(f, mad)
-    assert _exp_intertwines(cx.ctx, f)
+    assert _exp_intertwines(ctx, f)
 
 
 def test_exp_examples(poly_ctx):

@@ -450,7 +450,7 @@ def test_cocycle_values_agree_on_both_Phi_paths(monkeypatch):
     ce = CEAlgebra(LieSpec.abelian(2))
 
     def cochains(bc):
-        return ([transport_cochain(ctx, ce, bc, v) for v in values]
+        return ([transport_cochain(ctx, bc, v) for v in values]
                 + [cocycle_from_doc(ctx, doc), xi2_cocycle(ctx, poly)])
 
     fast_bc = BarComparison(ce, ctx.mad.hopf)
