@@ -44,8 +44,8 @@ from operator import add, sub
 from .exact import (Element, Slot, Space, TruncationOverflow, add_basis_term,
                     add_into, add_term, combine_scaled, echelon_basis,
                     nullspace, scaled_integers, solution_space, tensor)
-from .hopf import (CheckResult, HopfData, LieSpec, Report, _exponent_labels,
-                   _word_of, compare_on)
+from .hopf import (HopfData, LieSpec, Report, _exponent_labels, _word_of,
+                   check_equal_on, compare_on)
 from .actions import ModuleAlgebraData
 from .sweedler import _commutators, invariant_subspace
 
@@ -375,29 +375,34 @@ class CEAlgebra:
 
 
 def verify_resolution_identities(ce: CEAlgebra, budget=None):
-    """d o d = 0, and gamma d + d gamma = p on each p-component, on the
-    monomials of homological degree <= 3 and PBW degree <= min(budget, 3).
+    """d o d = 0 on the monomials of homological degree <= 3 and PBW degree
+    <= min(budget, 3), and gamma d + d gamma = p on each (monomial, p) pair
+    of their p-components: one `check_equal_on` over each.
 
     Both run on the integer forms: an identity holds when its residual,
     an int sum over a common denominator, is the empty vector."""
     report = Report("resolution identities")
-    res = CheckResult("ce.d_squared_zero")
-    res2 = CheckResult("ce.homotopy_scaling")
-    for n in range(0, min(3, ce.r) + 1):
-        for mono in ce.monomials(n, min(budget or 3, 3)):
-            x = (1, {mono: 1})
-            res.checked += 1
-            if ce._d(ce._d(x))[1]:
-                res.failures.append(mono)
-            for p, part in ce._p_parts(x).items():
-                res2.checked += 1
-                residual = combine_scaled([(1, 1, ce._gamma(ce._d(part))),
-                                           (1, 1, ce._d(ce._gamma(part))),
-                                           (-p, 1, part)])
-                if residual[1]:
-                    res2.failures.append(mono)
-    report.add(res)
-    report.add(res2)
+    monos = [mono for n in range(0, min(3, ce.r) + 1)
+             for mono in ce.monomials(n, min(budget or 3, 3))]
+
+    def empty(x, t):
+        return {}
+
+    check_equal_on(report, "ce.d_squared_zero", Space((Slot("mono", monos),)),
+                   lambda x, t: ce._d(ce._d((1, {t[0]: 1})))[1], empty)
+
+    parts = {mono: ce._p_parts((1, {mono: 1})) for mono in monos}
+
+    def homotopy_residual(x, t):
+        (mono, p), = t
+        part = parts[mono][p]
+        return combine_scaled([(1, 1, ce._gamma(ce._d(part))),
+                               (1, 1, ce._d(ce._gamma(part))),
+                               (-p, 1, part)])[1]
+
+    pairs = Slot("mono_p", [(mono, p) for mono in monos for p in parts[mono]])
+    check_equal_on(report, "ce.homotopy_scaling", Space((pairs,)),
+                   homotopy_residual, empty)
     return report
 
 

@@ -163,10 +163,10 @@ def cmd_compare(spec, args, out):
         trials, skipped = max(1, args.samples // 2), 0
         for trial in range(trials):
             f = _random_additive(rng, ctx, 1, carrier)
-            same, _, skips = conv_equal(conv_exp(additive_coboundary(ctx, f)),
-                                        differential(ctx, conv_exp(f)))
-            skipped += skips
-            if not same:
+            res = conv_equal(conv_exp(additive_coboundary(ctx, f)),
+                             differential(ctx, conv_exp(f)))
+            skipped += res.skipped
+            if not res.passed:
                 ok = False
                 lines.append("exp(delta f) = D(exp f) FAILED at trial %d" % trial)
                 break
@@ -254,9 +254,9 @@ def _bar_vs_resolution(ctx, lines):
     for f1, img in zip(xi.space(1).basis[:3], imgs[:3]):
         g2 = transport_cochain(ctx, xi.bar, img)     # Xi(D2) -> C^2_s
         g1 = transport_cochain(ctx, xi.bar, f1)
-        same, _, skipped = conv_equal(additive_coboundary(ctx, g1), g2)
-        skipped_total += skipped
-        if not same:
+        res = conv_equal(additive_coboundary(ctx, g1), g2)
+        skipped_total += res.skipped
+        if not res.passed:
             agree = False
             break
     lines.append("bar-side transport of d2 matches the additive coboundary: %s"

@@ -13,8 +13,7 @@ from fractions import Fraction
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, apply_at, nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
-                      ModuleCoalgebraData, example_entwining,
-                      tensor_power_coalgebra)
+                      ModuleCoalgebraData, tensor_power_coalgebra)
 from .hopf import compare_on
 
 
@@ -95,14 +94,14 @@ class ConvMap:
 
 
 def conv_equal(f: ConvMap, g: ConvMap):
-    """Equality on every label defined on both sides; skips are counted.
+    """Equality on every label defined on both sides, as the `compare_on`
+    CheckResult; skips are counted.
 
     Missing columns mark values whose computation left the degree budget;
     they are reported, never silently treated as zero.
     """
-    res = compare_on(f.coalgebra.space, lambda x, t: f(t), lambda x, t: g(t),
-                     first_failure=True)
-    return res.passed, res.checked, res.skipped
+    return compare_on(f.coalgebra.space, lambda x, t: f(t), lambda x, t: g(t),
+                      name="conv_equal", first_failure=True)
 
 
 def conv_unit(coalgebra, algebra) -> ConvMap:
@@ -186,47 +185,44 @@ def conv_inverse(f: ConvMap) -> ConvMap:
 
 
 # ---------------------------------------------------------------------------
-# psi-compatibility and psi-centrality
+# psi-compatibility and psi-centrality: each predicate returns the
+# `compare_on` CheckResult, which stops at its first failure
 
-def is_psi_compatible(f: ConvMap, ent: EntwiningData, budget=None):
+def is_psi_compatible(f: ConvMap, ent: EntwiningData):
     """psi o (C (x) f) = (f (x) C) o varsigma, exactly on every basis label."""
     C = ent.coalgebra
     nc = C.space.arity
     return compare_on(C.space.tensor(C.space),
                       lambda x, t: ent.psi.apply(apply_at(f.values, x, nc)),
                       lambda x, t: apply_at(f.values, C.varsigma.apply(x), 0),
-                      budget, first_failure=True).passed
+                      name="psi_compatible", first_failure=True)
 
 
-def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData, budget=None):
+def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData):
     """The one-H form: s o (H (x) f) = (f (x) H) o c^1_n."""
     C = f.coalgebra
     c1n = tensor_power_coalgebra(mad.hopf, C.space.arity).s
     return compare_on(mad.hopf.space.tensor(C.space),
                       lambda x, t: mad.s.apply(apply_at(f.values, x, 1)),
                       lambda x, t: apply_at(f.values, c1n.apply(x), 0),
-                      budget, first_failure=True).passed
+                      name="s_compatible", first_failure=True)
 
 
-def is_psi_central(f: ConvMap, ent: EntwiningData, budget=None, witness=False):
+def is_psi_central(f: ConvMap, ent: EntwiningData):
     """mu_A o (A (x) f) o psi = mu_A o (f (x) A), exactly on every label."""
     C, A = ent.coalgebra, ent.algebra
-    res = compare_on(C.space.tensor(A.space),
-                     lambda x, t: A.mul.apply(apply_at(f.values, ent.psi.apply(x), 1)),
-                     lambda x, t: A.mul.apply(apply_at(f.values, x, 0)),
-                     budget, first_failure=True)
-    if witness:
-        return res.passed, res.failures[0] if res.failures else None
-    return res.passed
+    return compare_on(C.space.tensor(A.space),
+                      lambda x, t: A.mul.apply(apply_at(f.values, ent.psi.apply(x), 1)),
+                      lambda x, t: A.mul.apply(apply_at(f.values, x, 0)),
+                      name="psi_central", first_failure=True)
 
 
-def is_h_linear(f: ConvMap, mad: ModuleAlgebraData, rho_C: LinMap,
-                budget=None):
+def is_h_linear(f: ConvMap, mad: ModuleAlgebraData, rho_C: LinMap):
     """f(h . x) = h . f(x) for the first-slot action on the domain."""
     return compare_on(mad.hopf.space.tensor(f.coalgebra.space),
                       lambda x, t: f.values.apply(rho_C.apply(x)),
                       lambda x, t: mad.rho.apply(apply_at(f.values, x, 1)),
-                      budget, first_failure=True).passed
+                      name="h_linear", first_failure=True)
 
 
 def transfer_TAC(f: ConvMap) -> LinMap:
@@ -255,46 +251,6 @@ def transfer_TAC_inverse(G: LinMap, coalgebra, algebra) -> ConvMap:
         return apply_at(C.counit, x, 0)
 
     return ConvMap.from_function(C, A, fn)
-
-
-# ---------------------------------------------------------------------------
-# Reg membership on tensor powers of H
-
-class RegMembership:
-    def __init__(self, compatible, central, h_linear, s_intertwining,
-                 invertible):
-        self.compatible = compatible
-        self.central = central
-        self.h_linear = h_linear
-        self.s_intertwining = s_intertwining
-        self.invertible = invertible
-
-    @property
-    def all_flags(self):
-        return (self.compatible and self.central and self.h_linear
-                and self.s_intertwining and self.invertible)
-
-    def __repr__(self):
-        return ("RegMembership(compatible=%s, central=%s, h_linear=%s, "
-                "s_intertwining=%s, invertible=%s)"
-                % (self.compatible, self.central, self.h_linear,
-                   self.s_intertwining, self.invertible))
-
-
-def reg_membership(f: ConvMap, mad: ModuleAlgebraData, n: int,
-                   budget=None) -> RegMembership:
-    ent = example_entwining(mad, n)
-    compatible = is_psi_compatible(f, ent, budget=budget)
-    central = is_psi_central(f, ent, budget=budget)
-    s_int = is_s_compatible(f, mad, budget=budget)
-    tp = tensor_power_coalgebra(mad.hopf, n)
-    h_lin = is_h_linear(f, mad, tp.rho, budget=budget)
-    try:
-        conv_inverse(f)
-        invertible = True
-    except NotConvolutionInvertible:
-        invertible = False
-    return RegMembership(compatible, central, h_lin, s_int, invertible)
 
 
 def iota(f: ConvMap, mad: ModuleAlgebraData) -> ConvMap:

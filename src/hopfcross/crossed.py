@@ -15,7 +15,7 @@ from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_equal,
                           conv_inverse, convolve, is_psi_central,
                           is_s_compatible)
-from .hopf import CheckResult, Report, check_equal_on, compare_on
+from .hopf import Report, check_equal_on, check_item, compare_on
 from .sweedler import SweedlerContext, coface, conv_log, differential
 
 
@@ -107,8 +107,8 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
     cocycle = compare_on(ctx.domain(3).space, lambda x, t: lhs(t),
                          lambda x, t: rhs(t), first_failure=True).passed
 
-    twisted = is_psi_central(f, ctx.entwining(2))
-    s_comp = is_s_compatible(f, mad)
+    twisted = is_psi_central(f, ctx.entwining(2)).passed
+    s_comp = is_s_compatible(f, mad).passed
     try:
         conv_inverse(f)
         invertible = True
@@ -219,18 +219,17 @@ class CrossedProductAlgebra(AlgebraData):
         return self._s_hat
 
 
-def build_crossed_product(ctx: SweedlerContext, cocycle: Cocycle2,
-                          verify=True) -> CrossedProductAlgebra:
+def build_crossed_product(ctx: SweedlerContext,
+                          cocycle: Cocycle2) -> CrossedProductAlgebra:
     if not cocycle.all_flags:
         raise ValueError("cocycle flags not all true: %r" % cocycle)
     cp = CrossedProductAlgebra(ctx, cocycle.f)
-    if verify:
-        rep = verify_crossed_product(cp)
-        if not rep.ok:
-            for c in rep.failures():
-                if c.failures:
-                    raise AssociativityFailure(c.failures[0])
-            raise AssociativityFailure(None)
+    rep = verify_crossed_product(cp)
+    if not rep.ok:
+        for c in rep.failures():
+            if c.failures:
+                raise AssociativityFailure(c.failures[0])
+        raise AssociativityFailure(None)
     return cp
 
 
@@ -282,10 +281,8 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     report = Report("crossed-product equivalence")
     unit_atom = h.unit_label()
 
-    res = CheckResult("equivalence.1_normal", checked=1)
-    if u((unit_atom,)) != A.unit:
-        res.failures.append("u(1) != 1")
-    report.add(res)
+    check_item(report, "equivalence.1_normal",
+               None if u((unit_atom,)) == A.unit else "u(1) != 1")
 
     H2 = h.space.tensor(h.space)
     check_equal_on(report, "equivalence.2_compatible", H2,
@@ -293,10 +290,9 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
                    lambda x, t: mad.s.apply(apply_at(u.values, x, 1)))
 
     # condition (3), via its centrality equivalent plus the raw display
-    res = CheckResult("equivalence.3_s_central", checked=1)
-    if not is_psi_central(u, ctx.entwining(1)):
-        res.failures.append("u is not s-central")
-    report.add(res)
+    check_item(report, "equivalence.3_s_central",
+               None if is_psi_central(u, ctx.entwining(1)).passed
+               else "u is not s-central")
     try:
         u_inv = conv_inverse(u)
         HA = h.space.tensor(A.space)
@@ -312,9 +308,8 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
         check_equal_on(report, "equivalence.3_raw_display", HA,
                        lambda x, t: mad.rho.apply(x), raw3)
     except NotConvolutionInvertible:
-        res = CheckResult("equivalence.3_raw_display", checked=1)
-        res.failures.append("u not convolution invertible")
-        report.add(res)
+        check_item(report, "equivalence.3_raw_display",
+                   "u not convolution invertible")
 
     # condition (4'): [rho o (H (x) u)] * (u (x) eps) * f2 = f * (u o mu_H)
     C2 = ctx.domain(2)
@@ -350,15 +345,15 @@ def equivalence_isomorphism(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
 
     def g_col(lab):
         a, hh = lab[0]
-        out = Element.zero(cp_g.space)
+        out = {}
         dh = h.comul.columns[(hh,)]
         for (h1, h2), w in dh.coeffs.items():
             val = A.multiply(Element.basis_vector(A.space, (a,)), u((h1,)))
             for (aa,), v in val.coeffs.items():
                 if (aa, h2) not in pair_set:
                     raise TruncationOverflow("isomorphism column leaves budget")
-                out = out + w * v * Element.basis_vector(cp_g.space, ((aa, h2),))
-        return out
+                add_basis_term(out, cp_g.space, ((aa, h2),), w * v)
+        return Element(cp_g.space, out, validate=False)
 
     g = LinMap.from_function(cp_f.space, cp_g.space, g_col, partial=True)
 
@@ -380,12 +375,8 @@ def check_equivalence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     iso = None
     if report.ok:
         ok, g = equivalence_isomorphism(ctx, f, f2, u)
-        res = CheckResult("equivalence.isomorphism", checked=1)
-        if not ok:
-            res.failures.append(g)
-        else:
-            iso = g
-        report.add(res)
+        check_item(report, "equivalence.isomorphism", None if ok else g)
+        iso = g if ok else None
     return report, iso
 
 
@@ -426,8 +417,8 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
     q = convolve(f, conv_inverse(f2))
     e2 = ctx.unit_cochain(2)
     u = ctx.unit_cochain(1)
-    passed, checked, skipped = conv_equal(q, e2)
-    if not passed:
+    res = conv_equal(q, e2)
+    if not res.passed:
         kind = ctx.domain(2).kind
         if kind == "graded_connected":
             from .workbench import xi_h2_witness
@@ -439,14 +430,13 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
                              detail="unsupported domain kind %r" % kind)
         if isinstance(u, H2Verdict):
             return u
-        passed, checked, skipped = conv_equal(
-            convolve(q, conv_inverse(differential(ctx, u))), e2)
-        if not passed:
+        res = conv_equal(convolve(q, conv_inverse(differential(ctx, u))), e2)
+        if not res.passed:
             return H2Verdict("inconclusive",
                              detail="the witness fails q * D(u)^-1 = e")
     return H2Verdict("cohomologous", u,
                      "q * D(u)^-1 = e on %d tuples, %d skipped for budget"
-                     % (checked, skipped))
+                     % (res.checked, res.skipped))
 
 
 def _h2_group(ctx, q):

@@ -36,6 +36,10 @@ class CheckResult:
     def passed(self):
         return not self.failures
 
+    def __bool__(self):
+        # a result read as a bool would pass every `assert` and `if`
+        raise TypeError("read CheckResult.passed, not the result itself")
+
     def line(self):
         status = "PASS" if self.passed else "FAIL"
         extra = ""
@@ -121,15 +125,21 @@ def check_equal_on(report, name, space, lhs, rhs, budget=None):
     return report.add(compare_on(space, lhs, rhs, budget, name=name))
 
 
+def check_item(report, name, failure=None):
+    """A check on one item, failing with the witness failure unless that is
+    None; the CheckResult is added to report and returned."""
+    return report.add(CheckResult(
+        name, checked=1, failures=None if failure is None else [failure]))
+
+
 def check_invertible(report, name, f: LinMap):
     """One check that f is bijective; a failure keeps the NotInvertible
     message (a dimension mismatch or the first singular degree block)."""
-    res = CheckResult(name, checked=1)
     try:
         invert_linmap(f)
     except NotInvertible as exc:
-        res.failures.append(str(exc))
-    return report.add(res)
+        return check_item(report, name, str(exc))
+    return check_item(report, name)
 
 
 class HopfData:
@@ -500,10 +510,9 @@ def verify_braided_bialgebra(h: HopfData, budget=None) -> Report:
                    lambda x, t: counit.apply(mul.apply(x)),
                    lambda x, t: Element.scalar(h.counit_value(t[0]) * h.counit_value(t[1])),
                    budget)
-    rep = CheckResult("eta.coalgebra_map", checked=1)
-    if comul.apply(unit) != tensor(unit, unit) or counit.apply(unit) != Element.scalar(1):
-        rep.failures.append("unit")
-    report.add(rep)
+    eta_ok = (comul.apply(unit) == tensor(unit, unit)
+              and counit.apply(unit) == Element.scalar(1))
+    check_item(report, "eta.coalgebra_map", None if eta_ok else "unit")
 
     # compatibility of the braid with multiplication and unit, both slots
     check_equal_on(report, "braid.mul_compat_slot1", H3,

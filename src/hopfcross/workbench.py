@@ -8,9 +8,8 @@ import json
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
                     add_into, rat, rat_str, rref, span_coefficients)
-from .hopf import (CheckResult, GroupSpec, InvalidGroup, InvalidLieAlgebra,
-                   LieSpec, build_group_algebra, build_truncated_enveloping,
-                   Report)
+from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
+                   build_group_algebra, build_truncated_enveloping, check_item)
 from .actions import (AlgebraData, InvalidGradation,
                       ModuleAlgebraData, PolyActionSpec,
                       action_module_algebra, build_poly_action,
@@ -437,12 +436,6 @@ class XiComplex:
         return dim, overflow
 
 
-def ce_transposition(mad: ModuleAlgebraData):
-    """(CEAlgebra, CETransposition) of the `XiComplex` of mad."""
-    xi = XiComplex(mad)
-    return xi.ce, xi.trans
-
-
 # ---------------------------------------------------------------------------
 # the classification report
 
@@ -782,7 +775,6 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     y = Element.basis_vector(A.space, (1,))
     W1, W2 = cp.include_hopf(x1), cp.include_hopf(x2)
     Ye = cp.include_algebra(y)
-    rel = Report("presentation relations")
     spec_obj = mad.poly_spec
     for i, W in ((0, W1), (1, W2)):
         lhs = cp.multiply(W, Ye)
@@ -790,16 +782,11 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
             cp.pair(Element(A.space, {(1,): spec_obj.Q[i][1]}), x2) + \
             cp.include_algebra(Element(
                 A.space, {(u,): c for u, c in enumerate(spec_obj.beta[i]) if c}))
-        res = CheckResult("relation.W%d_Y" % (i + 1), checked=1)
-        if lhs != rhs:
-            res.failures.append("W%d*Y" % (i + 1))
-        rel.add(res)
+        check_item(report, "relation.W%d_Y" % (i + 1),
+                   None if lhs == rhs else "W%d*Y" % (i + 1))
     comm = cp.multiply(W1, W2) - cp.multiply(W2, W1)
-    res = CheckResult("relation.commutator", checked=1)
-    if comm != cp.include_algebra(b):
-        res.failures.append("W1*W2 - W2*W1 != b")
-    rel.add(res)
-    for c in rel.checks:
-        report.add(c)
+    check_item(report, "relation.commutator",
+               None if comm == cp.include_algebra(b)
+               else "W1*W2 - W2*W1 != b")
     return cp, report
 

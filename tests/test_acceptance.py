@@ -27,7 +27,7 @@ from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
                                 differential, digamma_membership, gimel,
                                 gimel_inverse, h0)
 from hopfcross.ce import (BarComparison, CEAlgebra, CETransposition, xi_space)
-from hopfcross.crossed import (build_crossed_product, check_cocycle_conditions,
+from hopfcross.crossed import (CrossedProductAlgebra, check_cocycle_conditions,
                                check_equivalence, h2_correspondence,
                                trivial_cocycle, verify_crossed_product)
 from hopfcross.workbench import (WorkbenchSpec, build_and_verify_presentation,
@@ -77,14 +77,16 @@ def test_acceptance_02_convolution_closure_and_inverses(sign_action,
             f = random_combination(rng, basis)
             g = random_combination(rng, basis)
             prod = convolve(f, g)
-            if not (is_psi_compatible(prod, ent) and is_psi_central(prod, ent)):
+            if not (is_psi_compatible(prod, ent).passed
+                    and is_psi_central(prod, ent).passed):
                 ok = False
             try:
                 fi = conv_inverse(e + f)
             except NotConvolutionInvertible:
                 continue
             inverses += 1
-            if not (is_psi_compatible(fi, ent) and is_psi_central(fi, ent)):
+            if not (is_psi_compatible(fi, ent).passed
+                    and is_psi_central(fi, ent).passed):
                 ok = False
         ok = ok and inverses >= 20
     _report(2, "closure and inverse preservation, 100 pairs x 3 instances", ok)
@@ -124,7 +126,7 @@ def test_acceptance_03_crossed_product_associativity():
             if not coc.all_flags:
                 ok = False
                 continue
-            cp = build_crossed_product(ctx, coc, verify=False)
+            cp = CrossedProductAlgebra(ctx, coc.f)
             rep = verify_crossed_product(cp, budget=3)
             ok = ok and rep.ok
             if not rep.ok:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hopfcross.exact import (Element, LinMap, TruncationOverflow,
                              combine_scaled)
-from hopfcross.hopf import LieSpec, _exponent_labels, \
+from hopfcross.hopf import MAX_WITNESS, LieSpec, _exponent_labels, \
     build_truncated_enveloping, build_truncated_poly_hopf
 from hopfcross.actions import build_poly_action
 from hopfcross.ce import (AlphaConditionViolated, BarComparison, CEAlgebra,
@@ -324,19 +324,45 @@ def test_warm_caches_agree_with_a_fresh_instance(lie):
         assert all(_all_fractions(v) for v in parts.values())
 
 
-@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
-def test_identity_checks_see_a_scaled_coefficient_of_a_cached_d_image(lie):
-    ce = CEAlgebra(lie)
+def _scale_one_term_of_a_d_image(ce):
+    """Double one coefficient of the cached d image of a degree-2 monomial,
+    on a term whose gamma is not 0 (so gamma d(mono) moves too); the
+    monomial is returned."""
     mono = one_mono(ce, S=(0, 1))
     den, nums = ce._d((1, {mono: 1}))
-    # a term of d(mono) whose gamma is not 0, so gamma d(mono) moves too
     key = next(k for k in nums if ce._gamma((1, {k: 1}))[1])
     ce._d_images[mono] = (den, {k: 2 * n if k == key else n
                                 for k, n in nums.items()})
+    return mono
+
+
+@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
+def test_identity_checks_see_a_scaled_coefficient_of_a_cached_d_image(lie):
+    ce = CEAlgebra(lie)
+    mono = _scale_one_term_of_a_d_image(ce)
     checks = {c.name: c for c in
               verify_resolution_identities(ce, budget=3).checks}
-    assert mono in checks["ce.d_squared_zero"].failures
-    assert mono in checks["ce.homotopy_scaling"].failures
+    assert (mono,) in checks["ce.d_squared_zero"].failures
+    # the homotopy check fails too; like every check it keeps at most
+    # MAX_WITNESS witnesses, the first failing (monomial, p) pairs
+    homotopy = checks["ce.homotopy_scaling"]
+    assert not homotopy.passed
+    assert len(homotopy.failures) <= MAX_WITNESS
+
+
+@pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])
+def test_a_corrupted_d_image_fails_both_checks_at_unchanged_counts(lie):
+    clean = verify_resolution_identities(CEAlgebra(lie), budget=3)
+    ce = CEAlgebra(lie)
+    _scale_one_term_of_a_d_image(ce)
+    corrupted = verify_resolution_identities(ce, budget=3)
+    assert [(c.name, c.checked, c.skipped) for c in clean.checks] == [
+        ("ce.d_squared_zero", 672, 0), ("ce.homotopy_scaling", 1536, 0)]
+    assert [(c.name, c.checked, c.skipped) for c in corrupted.checks] == [
+        (c.name, c.checked, c.skipped) for c in clean.checks]
+    assert clean.ok
+    assert not any(c.passed for c in corrupted.checks)
+    assert all(" FAIL (" in c.line() for c in corrupted.checks)
 
 
 @pytest.mark.parametrize("lie", [HEIS, SL2], ids=["heisenberg", "sl2"])

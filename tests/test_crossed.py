@@ -93,7 +93,7 @@ def test_twisted_module_iff_central(pctx, weyl_cocycle):
     # the cocommutative equivalence used for the twisted-module flag
     ent = example_entwining(pctx.mad, 2)
     coc = check_cocycle_conditions(pctx, weyl_cocycle)
-    assert coc.twisted_module == is_psi_central(weyl_cocycle, ent)
+    assert coc.twisted_module == is_psi_central(weyl_cocycle, ent).passed
 
 
 def test_trivial_crossed_product_is_smash(sctx, sign_action):
@@ -124,8 +124,9 @@ def test_case2_weyl_commutator(pctx, weyl_cocycle):
 def test_case1b_W1_relation(case1b):
     # W1 Y = q1 Y W1 + b1 Y in the crossed product with the trivial cocycle
     ctx = SweedlerContext(case1b)
-    cp = build_crossed_product(ctx, check_cocycle_conditions(
-        ctx, trivial_cocycle(ctx)), verify=False)
+    coc = check_cocycle_conditions(ctx, trivial_cocycle(ctx))
+    assert coc.all_flags
+    cp = CrossedProductAlgebra(ctx, coc.f)
     H = case1b.hopf.space
     A = case1b.algebra
     W1 = cp.include_hopf(Element.basis_vector(H, ((1, 0),)))
@@ -174,8 +175,9 @@ def test_forced_inconsistent_cocycle_fails_associativity(z3, dual_numbers):
 
 
 def test_comodule_algebra_structure(sctx):
-    cp = build_crossed_product(sctx, check_cocycle_conditions(
-        sctx, trivial_cocycle(sctx)), verify=False)
+    coc = check_cocycle_conditions(sctx, trivial_cocycle(sctx))
+    assert coc.all_flags
+    cp = CrossedProductAlgebra(sctx, coc.f)
     rep = verify_crossed_product(cp)
     check = next(c for c in rep.checks if c.name == "crossed.comodule_algebra")
     assert check.passed
@@ -248,7 +250,7 @@ def test_condition3_and_twisted_module_are_centrality(pctx):
         u = ConvMap.from_table(C1, A, vals)
         rep = equivalence_conditions(pctx, trivial_cocycle(pctx),
                                      trivial_cocycle(pctx), u)
-        central = is_psi_central(u, ent1)
+        central = is_psi_central(u, ent1).passed
         cond3 = next(c for c in rep.checks
                      if c.name == "equivalence.3_s_central")
         raw3 = [c for c in rep.checks if c.name == "equivalence.3_raw_display"]
@@ -468,9 +470,10 @@ def _xi2_samples(ctx):
     """The Xi(D_2) basis values and the nonzero d2 images of Xi(D_1) at the
     classifier's window, without repeats."""
     from hopfcross.ce import xi_differential_matrix, xi_space
-    from hopfcross.workbench import ce_transposition
+    from hopfcross.workbench import XiComplex
     mad = ctx.mad
-    ce, trans = ce_transposition(mad)
+    xi = XiComplex(mad)
+    ce, trans = xi.ce, xi.trans
     window = mad.algebra.space.budget - 1
     lo, hi = (xi_space(ce, n, trans, window=window) for n in (1, 2))
     images, _ = xi_differential_matrix(ce, trans, lo, hi, 2)

@@ -2,11 +2,11 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import Element, tensor
-from hopfcross.hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra,
-                            LieSpec, build_group_algebra,
-                            build_truncated_enveloping,
-                            build_truncated_poly_hopf, verify_antipode,
-                            verify_braided_bialgebra)
+from hopfcross.hopf import (CheckResult, GroupSpec, InvalidGroup,
+                            InvalidLieAlgebra, LieSpec, Report,
+                            build_group_algebra, build_truncated_enveloping,
+                            build_truncated_poly_hopf, check_item,
+                            verify_antipode, verify_braided_bialgebra)
 
 
 def test_group_spec_rejects_broken_table():
@@ -157,3 +157,25 @@ def test_flags_are_verified_not_asserted(z2):
     rep = verify_braided_bialgebra(wrong)
     flag_check = next(c for c in rep.checks if c.name == "flags.cocommutative")
     assert not flag_check.passed
+
+
+def test_a_check_result_is_not_a_bool():
+    # a result read as a bool would pass every assert, failing or not
+    for res in (CheckResult("c"), CheckResult("c", failures=["w"])):
+        with pytest.raises(TypeError):
+            bool(res)
+        with pytest.raises(TypeError):
+            assert res
+
+
+def test_check_item_prints_the_line_of_a_hand_built_result():
+    report = Report()
+    ok = check_item(report, "single.ok")
+    bad = check_item(report, "single.bad", "u(1) != 1")
+    assert report.checks == [ok, bad]
+    assert ok.line() == CheckResult("single.ok", checked=1).line()
+    assert bad.line() == CheckResult("single.bad", checked=1,
+                                     failures=["u(1) != 1"]).line()
+    assert "PASS (1 checked)" in ok.line()
+    assert "FAIL (1 checked) witness='u(1) != 1'" in bad.line()
+    assert not report.ok
