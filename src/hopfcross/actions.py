@@ -71,16 +71,16 @@ class AlgebraData:
         return cand
 
 
-def poly_algebra(N, name="kY") -> AlgebraData:
+def poly_algebra(N) -> AlgebraData:
     """k[Y] truncated at degree N; atoms are the exponents 0..N."""
     labels = list(range(N + 1))
-    slot = Slot(name, labels, {n: n for n in labels})
+    slot = Slot("kY", labels, {n: n for n in labels})
     space = Space((slot,), budget=N)
     sq = space.tensor(space)
     cols = {}
     for lab in sq.basis():
         cols[lab] = Element.basis_vector(space, (lab[0] + lab[1],))
-    return AlgebraData(name, space, LinMap(sq, space, cols),
+    return AlgebraData("kY", space, LinMap(sq, space, cols),
                        Element.basis_vector(space, (0,)))
 
 
@@ -577,8 +577,8 @@ def example_entwining(mad: ModuleAlgebraData, n: int) -> EntwiningData:
 # ---------------------------------------------------------------------------
 # instance builders
 
-def trivial_module_algebra(h: HopfData, algebra: AlgebraData,
-                           name="") -> ModuleAlgebraData:
+def trivial_module_algebra(h: HopfData,
+                           algebra: AlgebraData) -> ModuleAlgebraData:
     """Flip transposition and the counit action h.a = eps(h)a."""
     H, V = h.space, algebra.space
     HV = H.tensor(V)
@@ -587,7 +587,7 @@ def trivial_module_algebra(h: HopfData, algebra: AlgebraData,
     rho = LinMap.from_function(
         HV, V, lambda t: h.counit_value(t[0]) * Element.basis_vector(V, t[1:]))
     return ModuleAlgebraData(h, algebra, s, rho,
-                             name=name or "trivial %s on %s" % (h.name, algebra.name))
+                             name="trivial %s on %s" % (h.name, algebra.name))
 
 
 def action_module_algebra(h: HopfData, algebra: AlgebraData, action_table,
@@ -771,15 +771,24 @@ class PolyActionSpec:
         return vec
 
 
-def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
-    """Raise InvalidAction with the violated equation identifier."""
+def check_poly_action_validity(spec: PolyActionSpec):
+    """The verdict of each of eq10-eq13 on the action of Q and beta: "pass",
+    or "n/a (...)" where the equation does not apply to Q.  A violated
+    equation raises InvalidAction with its identifier.
+
+    eq11 is checked in its n = 1 reduction: for every u >= -1, Q^u = ide or
+    both coefficient lists vanish at u+1.  eq10, the commutation family for
+    every n >= 1, then holds: its (n, l, u) coefficient is
+    Q^(n)_{l1} beta_1[u+1] + Q^(n)_{l2} beta_2[u+1], and both betas vanish
+    at every u+1 with Q^u != ide.  For Q of finite order m the same
+    reduction puts the support of each beta in 1 + m Z, so each beta lies
+    in Y k[Y^m].
+    """
+    verdicts = dict.fromkeys(("eq10", "eq11", "eq12", "eq13"), "pass")
     Qm = spec.Q
     is_ident = _mat_eq(Qm, IDENT2)
-    support = sorted(set(spec.beta_support(0)) | set(spec.beta_support(1)))
-    maxu = max(support, default=0)
+    maxu = max(spec.beta_support(0) + spec.beta_support(1), default=0)
 
-    # the n = 1 reduction of the alpha/beta commutation: for every u >= -1,
-    # Q^u = ide or both coefficient lists vanish at u+1
     for u in range(-1, maxu):
         qu_is_ident = is_ident if u == -1 else _mat_eq(spec.qpower(u), IDENT2)
         if not qu_is_ident:
@@ -790,25 +799,8 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
                                     "Q^%d != ide but beta coefficient %d nonzero"
                                     % (u, u + 1))
 
-    # direct re-check of the full commutation family on small n (safety net)
-    for n in range(1, n_check + 1):
-        Qp = spec.qpartial(n)
-        for l in range(2):
-            for u in range(-1, maxu):
-                b1 = spec.beta[0][u + 1] if u + 1 < len(spec.beta[0]) else Fraction(0)
-                b2 = spec.beta[1][u + 1] if u + 1 < len(spec.beta[1]) else Fraction(0)
-                coeff = Qp[l][0] * b1 + Qp[l][1] * b2
-                if coeff == 0:
-                    continue
-                qu_is_ident = is_ident if u == -1 \
-                    else _mat_eq(spec.qpower(u), IDENT2)
-                if not qu_is_ident:
-                    raise InvalidAction("eq10",
-                                        "commutation fails at n=%d l=%d u=%d"
-                                        % (n, l, u))
-
-    # commutativity of the two beta operators
     if is_ident:
+        # commutativity of the two beta operators
         rmax = len(spec.beta[0]) + len(spec.beta[1])
         for r in range(rmax + 1):
             total = Fraction(0)
@@ -819,25 +811,22 @@ def check_poly_action_validity(spec: PolyActionSpec, n_check=8):
                 total += (u - v) * b1 * b2
             if total != 0:
                 raise InvalidAction("eq12", "beta operators do not commute (r=%d)" % r)
-    else:
-        m = matrix_order(Qm)
-        if m is not None and m > 1:
-            # diagonal of finite order: membership in Y k[Y^m] is syntactic
-            for l in range(2):
-                for u in spec.beta_support(l):
-                    if (u - 1) % m != 0:
-                        raise InvalidAction("eq11",
-                                            "beta_%d support %d not 1 mod %d"
-                                            % (l + 1, u, m))
-            q1, q2 = Qm[0][0], Qm[1][1]
-            if Qm[0][1] == 0 and Qm[1][0] == 0 and (q1 == 1) != (q2 == 1):
-                # exactly one diagonal entry is 1: beta_other = 0 or beta_one linear
-                lin, free = (0, 1) if q2 == 1 else (1, 0)
-                if spec.beta_support(free) and \
-                        any(u > 1 for u in spec.beta_support(lin)):
-                    raise InvalidAction("eq13",
-                                        "beta_%d nonlinear while beta_%d nonzero"
-                                        % (lin + 1, free + 1))
+        verdicts["eq13"] = "n/a (Q = ide)"
+        return verdicts
+    if matrix_order(Qm) is None:
+        verdicts["eq12"] = verdicts["eq13"] = "n/a (Q has infinite order)"
+        return verdicts
+    verdicts["eq12"] = "n/a (Q != ide)"
+    q1, q2 = Qm[0][0], Qm[1][1]
+    if Qm[0][1] == 0 and Qm[1][0] == 0 and (q1 == 1) != (q2 == 1):
+        # exactly one diagonal entry is 1: beta_other = 0 or beta_one linear
+        lin, free = (0, 1) if q2 == 1 else (1, 0)
+        if spec.beta_support(free) and \
+                any(u > 1 for u in spec.beta_support(lin)):
+            raise InvalidAction("eq13",
+                                "beta_%d nonlinear while beta_%d nonzero"
+                                % (lin + 1, free + 1))
+    return verdicts
 
 
 def build_poly_action(Qm, beta1, beta2, N,
@@ -846,11 +835,11 @@ def build_poly_action(Qm, beta1, beta2, N,
 
     The transposition is the multiplicative extension of the matrix action
     alpha(Y^n) = Q^n Y^n and the action extends beta on Y by the braided
-    Leibniz rule; validity of the defining constraints is checked first.
+    Leibniz rule; validity of the defining constraints is checked first,
+    and its verdicts are kept as `poly_spec.validity` (None unvalidated).
     """
     spec = PolyActionSpec(Qm, beta1, beta2)
-    if validate:
-        check_poly_action_validity(spec, n_check=min(N, 8))
+    spec.validity = check_poly_action_validity(spec) if validate else None
 
     h = build_truncated_poly_hopf(2, N)
     A = poly_algebra(N)

@@ -19,12 +19,6 @@ from .hopf import Report, check_equal_on, check_item, compare_on
 from .sweedler import SweedlerContext, coface, conv_log, differential
 
 
-class AssociativityFailure(Exception):
-    def __init__(self, triple):
-        super().__init__("crossed product fails associativity at %r" % (triple,))
-        self.triple = triple
-
-
 def chi_map(mad: ModuleAlgebraData) -> LinMap:
     """chi = (rho (x) H) o (H (x) s) o (Delta (x) A)."""
     h, A = mad.hopf, mad.algebra
@@ -219,20 +213,6 @@ class CrossedProductAlgebra(AlgebraData):
         return self._s_hat
 
 
-def build_crossed_product(ctx: SweedlerContext,
-                          cocycle: Cocycle2) -> CrossedProductAlgebra:
-    if not cocycle.all_flags:
-        raise ValueError("cocycle flags not all true: %r" % cocycle)
-    cp = CrossedProductAlgebra(ctx, cocycle.f)
-    rep = verify_crossed_product(cp)
-    if not rep.ok:
-        for c in rep.failures():
-            if c.failures:
-                raise AssociativityFailure(c.failures[0])
-        raise AssociativityFailure(None)
-    return cp
-
-
 def verify_crossed_product(cp: CrossedProductAlgebra, budget=None) -> Report:
     """Associativity and unit laws on all basis tuples within budget, plus
     the comodule-algebra structure (coaction multiplicativity under s_hat)."""
@@ -398,17 +378,17 @@ def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdic
     """Decide whether the cocycles f and f2 are cohomologous: search for u
     in Reg_+^s(H, A) with q = f * f2^-1 = D(u).
 
-    Both inputs must pass every cocycle flag; otherwise ValueError, as in
-    `build_crossed_product`.  Graded-connected domains go through
-    `workbench.xi_h2_witness`: on a poly2 instance the Lie class of
-    w = log q is solved against d2(Xi(D_1)) on the value window, and no
-    preimage there certifies inequivalence (unless d2 met the truncation
-    boundary or can lower degrees).  A preimage is transported to the bar
-    side and completed by one carrier solve; an instance with no Xi side
-    gets the carrier solve alone.  Group domains use the pointwise
-    reduction for cyclic groups.  Either way, `cohomologous` is answered
-    only once q * D(u)^-1 = e holds on every tuple inside the budget; the
-    detail counts the tuples skipped for budget.
+    Both inputs must pass every cocycle flag; otherwise ValueError.
+    Graded-connected domains go through `workbench.xi_h2_witness`: on a
+    poly2 instance the Lie class of w = log q is solved against
+    d2(Xi(D_1)) on the value window, and no preimage there certifies
+    inequivalence (unless d2 met the truncation boundary or can lower
+    degrees).  A preimage is transported to the bar side and completed by
+    one carrier solve; an instance with no Xi side gets the carrier solve
+    alone.  Group domains use the pointwise reduction for cyclic groups.
+    Either way, `cohomologous` is answered only once q * D(u)^-1 = e holds
+    on every tuple inside the budget; the detail counts the tuples skipped
+    for budget.
     """
     for g in (f, f2):
         coc = check_cocycle_conditions(ctx, g)

@@ -317,9 +317,9 @@ def flip_braid(space: Space) -> LinMap:
     return slot_permutation(h2, (1, 0))
 
 
-def build_group_algebra(g: GroupSpec, name=None) -> HopfData:
+def build_group_algebra(g: GroupSpec) -> HopfData:
     """k[G]: grouplike comultiplication, antipode g -> g^-1, flip braid."""
-    slot = Slot(name or "kG", g.elements)
+    slot = Slot("kG", g.elements)
     H = Space((slot,))
     H2 = H.tensor(H)
 
@@ -331,7 +331,7 @@ def build_group_algebra(g: GroupSpec, name=None) -> HopfData:
     counit = LinMap.from_function(H, KSPACE, lambda lab: Element.scalar(1))
     antipode = LinMap.from_function(H, H, lambda lab: Element.basis_vector(
         H, (g.inverse(lab[0]),)))
-    data = HopfData(name or "k[G]", H, mul, unit, comul, counit, antipode,
+    data = HopfData("k[G]", H, mul, unit, comul, counit, antipode,
                     flip_braid(H), cocommutative=True, involutive_braid=True)
     data.group = g
     return data
@@ -375,10 +375,10 @@ def _binomial_comul(H, H2):
     return LinMap.from_function(H, H2, column)
 
 
-def build_truncated_poly_hopf(m: int, N: int, name=None) -> HopfData:
+def build_truncated_poly_hopf(m: int, N: int) -> HopfData:
     """k[X_1..X_m] truncated at total degree N, generators primitive."""
     labels = _exponent_labels(m, N)
-    slot = Slot(name or "kX%d" % m, labels, {e: sum(e) for e in labels})
+    slot = Slot("kX%d" % m, labels, {e: sum(e) for e in labels})
     H = Space((slot,), budget=N)
     H2 = H.tensor(H)
 
@@ -396,7 +396,7 @@ def build_truncated_poly_hopf(m: int, N: int, name=None) -> HopfData:
         return Element.basis_vector(H, lab, Fraction(-1) ** sum(lab[0]))
 
     antipode = LinMap.from_function(H, H, antipode_col)
-    return HopfData(name or "k[X1..X%d]/deg>%d" % (m, N), H, mul, unit, comul,
+    return HopfData("k[X1..X%d]/deg>%d" % (m, N), H, mul, unit, comul,
                     counit, antipode, flip_braid(H),
                     cocommutative=True, involutive_braid=True)
 
@@ -441,11 +441,11 @@ def _word_of(exp):
     return tuple(out)
 
 
-def build_truncated_enveloping(L: LieSpec, N: int, name=None) -> HopfData:
+def build_truncated_enveloping(L: LieSpec, N: int) -> HopfData:
     """U(L) truncated at PBW degree N; multiplication by straightening."""
     r = L.dim
     labels = _exponent_labels(r, N)
-    slot = Slot(name or "UL%d" % r, labels, {e: sum(e) for e in labels})
+    slot = Slot("UL%d" % r, labels, {e: sum(e) for e in labels})
     H = Space((slot,), budget=N)
     H2 = H.tensor(H)
     pbw = _PBW(L)
@@ -471,7 +471,7 @@ def build_truncated_enveloping(L: LieSpec, N: int, name=None) -> HopfData:
                        validate=False)
 
     antipode = LinMap.from_function(H, H, antipode_col)
-    return HopfData(name or "U(L)/deg>%d" % N, H, mul, unit, comul, counit,
+    return HopfData("U(L)/deg>%d" % N, H, mul, unit, comul, counit,
                     antipode, flip_braid(H),
                     cocommutative=True, involutive_braid=True)
 

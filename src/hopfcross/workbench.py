@@ -311,15 +311,12 @@ def classify_Q(Qm):
     if _mat_eq(Q, IDENT2):
         return {"case": "2", "Q": Q}
     if jordan:
-        return {"case": "1a", "Q": Q, "q": Q[0][0]}
+        return {"case": "1a", "Q": Q}
     m = matrix_order(Q)
     if m is None:
-        return {"case": "1b", "Q": Q, "q1": Q[0][0], "q2": Q[1][1],
-                "order": "infinite (no order in {1,2,3,4,6})"}
-    q1, q2 = Q[0][0], Q[1][1]
-    if q1 != 1 and q2 != 1:
-        return {"case": "3a", "Q": Q, "q1": q1, "q2": q2, "m": m}
-    return {"case": "3b", "Q": Q, "q1": q1, "q2": q2, "m": m}
+        return {"case": "1b", "Q": Q}
+    case = "3a" if Q[0][0] != 1 and Q[1][1] != 1 else "3b"
+    return {"case": case, "Q": Q, "m": m}
 
 
 def poly_alpha_maps(mad: ModuleAlgebraData):
@@ -336,21 +333,6 @@ def poly_alpha_maps(mad: ModuleAlgebraData):
             row.append(LinMap.from_function(A.space, A.space, col))
         maps.append(row)
     return maps
-
-
-def action_validity_verdicts(spec: PolyActionSpec):
-    """Per-equation verdicts of an action that `build_poly_action` has
-    validated: each equation passes or does not apply to Q."""
-    verdicts = dict.fromkeys(("eq10", "eq11", "eq12", "eq13"), "pass")
-    is_ident = _mat_eq(spec.Q, IDENT2)
-    if not is_ident and matrix_order(spec.Q) is None:
-        verdicts["eq12"] = "n/a (Q has infinite order)"
-        verdicts["eq13"] = "n/a (Q has infinite order)"
-    elif is_ident:
-        verdicts["eq13"] = "n/a (Q = ide)"
-    else:
-        verdicts["eq12"] = "n/a (Q != ide)"
-    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +479,6 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
 
     mad = build_poly_action(Q, beta1, beta2, N)
     aspec = mad.poly_spec
-    verdicts = action_validity_verdicts(aspec)
     xi = XiComplex(mad)
     d1_rank, of1, dropped1 = xi.rank(1)
     d2_rank, of2, dropped2 = xi.rank(2)
@@ -516,14 +497,14 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "Q": [[rat_str(x) for x in row] for row in Q],
         "beta1": _poly_str({i: c for i, c in enumerate(beta1)}),
         "beta2": _poly_str({i: c for i, c in enumerate(beta2)}),
-        "validity": verdicts,
+        "validity": aspec.validity,
         "budget": N,
         "window": xi.window,
         "xi_dims": dims,
         "d1_rank": d1_rank,
         "d2_rank": d2_rank,
         "H2_dim": dims[2] - d2_rank,
-        "H2_exact": h2_exact(qinfo, aspec),
+        "H2_exact": exact_h2_and_commutator(qinfo, aspec)[0],
         "truncation_caveat": caveat,
         "relations": presentation_relations(aspec),
     }
@@ -532,35 +513,36 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
     return ClassificationReport(data)
 
 
-def h2_exact(qinfo, aspec: PolyActionSpec):
-    """The exact (untruncated) H^2, case by case."""
-    case = qinfo["case"]
+def exact_h2_and_commutator(qinfo, aspec: PolyActionSpec):
+    """The exact (untruncated) H^2 and the commutator W1*W2 - W2*W1 of the
+    crossed-product family, case by case, as (H^2 text, commutator text).
+
+    Away from case 2 the class is a free scalar (cases 1a, 1b) or a
+    polynomial in Y^m (case 3a) exactly when q1 q2 = 1, and 0 otherwise;
+    case 3b always has q1 q2 = -1.
+    """
+    case, Q = qinfo["case"], qinfo["Q"]
     if case == "2":
-        b_use = aspec.beta[0] if any(aspec.beta[0]) else aspec.beta[1]
-        if any(b_use):
-            deg = max(i for i, c in enumerate(b_use) if c != 0)
-            return "k[Y]/<%s> (dimension %d)" % (
-                _poly_str({i: c for i, c in enumerate(b_use)}), deg)
-        return "k[Y] (infinite dimensional)"
-    if case == "1a":
-        q = qinfo["q"]
-        return "k (one free scalar)" if q * q == 1 else "0"
-    if case == "1b":
-        return "k (one free scalar)" if qinfo["q1"] * qinfo["q2"] == 1 else "0"
-    if case == "3a" and qinfo["q1"] * qinfo["q2"] == 1:
-        return "k[Y^%d] (infinite dimensional)" % qinfo["m"]
-    return "0"
+        beta = next((b for b in aspec.beta if any(b)), None)
+        if beta is None:
+            return "k[Y] (infinite dimensional)", "R(Y), an arbitrary polynomial"
+        deg = max(i for i, c in enumerate(beta) if c)
+        return ("k[Y]/<%s> (dimension %d)" % (_poly_str(dict(enumerate(beta))),
+                                              deg),
+                "R(Y) with R = 0 or deg(R) < %d" % deg)
+    if Q[0][0] * Q[1][1] != 1:
+        return "0", "0"
+    if case == "3a":
+        return ("k[Y^%d] (infinite dimensional)" % qinfo["m"],
+                "P(Y^%d), P an arbitrary polynomial" % qinfo["m"])
+    return "k (one free scalar)", "lambda, a free scalar"
 
 
 def presentation_relations(aspec: PolyActionSpec):
     """The defining relations of the crossed-product family, generators
-    ordered Y < W1 < W2; the commutator is read off `h2_exact`."""
+    ordered Y < W1 < W2; the commutator is `exact_h2_and_commutator`'s."""
     Q = aspec.Q
-    qinfo = classify_Q(Q)
-    case = qinfo["case"]
-    h2 = h2_exact(qinfo, aspec)
-    b1 = _poly_str({i: c for i, c in enumerate(aspec.beta[0])})
-    b2 = _poly_str({i: c for i, c in enumerate(aspec.beta[1])})
+    _, comm = exact_h2_and_commutator(classify_Q(Q), aspec)
 
     def w_relation(i):
         parts = []
@@ -568,27 +550,11 @@ def presentation_relations(aspec: PolyActionSpec):
             if Q[i][j] != 0:
                 c = "" if Q[i][j] == 1 else rat_str(Q[i][j]) + "*"
                 parts.append("%sY*%s" % (c, w))
-        bi = (b1, b2)[i]
+        bi = _poly_str(dict(enumerate(aspec.beta[i])))
         if bi != "0":
             parts.append(bi)
         return "W%d*Y = %s" % (i + 1, " + ".join(parts) if parts else "0")
 
-    if case == "2":
-        if b1 != "0":
-            comm = "R(Y) with R = 0 or deg(R) < %d" % max(
-                i for i, c in enumerate(aspec.beta[0]) if c)
-        elif b2 != "0":
-            comm = "R(Y) with R = 0 or deg(R) < %d" % max(
-                i for i, c in enumerate(aspec.beta[1]) if c)
-        else:
-            comm = "R(Y), an arbitrary polynomial"
-    elif case in ("1a", "1b"):
-        comm = "lambda, a free scalar" if h2.startswith("k") else "0"
-    elif case == "3a":
-        comm = ("P(Y^%d), P an arbitrary polynomial" % qinfo["m"]
-                if h2.startswith("k[") else "0")
-    else:
-        comm = "0"
     return [w_relation(0), w_relation(1), "W1*W2 - W2*W1 = " + comm]
 
 

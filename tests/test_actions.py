@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
                                tensor_power_comul, tensor_power_comul_shuffled,
                                trivial_module_algebra, verify_entwining,
                                verify_module_algebra, verify_module_coalgebra,
-                               PolyActionSpec)
+                               PolyActionSpec, check_poly_action_validity)
 from hopfcross.exact import apply_at
 
 
@@ -373,6 +374,37 @@ def test_poly_action_case3b_eq13():
     with pytest.raises(InvalidAction) as err:
         build_poly_action([[-1, 0], [0, 1]], [0, 0, 0, 1], [0, 1], 5)
     assert err.value.equation == "eq13"
+
+
+def test_validity_outcomes_over_a_grid_of_actions():
+    # every outcome of the eq10-eq13 analysis over nine Q (identity, the
+    # diagonal orders 2 and 4 sign patterns, infinite-order diagonals, two
+    # Jordan blocks and a rotation of order 4) and all 0/1 betas of length 4
+    half = Fraction(1, 2)
+    qs = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[-1, 0], [0, 1]],
+          [[1, 0], [0, -1]], [[2, 0], [0, half]], [[2, 0], [0, 3]],
+          [[2, 1], [0, 2]], [[-1, 1], [0, -1]], [[0, -1], [1, 0]]]
+    betas = list(itertools.product((0, 1), repeat=4))
+    outcomes = Counter()
+    for Q, b1, b2 in itertools.product(qs, betas, betas):
+        try:
+            check_poly_action_validity(PolyActionSpec(Q, b1, b2))
+            outcomes["valid"] += 1
+        except InvalidAction as exc:
+            outcomes[str(exc)] += 1
+    assert outcomes == {
+        "eq11 violated: Q^-1 != ide but beta coefficient 0 nonzero": 1536,
+        "eq11 violated: Q^1 != ide but beta coefficient 2 nonzero": 384,
+        "eq11 violated: Q^2 != ide but beta coefficient 3 nonzero": 60,
+        "eq12 violated: beta operators do not commute (r=1)": 96,
+        "eq12 violated: beta operators do not commute (r=2)": 48,
+        "eq12 violated: beta operators do not commute (r=3)": 48,
+        "eq12 violated: beta operators do not commute (r=4)": 12,
+        "eq12 violated: beta operators do not commute (r=5)": 6,
+        "eq13 violated: beta_1 nonlinear while beta_2 nonzero": 6,
+        "eq13 violated: beta_2 nonlinear while beta_1 nonzero": 6,
+        "valid": 102,
+    }
 
 
 def test_eq9_against_leibniz_expansion():

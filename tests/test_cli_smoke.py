@@ -55,3 +55,39 @@ def test_compare_passes_on_poly2(spec, budget):
     if budget is not None:
         argv += ["--budget", budget]
     assert main(argv, out=io.StringIO()) == 0, argv
+
+
+def _poly2_spec(tmp_path, beta1, beta2):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "poly2", "budget": 5, "payload": {
+        "Q": [["-1", "0"], ["0", "1"]], "beta1": beta1, "beta2": beta2}}))
+    return str(path)
+
+
+def test_cohomology_at_the_truncation_boundary_is_inconclusive(tmp_path):
+    out = io.StringIO()
+    argv = ["cohomology", _poly2_spec(tmp_path, ["0", "1"], ["0", "0", "0", "1"]),
+            "--budget", "3", "--degree", "0"]
+    assert main(argv, out=out) == 3
+    assert "caveat: differential met the truncation boundary" in out.getvalue()
+
+
+def test_an_invalid_poly2_action_is_bad_input(tmp_path):
+    out = io.StringIO()
+    argv = ["cohomology", _poly2_spec(tmp_path, ["0", "0", "0", "1"], ["0", "1"]),
+            "--budget", "3", "--degree", "0"]
+    assert main(argv, out=out) == 2
+    assert out.getvalue() == ("input error: eq13 violated: beta_1 nonlinear "
+                              "while beta_2 nonzero\n")
+
+
+def test_cohomology_of_a_group_spec_without_an_algebra_is_bad_input(tmp_path):
+    with open(os.path.join(FIXTURES, "z2_sign.json")) as fh:
+        doc = json.load(fh)
+    del doc["payload"]["algebra"], doc["payload"]["action"]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    assert main(["cohomology", str(path)], out=out) == 2
+    assert out.getvalue() == ("input error: group spec has no coefficient "
+                              "algebra\n")
