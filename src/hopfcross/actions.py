@@ -16,8 +16,9 @@ from math import comb
 from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
                     TruncationOverflow, apply_at, rat,
                     slot_permutation, span_coefficients, tensor)
-from .hopf import (HopfData, Report, build_truncated_poly_hopf,
-                   check_equal_on, check_invertible, GroupSpec)
+from .hopf import (HopfData, Report, build_group_algebra,
+                   build_truncated_poly_hopf, check_equal_on, check_invertible,
+                   GroupSpec)
 
 
 class InvalidGradation(Exception):
@@ -620,7 +621,6 @@ def build_graded_transposition(g: GroupSpec, algebra: AlgebraData,
     names to permutation tables of G.  The gradation must be multiplicative
     for the opposite composition, or InvalidGradation is raised.
     """
-    from .hopf import build_group_algebra
     h = build_group_algebra(g)
 
     for name, table in autos.items():
@@ -906,5 +906,4 @@ def build_poly_action(Qm, beta1, beta2, N,
     mad = ModuleAlgebraData(h, A, s, rho,
                             name="k[X1,X2] on k[Y] (Q=%r)" % (Qm,))
     mad.poly_spec = spec
-    mad.budget = N
     return mad

@@ -8,7 +8,6 @@ any other kind of coalgebra are refused rather than searched for.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, apply_at, nullspace, tensor)
@@ -253,32 +252,6 @@ def transfer_TAC_inverse(G: LinMap, coalgebra, algebra) -> ConvMap:
     return ConvMap.from_function(C, A, fn)
 
 
-def iota(f: ConvMap, mad: ModuleAlgebraData) -> ConvMap:
-    """iota_n: Reg^s_H(H^{n+1}, A) -> Reg^s(H^n, A): g(x) = f(1 (x) x)."""
-    hopf = mad.hopf
-    C_big = f.coalgebra
-    n = C_big.space.arity - 1
-    unit_atom = hopf.unit_label()
-    C = tensor_power_coalgebra(hopf, n) if n >= 1 else unit_coalgebra(hopf)
-
-    def fn(lab):
-        return f((unit_atom,) + lab)
-
-    return ConvMap.from_function(C, f.algebra, fn)
-
-
-def iota_inverse(g: ConvMap, mad: ModuleAlgebraData) -> ConvMap:
-    """The H-linear extension f(h0 (x) x) = h0 . g(x)."""
-    hopf = mad.hopf
-    n = g.coalgebra.space.arity
-    C_big = tensor_power_coalgebra(hopf, n + 1)
-
-    def fn(lab):
-        return mad.act(Element.basis_vector(hopf.space, lab[:1]), g(lab[1:]))
-
-    return ConvMap.from_function(C_big, g.algebra, fn)
-
-
 # ---------------------------------------------------------------------------
 # the carrier: cochains compatible with psi and psi-central, solved exactly
 
@@ -350,12 +323,3 @@ def carrier_solve(ent: EntwiningData, grid):
 
     return nullspace(rows, len(grid))
 
-
-def random_combination(rng, basis):
-    """Random exact-rational combination of a subspace basis."""
-    if not basis:
-        raise ValueError("empty basis")
-    out = Fraction(0) * basis[0]
-    for b in basis:
-        out = out + Fraction(rng.randint(-4, 4), rng.randint(1, 4)) * b
-    return out

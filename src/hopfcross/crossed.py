@@ -7,16 +7,13 @@ doubles as an end-to-end oracle for every cocycle we construct.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
                     add_basis_term, apply_at, tensor)
 from .actions import AlgebraData, ModuleAlgebraData
-from .convolution import (ConvMap, NotConvolutionInvertible, conv_equal,
-                          conv_inverse, convolve, is_psi_central,
-                          is_s_compatible)
+from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
+                          convolve, is_psi_central, is_s_compatible)
 from .hopf import Report, check_equal_on, check_item, compare_on
-from .sweedler import SweedlerContext, coface, conv_log, differential
+from .sweedler import SweedlerContext, coface
 
 
 def chi_map(mad: ModuleAlgebraData) -> LinMap:
@@ -358,156 +355,3 @@ def check_equivalence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
         check_item(report, "equivalence.isomorphism", None if ok else g)
         iso = g if ok else None
     return report, iso
-
-
-# ---------------------------------------------------------------------------
-# deciding cohomology classes: the H^2 correspondence
-
-class H2Verdict:
-    def __init__(self, status, u=None, detail=""):
-        self.status = status        # cohomologous | inequivalent | inconclusive
-        self.u = u
-        self.detail = detail
-
-    def __repr__(self):
-        return "H2Verdict(%s%s)" % (self.status,
-                                    ", " + self.detail if self.detail else "")
-
-
-def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdict:
-    """Decide whether the cocycles f and f2 are cohomologous: search for u
-    in Reg_+^s(H, A) with q = f * f2^-1 = D(u).
-
-    Both inputs must pass every cocycle flag; otherwise ValueError.
-    Graded-connected domains go through `workbench.xi_h2_witness`: on a
-    poly2 instance the Lie class of w = log q is solved against
-    d2(Xi(D_1)) on the value window, and no preimage there certifies
-    inequivalence (unless d2 met the truncation boundary or can lower
-    degrees).  A preimage is transported to the bar side and completed by
-    one carrier solve; an instance with no Xi side gets the carrier solve
-    alone.  Group domains use the pointwise reduction for cyclic groups.
-    Either way, `cohomologous` is answered only once q * D(u)^-1 = e holds
-    on every tuple inside the budget; the detail counts the tuples skipped
-    for budget.
-    """
-    for g in (f, f2):
-        coc = check_cocycle_conditions(ctx, g)
-        if not coc.all_flags:
-            raise ValueError("cocycle flags not all true: %r" % coc)
-    q = convolve(f, conv_inverse(f2))
-    e2 = ctx.unit_cochain(2)
-    u = ctx.unit_cochain(1)
-    res = conv_equal(q, e2)
-    if not res.passed:
-        kind = ctx.domain(2).kind
-        if kind == "graded_connected":
-            from .workbench import xi_h2_witness
-            u = xi_h2_witness(ctx, conv_log(q))
-        elif kind == "grouplike":
-            u = _h2_group(ctx, q)
-        else:
-            return H2Verdict("inconclusive",
-                             detail="unsupported domain kind %r" % kind)
-        if isinstance(u, H2Verdict):
-            return u
-        res = conv_equal(convolve(q, conv_inverse(differential(ctx, u))), e2)
-        if not res.passed:
-            return H2Verdict("inconclusive",
-                             detail="the witness fails q * D(u)^-1 = e")
-    return H2Verdict("cohomologous", u,
-                     "q * D(u)^-1 = e on %d tuples, %d skipped for budget"
-                     % (res.checked, res.skipped))
-
-
-def _h2_group(ctx, q):
-    """Cyclic-group pointwise reduction over the scalar line plus
-    nilpotents: the witness u to check, or the verdict if there is none."""
-    mad = ctx.mad
-    A = mad.algebra
-    group = getattr(mad, "group", None) or getattr(mad.hopf, "group", None)
-    if group is None:
-        return H2Verdict("inconclusive", detail="no group data on the instance")
-    # cyclicity check: some element generates
-    gen = None
-    for g in group.elements:
-        seen, cur = {group.identity}, g
-        while cur != group.identity:
-            seen.add(cur)
-            cur = group.mul(cur, g)
-        if len(seen) == len(group.elements):
-            gen = g
-            break
-    if gen is None:
-        return H2Verdict("inconclusive", detail="group is not cyclic")
-    n = len(group.elements)
-    unit_lab = A.unit.items()[0][0]
-
-    def scalar_part(elt):
-        return elt.coeffs.get(unit_lab, Fraction(0))
-
-    # scalar 2-cocycle: the class is the norm N = prod_i q0(gen, gen^i)
-    power = {0: group.identity}
-    for i in range(1, n):
-        power[i] = group.mul(power[i - 1], gen)
-    norm = Fraction(1)
-    for i in range(n):
-        val = scalar_part(q((gen, power[i])))
-        if val == 0:
-            return H2Verdict("inconclusive", detail="non-unit scalar part")
-        norm *= val
-    root = _rational_nth_root(norm, n)
-    if root is None:
-        return H2Verdict(
-            "inequivalent",
-            detail="scalar class %s is not an n-th power in Q" % norm)
-
-    # build u0 on the scalar line: u0(gen^k) = r^k / prod_{i<k} q0(gen, gen^i)
-    u0 = {group.identity: Fraction(1)}
-    run = Fraction(1)
-    for k in range(1, n):
-        run *= scalar_part(q((gen, power[k - 1])))
-        u0[power[k]] = root ** k / run
-
-    C1 = ctx.domain(1)
-    cand = ConvMap.from_function(
-        C1, A, lambda lab: u0[lab[0]] * A.unit)
-    resid = convolve(q, conv_inverse(differential(ctx, cand)))
-
-    # nilpotent residue: solve the linearized coboundary equation
-    units = [{j: 1} for j in range(len(ctx.grid(1)))]
-    v = ctx.coboundary_preimage(units, resid - ctx.unit_cochain(2))
-    if v is None:
-        return H2Verdict("inconclusive",
-                         detail="scalar part trivial but nilpotent residue "
-                                "not linearizable")
-    return convolve(cand, v + ctx.unit_cochain(1))
-
-
-def _rational_nth_root(x: Fraction, n: int):
-    if x == 0:
-        return None
-    sign = 1
-    if x < 0:
-        if n % 2 == 0:
-            return None
-        sign, x = -1, -x
-    p, q_ = x.numerator, x.denominator
-    rp, rq = _int_nth_root(p, n), _int_nth_root(q_, n)
-    if rp is None or rq is None:
-        return None
-    return Fraction(sign * rp, rq)
-
-
-def _int_nth_root(m: int, n: int):
-    if m == 0:
-        return 0
-    lo, hi = 1, 1
-    while hi ** n < m:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** n < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** n == m else None

@@ -1,10 +1,11 @@
-"""The two-variable crossed-product classifier, structured input files and
-report emitters."""
+"""The two-variable crossed-product classifier, the H^2 decision,
+structured input files and report emitters."""
 
 from __future__ import annotations
 
 import functools
 import json
+from fractions import Fraction
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
                     add_into, rat, rat_str, rref, span_coefficients)
@@ -16,13 +17,13 @@ from .actions import (AlgebraData, InvalidGradation,
                       graded_module_algebra, matrix_order,
                       trivial_module_algebra,
                       _mat_eq, IDENT2)
-from .convolution import ConvMap
-from .sweedler import SweedlerContext, additive_coboundary, conv_exp
+from .convolution import ConvMap, conv_equal, conv_inverse, convolve
+from .sweedler import (SweedlerContext, additive_coboundary, conv_exp, conv_log,
+                       differential)
 from .ce import (CEAlgebra, CETransposition, BarComparison, XiSolution,
                  evaluate_bimodule_cochain, xi_space, xi_differential_matrix)
-from .crossed import (CrossedProductAlgebra, H2Verdict,
-                      check_cocycle_conditions, trivial_cocycle,
-                      verify_crossed_product)
+from .crossed import (CrossedProductAlgebra, check_cocycle_conditions,
+                      trivial_cocycle, verify_crossed_product)
 
 
 class InputError(Exception):
@@ -492,6 +493,7 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
                   "truncation boundary; truncated dimensions are reported "
                   "with projection onto the window")
     dims = [xi.space(n).dim for n in range(xi.length + 1)]
+    h2_exact, comm = exact_h2_and_commutator(qinfo, aspec)
     data = {
         "case": case,
         "Q": [[rat_str(x) for x in row] for row in Q],
@@ -504,9 +506,9 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "d1_rank": d1_rank,
         "d2_rank": d2_rank,
         "H2_dim": dims[2] - d2_rank,
-        "H2_exact": exact_h2_and_commutator(qinfo, aspec)[0],
+        "H2_exact": h2_exact,
         "truncation_caveat": caveat,
-        "relations": presentation_relations(aspec),
+        "relations": _relations(aspec, comm),
     }
     if "m" in qinfo:
         data["m"] = qinfo["m"]
@@ -541,8 +543,13 @@ def exact_h2_and_commutator(qinfo, aspec: PolyActionSpec):
 def presentation_relations(aspec: PolyActionSpec):
     """The defining relations of the crossed-product family, generators
     ordered Y < W1 < W2; the commutator is `exact_h2_and_commutator`'s."""
+    return _relations(aspec, exact_h2_and_commutator(classify_Q(aspec.Q),
+                                                     aspec)[1])
+
+
+def _relations(aspec: PolyActionSpec, comm):
+    """The two W_i*Y relations of aspec and the commutator text comm."""
     Q = aspec.Q
-    _, comm = exact_h2_and_commutator(classify_Q(Q), aspec)
 
     def w_relation(i):
         parts = []
@@ -559,7 +566,7 @@ def presentation_relations(aspec: PolyActionSpec):
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: rebuild a presentation from its cocycle class
+# bar-side cochains transported from the Xi side
 
 def transport_cochain(ctx: SweedlerContext, bc, values):
     """The bar-side cochain of the bimodule cochain with the given values on
@@ -587,6 +594,64 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     """
     xi = XiComplex(ctx.mad)
     return conv_exp(transport_cochain(ctx, xi.bar, {xi.top: b}))
+
+
+# ---------------------------------------------------------------------------
+# deciding cohomology classes: the H^2 correspondence
+
+class H2Verdict:
+    def __init__(self, status, u=None, detail=""):
+        self.status = status        # cohomologous | inequivalent | inconclusive
+        self.u = u
+        self.detail = detail
+
+    def __repr__(self):
+        return "H2Verdict(%s%s)" % (self.status,
+                                    ", " + self.detail if self.detail else "")
+
+
+def h2_correspondence(ctx: SweedlerContext, f: ConvMap, f2: ConvMap) -> H2Verdict:
+    """Decide whether the cocycles f and f2 are cohomologous: search for u
+    in Reg_+^s(H, A) with q = f * f2^-1 = D(u).
+
+    Both inputs must pass every cocycle flag; otherwise ValueError.
+    Graded-connected domains go through `xi_h2_witness`: on a
+    poly2 instance the Lie class of w = log q is solved against
+    d2(Xi(D_1)) on the value window, and no preimage there certifies
+    inequivalence (unless d2 met the truncation boundary or can lower
+    degrees).  A preimage is transported to the bar side and completed by
+    one carrier solve; an instance with no Xi side gets the carrier solve
+    alone.  Group domains use the pointwise reduction for cyclic groups.
+    Either way, `cohomologous` is answered only once q * D(u)^-1 = e holds
+    on every tuple inside the budget; the detail counts the tuples skipped
+    for budget.
+    """
+    for g in (f, f2):
+        coc = check_cocycle_conditions(ctx, g)
+        if not coc.all_flags:
+            raise ValueError("cocycle flags not all true: %r" % coc)
+    q = convolve(f, conv_inverse(f2))
+    e2 = ctx.unit_cochain(2)
+    u = ctx.unit_cochain(1)
+    res = conv_equal(q, e2)
+    if not res.passed:
+        kind = ctx.domain(2).kind
+        if kind == "graded_connected":
+            u = xi_h2_witness(ctx, conv_log(q))
+        elif kind == "grouplike":
+            u = _h2_group(ctx, q)
+        else:
+            return H2Verdict("inconclusive",
+                             detail="unsupported domain kind %r" % kind)
+        if isinstance(u, H2Verdict):
+            return u
+        res = conv_equal(convolve(q, conv_inverse(differential(ctx, u))), e2)
+        if not res.passed:
+            return H2Verdict("inconclusive",
+                             detail="the witness fails q * D(u)^-1 = e")
+    return H2Verdict("cohomologous", u,
+                     "q * D(u)^-1 = e on %d tuples, %d skipped for budget"
+                     % (res.checked, res.skipped))
 
 
 def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
@@ -660,6 +725,103 @@ def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
     return transport_cochain(ctx, xi.bar, {
         S: Element(A.space, val, validate=False) for S, val in f1.items()})
 
+
+def _h2_group(ctx, q):
+    """Cyclic-group pointwise reduction over the scalar line plus
+    nilpotents: the witness u to check, or the verdict if there is none."""
+    mad = ctx.mad
+    A = mad.algebra
+    group = getattr(mad, "group", None) or getattr(mad.hopf, "group", None)
+    if group is None:
+        return H2Verdict("inconclusive", detail="no group data on the instance")
+    # cyclicity check: some element generates
+    gen = None
+    for g in group.elements:
+        seen, cur = {group.identity}, g
+        while cur != group.identity:
+            seen.add(cur)
+            cur = group.mul(cur, g)
+        if len(seen) == len(group.elements):
+            gen = g
+            break
+    if gen is None:
+        return H2Verdict("inconclusive", detail="group is not cyclic")
+    n = len(group.elements)
+    unit_lab = A.unit.items()[0][0]
+
+    def scalar_part(elt):
+        return elt.coeffs.get(unit_lab, Fraction(0))
+
+    # scalar 2-cocycle: the class is the norm N = prod_i q0(gen, gen^i)
+    power = {0: group.identity}
+    for i in range(1, n):
+        power[i] = group.mul(power[i - 1], gen)
+    norm = Fraction(1)
+    for i in range(n):
+        val = scalar_part(q((gen, power[i])))
+        if val == 0:
+            return H2Verdict("inconclusive", detail="non-unit scalar part")
+        norm *= val
+    root = _rational_nth_root(norm, n)
+    if root is None:
+        return H2Verdict(
+            "inequivalent",
+            detail="scalar class %s is not an n-th power in Q" % norm)
+
+    # build u0 on the scalar line: u0(gen^k) = r^k / prod_{i<k} q0(gen, gen^i)
+    u0 = {group.identity: Fraction(1)}
+    run = Fraction(1)
+    for k in range(1, n):
+        run *= scalar_part(q((gen, power[k - 1])))
+        u0[power[k]] = root ** k / run
+
+    C1 = ctx.domain(1)
+    cand = ConvMap.from_function(
+        C1, A, lambda lab: u0[lab[0]] * A.unit)
+    resid = convolve(q, conv_inverse(differential(ctx, cand)))
+
+    # nilpotent residue: solve the linearized coboundary equation
+    units = [{j: 1} for j in range(len(ctx.grid(1)))]
+    v = ctx.coboundary_preimage(units, resid - ctx.unit_cochain(2))
+    if v is None:
+        return H2Verdict("inconclusive",
+                         detail="scalar part trivial but nilpotent residue "
+                                "not linearizable")
+    return convolve(cand, v + ctx.unit_cochain(1))
+
+
+def _rational_nth_root(x: Fraction, n: int):
+    if x == 0:
+        return None
+    sign = 1
+    if x < 0:
+        if n % 2 == 0:
+            return None
+        sign, x = -1, -x
+    p, q_ = x.numerator, x.denominator
+    rp, rq = _int_nth_root(p, n), _int_nth_root(q_, n)
+    if rp is None or rq is None:
+        return None
+    return Fraction(sign * rp, rq)
+
+
+def _int_nth_root(m: int, n: int):
+    if m == 0:
+        return 0
+    lo, hi = 1, 1
+    while hi ** n < m:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** n < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo ** n == m else None
+
+
+# ---------------------------------------------------------------------------
+# cocycle documents, and a presentation rebuilt from its class
 
 def _y_polynomial(A: AlgebraData, coeffs, where):
     """sum c_e Y^e in k[Y], from a coefficient list [c_0, c_1, ...] or an

@@ -20,19 +20,20 @@ from hopfcross.hopf import (GroupSpec, LieSpec, build_group_algebra,
 from hopfcross.actions import build_poly_action, tensor_power_coalgebra
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,
-                                   is_psi_central, is_psi_compatible,
-                                   random_combination)
+                                   is_psi_central, is_psi_compatible)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
                                 barr_differential, conv_exp, conv_log,
                                 differential, digamma_membership, gimel,
                                 gimel_inverse, h0)
 from hopfcross.ce import (BarComparison, CEAlgebra, CETransposition, xi_space)
 from hopfcross.crossed import (CrossedProductAlgebra, check_cocycle_conditions,
-                               check_equivalence, h2_correspondence,
-                               trivial_cocycle, verify_crossed_product)
+                               check_equivalence, trivial_cocycle,
+                               verify_crossed_product)
 from hopfcross.workbench import (WorkbenchSpec, build_and_verify_presentation,
-                                 classify_crossed_products, poly_alpha_maps,
-                                 xi2_cocycle)
+                                 classify_crossed_products, h2_correspondence,
+                                 poly_alpha_maps, xi2_cocycle)
+
+from sampling import random_combination
 
 
 def _report(num, label, ok):

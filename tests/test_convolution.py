@@ -11,12 +11,12 @@ from hopfcross.actions import (AlgebraData, action_module_algebra,
                                tensor_power_coalgebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,
-                                   iota, iota_inverse, is_h_linear,
-                                   is_psi_central, is_psi_compatible,
-                                   is_s_compatible, random_combination,
-                                   transfer_TAC, transfer_TAC_inverse,
-                                   unit_coalgebra)
-from hopfcross.sweedler import SweedlerContext
+                                   is_h_linear, is_psi_central,
+                                   is_psi_compatible, is_s_compatible,
+                                   transfer_TAC, transfer_TAC_inverse)
+from hopfcross.sweedler import SweedlerContext, codegeneracy, coface
+
+from sampling import random_combination
 
 
 @pytest.fixture(scope="module")
@@ -237,20 +237,21 @@ def test_reg_membership_unit(sign_action):
 
 
 def test_iota_unit_image(sign_action):
-    # iota_0 of the unit is the constant-1 map on k
-    C1 = tensor_power_coalgebra(sign_action.hopf, 1)
-    e = conv_unit(C1, sign_action.algebra)
-    i0 = iota(e, sign_action)
-    assert i0(()).coeffs == {("1",): 1}
+    # iota_0 = sigma^0 takes the unit on H to the constant-1 map on k
+    ctx = SweedlerContext(sign_action)
+    e = conv_unit(ctx.domain(1), sign_action.algebra)
+    assert codegeneracy(ctx, 0, e)(()).coeffs == {("1",): 1}
 
 
 def test_iota_centrality_equivalence(z3_graded):
-    # brute force both centrality predicates across the iota bijection on a
-    # family of H-linear maps on H^2; the graded transposition makes
-    # centrality a real condition (inversion invariance)
+    # iota_n = sigma^0 is a bijection from the H-linear maps on H^(n+1) onto
+    # the maps on H^n, with inverse delta^0 (the H-linear extension
+    # h0 (x) x -> h0 . g(x)); brute force both centrality predicates across
+    # it on H^2, where the graded transposition makes centrality a real
+    # condition (inversion invariance)
     mad = z3_graded
-    C2 = tensor_power_coalgebra(mad.hopf, 2)
-    C1 = tensor_power_coalgebra(mad.hopf, 1)
+    ctx = SweedlerContext(mad)
+    C1 = ctx.domain(1)
     A = mad.algebra
     ent2 = example_entwining(mad, 2)
     ent1 = example_entwining(mad, 1)
@@ -261,8 +262,9 @@ def test_iota_centrality_equivalence(z3_graded):
         for lab in C1.space.basis():
             vals1[lab] = Fraction(rng.randint(-3, 3)) * A.unit
         g = ConvMap.from_table(C1, A, vals1)
-        f = iota_inverse(g, mad)            # H-linear map on H^2
-        assert all(iota(f, mad)(l) == g(l) for l in C1.space.basis())
+        f = coface(ctx, 0, g)               # H-linear map on H^2
+        assert is_h_linear(f, mad, ctx.domain(2).rho).passed
+        assert all(codegeneracy(ctx, 0, f)(l) == g(l) for l in C1.space.basis())
         c2 = is_psi_central(f, ent2).passed
         c1 = is_psi_central(g, ent1).passed
         assert c2 == c1

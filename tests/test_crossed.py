@@ -16,11 +16,11 @@ from hopfcross.convolution import (ConvMap, conv_inverse, conv_unit, convolve,
                                    is_psi_central)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
                                 conv_exp, differential, _scalar_cochain)
-from hopfcross.crossed import (CrossedProductAlgebra, H2Verdict,
-                               check_cocycle_conditions, check_equivalence,
-                               chi_map, equivalence_conditions,
-                               h2_correspondence, script_F, trivial_cocycle,
-                               verify_crossed_product)
+from hopfcross.crossed import (CrossedProductAlgebra, check_cocycle_conditions,
+                               check_equivalence, chi_map,
+                               equivalence_conditions, script_F,
+                               trivial_cocycle, verify_crossed_product)
+from hopfcross.workbench import h2_correspondence
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from hopfcross.actions import (build_poly_action, example_entwining,
                                trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, conv_equal, conv_unit, convolve,
                                    is_psi_central, is_psi_compatible,
-                                   is_s_compatible, random_combination)
+                                   is_s_compatible)
 from hopfcross.sweedler import (SeriesPreconditionViolated,
                                 SweedlerContext, additive_coboundary,
                                 barr_differential, codegeneracy, coface,

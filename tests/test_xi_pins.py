@@ -16,9 +16,9 @@ import sys
 import pytest
 
 from hopfcross.cli import main
-from hopfcross.crossed import h2_correspondence, trivial_cocycle
+from hopfcross.crossed import trivial_cocycle
 from hopfcross.workbench import (WorkbenchSpec, classify_crossed_products,
-                                 xi2_cocycle)
+                                 h2_correspondence, xi2_cocycle)
 
 from test_crossed import _fixture_ctx, _xi2_samples
 
