@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
-                    TruncationOverflow, apply_at, rat,
+                    TruncationOverflow, apply_at, rat, rat_str,
                     slot_permutation, span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_group_algebra,
                    build_truncated_poly_hopf, check_equal_on, check_invertible,
@@ -679,37 +679,35 @@ def _mat_mul(P, R):
     return [[sum(P[i][k] * R[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)]
 
-def _mat_pow(Qm, n):
-    out = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    for _ in range(n):
-        out = _mat_mul(out, Qm)
-    return out
-
-def _mat_eq(P, R):
-    return all(P[i][j] == R[i][j] for i in range(2) for j in range(2))
-
 IDENT2 = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
-def matrix_order(Qm):
-    """Order of a rational 2x2 matrix, or None if infinite.
+def matrix_order(spec):
+    """Order of spec.Q, read from its power table, or None if infinite.
 
     Rational 2x2 matrices of finite order have order in {1,2,3,4,6} (their
     eigenvalues are roots of degree <= 2 cyclotomic polynomials).
     """
     for n in (1, 2, 3, 4, 6):
-        if _mat_eq(_mat_pow(Qm, n), IDENT2):
+        if spec.qpower(n) == IDENT2:
             return n
     return None
 
 
 class PolyActionSpec:
-    """Q and the beta coefficient lists defining the action on k[Y]."""
+    """Q and the beta coefficient lists defining the action on k[Y].
+
+    The facts about Q are decided here, once: Q must be invertible; `order`
+    is its order (None if infinite); `case` is the Section-7 case tag, 2 for
+    Q = ide, 1a for a single Jordan block, and for any other diagonal Q 1b
+    (infinite order), 3a (finite order, no diagonal entry 1) or 3b (one
+    diagonal entry 1), or None when Q is neither diagonal nor a single
+    Jordan block.
+    """
 
     def __init__(self, Qm, beta1, beta2):
-        self.Q = [[rat(x) for x in row] for row in Qm]
-        det = self.Q[0][0] * self.Q[1][1] - self.Q[0][1] * self.Q[1][0]
-        if det == 0:
+        self.Q = Q = [[rat(x) for x in row] for row in Qm]
+        if Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0] == 0:
             raise InvalidAction("Q", "Q is not invertible")
         self.beta = [[rat(x) for x in beta1], [rat(x) for x in beta2]]
         # tables indexed by n, extended on demand; their entries are shared
@@ -718,6 +716,17 @@ class PolyActionSpec:
         self._qpartials = [[[Fraction(0), Fraction(0)],
                             [Fraction(0), Fraction(0)]]]          # Q^(n)
         self._beta_powers = ({}, {})                  # l -> {n: beta_l(Y^n)}
+        self.order = matrix_order(self)
+        if self.order == 1:
+            self.case = "2"
+        elif Q[1][0] == 0 and Q[0][1] == 1 and Q[0][0] == Q[1][1]:
+            self.case = "1a"
+        elif Q[0][1] != 0 or Q[1][0] != 0:
+            self.case = None
+        elif self.order is None:
+            self.case = "1b"
+        else:
+            self.case = "3a" if Q[0][0] != 1 and Q[1][1] != 1 else "3b"
 
     def beta_support(self, l):
         return [u for u, c in enumerate(self.beta[l]) if c != 0]
@@ -785,12 +794,13 @@ def check_poly_action_validity(spec: PolyActionSpec):
     in Y k[Y^m].
     """
     verdicts = dict.fromkeys(("eq10", "eq11", "eq12", "eq13"), "pass")
-    Qm = spec.Q
-    is_ident = _mat_eq(Qm, IDENT2)
+    m = spec.order
     maxu = max(spec.beta_support(0) + spec.beta_support(1), default=0)
 
     for u in range(-1, maxu):
-        qu_is_ident = is_ident if u == -1 else _mat_eq(spec.qpower(u), IDENT2)
+        # Q^u = ide exactly when the order of Q divides u; for Q of infinite
+        # order, only at u = 0
+        qu_is_ident = u == 0 if m is None else u % m == 0
         if not qu_is_ident:
             b1 = spec.beta[0][u + 1] if u + 1 < len(spec.beta[0]) else Fraction(0)
             b2 = spec.beta[1][u + 1] if u + 1 < len(spec.beta[1]) else Fraction(0)
@@ -799,7 +809,7 @@ def check_poly_action_validity(spec: PolyActionSpec):
                                     "Q^%d != ide but beta coefficient %d nonzero"
                                     % (u, u + 1))
 
-    if is_ident:
+    if m == 1:
         # commutativity of the two beta operators
         rmax = len(spec.beta[0]) + len(spec.beta[1])
         for r in range(rmax + 1):
@@ -813,14 +823,13 @@ def check_poly_action_validity(spec: PolyActionSpec):
                 raise InvalidAction("eq12", "beta operators do not commute (r=%d)" % r)
         verdicts["eq13"] = "n/a (Q = ide)"
         return verdicts
-    if matrix_order(Qm) is None:
+    if m is None:
         verdicts["eq12"] = verdicts["eq13"] = "n/a (Q has infinite order)"
         return verdicts
     verdicts["eq12"] = "n/a (Q != ide)"
-    q1, q2 = Qm[0][0], Qm[1][1]
-    if Qm[0][1] == 0 and Qm[1][0] == 0 and (q1 == 1) != (q2 == 1):
+    if spec.case == "3b":
         # exactly one diagonal entry is 1: beta_other = 0 or beta_one linear
-        lin, free = (0, 1) if q2 == 1 else (1, 0)
+        lin, free = (0, 1) if spec.Q[1][1] == 1 else (1, 0)
         if spec.beta_support(free) and \
                 any(u > 1 for u in spec.beta_support(lin)):
             raise InvalidAction("eq13",
@@ -847,39 +856,14 @@ def build_poly_action(Qm, beta1, beta2, N,
     HV = H.tensor(V)
     VH = HV.permuted((1, 0))
 
-    power_tables = {}
-    binomial_rows = {}
-
-    def entry_powers(yn):
-        """The powers 0..N of the four entries of Q^yn, row by row."""
-        table = power_tables.get(yn)
-        if table is None:
-            Qn = spec.qpower(yn)
-            table = []
-            for x in (Qn[0][0], Qn[0][1], Qn[1][0], Qn[1][1]):
-                row = [Fraction(1)]
-                for _ in range(N):
-                    row.append(row[-1] * x)
-                table.append(row)
-            power_tables[yn] = table
-        return table
-
-    def binomial_row(yn, k, a):
-        """comb(a, i) x^i y^(a-i) for i = 0..a, where (x, y) is row k of
-        Q^yn: the coefficients of (x X1 + y X2)^a."""
-        key = (yn, k, a)
-        row = binomial_rows.get(key)
-        if row is None:
-            px, py = entry_powers(yn)[2 * k:2 * k + 2]
-            row = [comb(a, i) * px[i] * py[a - i] for i in range(a + 1)]
-            binomial_rows[key] = row
-        return row
-
     def s_col(t):
         (a, b), yn = t
-        row1, row2 = binomial_row(yn, 0, a), binomial_row(yn, 1, b)
+        # X1^a X2^b crosses Y^n: substitute X_i -> sum_j (Q^n)_{ij} X_j and
+        # expand (x1 X1 + y1 X2)^a (x2 X1 + y2 X2)^b
+        (x1, y1), (x2, y2) = spec.qpower(yn)
+        row1 = [comb(a, i) * x1 ** i * y1 ** (a - i) for i in range(a + 1)]
+        row2 = [comb(b, j) * x2 ** j * y2 ** (b - j) for j in range(b + 1)]
         out = {}
-        # X1^a X2^b crosses Y^n: substitute X_i -> sum_j (Q^n)_{ij} X_j
         for i, c1 in enumerate(row1):
             if not c1:
                 continue
@@ -903,7 +887,8 @@ def build_poly_action(Qm, beta1, beta2, N,
     # partial columns: using one that left the budget raises, callers skip
     rho = LinMap.from_function(HV, V, rho_col, partial=True)
 
+    qtext = ", ".join("[%s]" % ", ".join(map(rat_str, row)) for row in spec.Q)
     mad = ModuleAlgebraData(h, A, s, rho,
-                            name="k[X1,X2] on k[Y] (Q=%r)" % (Qm,))
+                            name="k[X1,X2] on k[Y] (Q=[%s])" % qtext)
     mad.poly_spec = spec
     return mad

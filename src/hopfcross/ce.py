@@ -892,15 +892,12 @@ class BarComparison:
 
     def Phi_closed(self, mid):
         """1/n! e_{i_1} ... e_{i_n} for single-generator middle entries."""
-        n = len(mid)
         word = []
         for atom in mid:
             if sum(atom) != 1:
                 raise ValueError("closed form needs generator entries")
             word.append(("E", atom.index(1)))
-        fact = 1
-        for i in range(2, n + 1):
-            fact *= i
+        fact = math.factorial(len(mid))
         return {m: v / fact for m, v in self.ce.nf(tuple(word)).items()}
 
 

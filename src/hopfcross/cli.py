@@ -117,6 +117,7 @@ def cmd_crossed_product(spec, args, out):
     with open(args.cocycle) as fh:
         cdoc = json.load(fh)
     mad = build_poly2_instance(spec)
+    relations = presentation_relations(mad.poly_spec)
     ctx = SweedlerContext(mad)
     coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, cdoc))
     lines = ["cocycle flags: %r" % coc]
@@ -126,7 +127,6 @@ def cmd_crossed_product(spec, args, out):
     cp = CrossedProductAlgebra(ctx, coc.f)
     rep = verify_crossed_product(cp, budget=args.budget)
     lines.extend(rep.summary().splitlines())
-    relations = presentation_relations(mad.poly_spec)
     lines.append("presentation:")
     lines.extend("  " + r for r in relations)
     doc = {"ok": rep.ok, "lines": lines, "relations": relations}
@@ -276,7 +276,6 @@ def build_parser():
         p.add_argument("spec", help="workbench spec file (JSON)")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="run the axiom suites")
     common(p)
@@ -291,6 +290,7 @@ def build_parser():
     p = sub.add_parser("compare", help="exp/log, homogenization, bar-vs-CE")
     common(p)
     p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     return ap
 
 

@@ -114,7 +114,6 @@ def convolve(f: ConvMap, g: ConvMap) -> ConvMap:
     if f.coalgebra is not g.coalgebra and f.coalgebra.space != g.coalgebra.space:
         raise ValueError("convolution requires a shared domain coalgebra")
     C = f.coalgebra
-    nc = C.space.arity
 
     def column(lab):
         x = C.comul.columns[lab]
@@ -242,7 +241,6 @@ def transfer_TAC(f: ConvMap) -> LinMap:
 def transfer_TAC_inverse(G: LinMap, coalgebra, algebra) -> ConvMap:
     """(T^-1)(G)(c) = (eps (x) A)(G(c (x) 1))."""
     C, A = coalgebra, algebra
-    nc = C.space.arity
 
     def fn(lab):
         x = tensor(Element.basis_vector(C.space, lab), A.unit)

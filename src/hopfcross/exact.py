@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import lcm
 from operator import contains, getitem
 
-Q = Fraction
-
 #: the coefficient of every basis vector of coefficient 1; a Fraction is
 #: immutable, so one object serves them all
 ONE = Fraction(1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 from .exact import (ONE, Element, KSPACE, LinMap, Slot, Space,
                     TruncationOverflow, _element, apply_at, invert_linmap,
@@ -269,6 +270,8 @@ class LieSpec:
                 raise InvalidLieAlgebra("generator index out of range")
             if i >= j:
                 raise InvalidLieAlgebra("brackets must be keyed by i < j")
+            if not all(0 <= k < dim for k in val):
+                raise InvalidLieAlgebra("bracket output index out of range")
             self.brackets[(i, j)] = {k: Fraction(c) for k, c in val.items()
                                      if Fraction(c) != 0}
         self._check_jacobi()
@@ -337,13 +340,6 @@ def build_group_algebra(g: GroupSpec) -> HopfData:
     return data
 
 
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def _exponent_labels(nvars, budget):
     def rec(i, remaining):
         if i == nvars:
@@ -369,7 +365,7 @@ def _binomial_comul(H, H2):
             right = tuple(a - p for a, p in zip(exp, parts))
             coeff = 1
             for a, p in zip(exp, parts):
-                coeff *= _binomial(a, p)
+                coeff *= comb(a, p)
             out[(left, right)] = Fraction(coeff)
         return Element(H2, out, validate=False)
     return LinMap.from_function(H, H2, column)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, add_into, apply_at, echelon_basis,
@@ -456,7 +457,7 @@ def conv_exp(f: ConvMap) -> ConvMap:
     if not vanishes_on_scalar_slots(f):
         raise SeriesPreconditionViolated("exp needs a normalized cochain")
     return _conv_series(conv_unit(f.coalgebra, f.algebra), f,
-                        lambda i: Fraction(1, _factorial(i)), with_unit=True)
+                        lambda i: Fraction(1, factorial(i)), with_unit=True)
 
 
 def conv_log(g: ConvMap) -> ConvMap:
@@ -499,10 +500,3 @@ def _conv_series(e: ConvMap, x: ConvMap, coeff, with_unit) -> ConvMap:
     return ConvMap(C, A, LinMap(C.space, A.space, {
         lab: Element(A.space, vals, validate=False)
         for lab, vals in acc.items()}))
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

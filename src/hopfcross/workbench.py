@@ -14,9 +14,7 @@ from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
 from .actions import (AlgebraData, InvalidGradation,
                       ModuleAlgebraData, PolyActionSpec,
                       action_module_algebra, build_poly_action,
-                      graded_module_algebra, matrix_order,
-                      trivial_module_algebra,
-                      _mat_eq, IDENT2)
+                      graded_module_algebra, trivial_module_algebra)
 from .convolution import ConvMap, conv_equal, conv_inverse, convolve
 from .sweedler import (SweedlerContext, additive_coboundary, conv_exp, conv_log,
                        differential)
@@ -256,29 +254,22 @@ def build_group_instance(spec: WorkbenchSpec):
     return mad.hopf, mad
 
 
-def poly2_data(spec: WorkbenchSpec):
-    """(Q, beta1, beta2, budget) of a poly2 spec."""
+def build_poly2_instance(spec: WorkbenchSpec):
+    """The module algebra of a poly2 spec at its budget."""
     if spec.kind != "poly2":
         raise InputError("this needs a poly2 spec, not %r" % spec.kind)
     if spec.budget is None:
         raise InputError("poly2 spec needs a budget")
-    return spec.poly2 + (spec.budget,)
-
-
-def build_poly2_instance(spec: WorkbenchSpec):
-    return build_poly_action(*poly2_data(spec))
+    return build_poly_action(*spec.poly2, spec.budget)
 
 
 def build_lie_instance(spec: WorkbenchSpec):
-    p = spec.payload
-    try:
-        dim = p["dim"]
-    except KeyError:
-        raise InputError("lie payload needs dim")
+    p = _spec_object(spec.payload, "lie payload")
+    dim = _spec_field(p, "dim", "lie payload")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise InputError("lie dim must be an integer >= 1, got %r" % (dim,))
     brackets = {}
-    for key, val in p.get("brackets", {}).items():
+    for key, val in _spec_object(p.get("brackets", {}), "brackets").items():
         brackets[_int_tuple(key, "brackets", 2)] = {
             _int_tuple(k, "brackets", 1)[0]: c
             for k, c in _spec_values(val, "brackets").items()}
@@ -292,33 +283,7 @@ def build_lie_instance(spec: WorkbenchSpec):
 
 
 # ---------------------------------------------------------------------------
-# classification of Q
-
-def classify_Q(Qm):
-    """Case tag of an invertible Jordan-form 2x2 rational matrix.
-
-    Finite order is decided by checking the orders a rational 2x2 matrix can
-    have (1, 2, 3, 4, 6); when none matches, the order is provably infinite.
-    """
-    Q = [[rat(x) for x in row] for row in Qm]
-    det = Q[0][0] * Q[1][1] - Q[0][1] * Q[1][0]
-    if det == 0:
-        raise InputError("Q is not invertible")
-    diagonal = Q[0][1] == 0 and Q[1][0] == 0
-    jordan = Q[1][0] == 0 and Q[0][1] == 1 and Q[0][0] == Q[1][1]
-    if not diagonal and not jordan:
-        raise NotJordanForm("Q must be diagonal or a single Jordan block")
-
-    if _mat_eq(Q, IDENT2):
-        return {"case": "2", "Q": Q}
-    if jordan:
-        return {"case": "1a", "Q": Q}
-    m = matrix_order(Q)
-    if m is None:
-        return {"case": "1b", "Q": Q}
-    case = "3a" if Q[0][0] != 1 and Q[1][1] != 1 else "3b"
-    return {"case": case, "Q": Q, "m": m}
-
+# Section 7: the functor Xi on the resolution of k[X1,X2]
 
 def poly_alpha_maps(mad: ModuleAlgebraData):
     """alpha_i^j as LinMaps on A, from the stored Q."""
@@ -335,9 +300,6 @@ def poly_alpha_maps(mad: ModuleAlgebraData):
         maps.append(row)
     return maps
 
-
-# ---------------------------------------------------------------------------
-# Section 7: the functor Xi on the resolution of k[X1,X2]
 
 class XiComplex:
     """Hom(D_*, A) through the functor Xi, for the poly2 instance mad.
@@ -474,12 +436,9 @@ class ClassificationReport:
 
 
 def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
-    Q, beta1, beta2, N = poly2_data(spec)
-    qinfo = classify_Q(Q)
-    case = qinfo["case"]
-
-    mad = build_poly_action(Q, beta1, beta2, N)
+    mad = build_poly2_instance(spec)
     aspec = mad.poly_spec
+    h2_exact, _ = exact_h2_and_commutator(aspec)
     xi = XiComplex(mad)
     d1_rank, of1, dropped1 = xi.rank(1)
     d2_rank, of2, dropped2 = xi.rank(2)
@@ -493,14 +452,13 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
                   "truncation boundary; truncated dimensions are reported "
                   "with projection onto the window")
     dims = [xi.space(n).dim for n in range(xi.length + 1)]
-    h2_exact, comm = exact_h2_and_commutator(qinfo, aspec)
     data = {
-        "case": case,
-        "Q": [[rat_str(x) for x in row] for row in Q],
-        "beta1": _poly_str({i: c for i, c in enumerate(beta1)}),
-        "beta2": _poly_str({i: c for i, c in enumerate(beta2)}),
+        "case": aspec.case,
+        "Q": [[rat_str(x) for x in row] for row in aspec.Q],
+        "beta1": _poly_str(dict(enumerate(aspec.beta[0]))),
+        "beta2": _poly_str(dict(enumerate(aspec.beta[1]))),
         "validity": aspec.validity,
-        "budget": N,
+        "budget": spec.budget,
         "window": xi.window,
         "xi_dims": dims,
         "d1_rank": d1_rank,
@@ -508,22 +466,25 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "H2_dim": dims[2] - d2_rank,
         "H2_exact": h2_exact,
         "truncation_caveat": caveat,
-        "relations": _relations(aspec, comm),
+        "relations": presentation_relations(aspec),
     }
-    if "m" in qinfo:
-        data["m"] = qinfo["m"]
+    if aspec.case in ("3a", "3b"):
+        data["m"] = aspec.order
     return ClassificationReport(data)
 
 
-def exact_h2_and_commutator(qinfo, aspec: PolyActionSpec):
+def exact_h2_and_commutator(aspec: PolyActionSpec):
     """The exact (untruncated) H^2 and the commutator W1*W2 - W2*W1 of the
     crossed-product family, case by case, as (H^2 text, commutator text).
 
     Away from case 2 the class is a free scalar (cases 1a, 1b) or a
     polynomial in Y^m (case 3a) exactly when q1 q2 = 1, and 0 otherwise;
-    case 3b always has q1 q2 = -1.
+    case 3b always has q1 q2 = -1.  A Q outside the cases raises
+    NotJordanForm.
     """
-    case, Q = qinfo["case"], qinfo["Q"]
+    case, Q = aspec.case, aspec.Q
+    if case is None:
+        raise NotJordanForm("Q must be diagonal or a single Jordan block")
     if case == "2":
         beta = next((b for b in aspec.beta if any(b)), None)
         if beta is None:
@@ -535,20 +496,15 @@ def exact_h2_and_commutator(qinfo, aspec: PolyActionSpec):
     if Q[0][0] * Q[1][1] != 1:
         return "0", "0"
     if case == "3a":
-        return ("k[Y^%d] (infinite dimensional)" % qinfo["m"],
-                "P(Y^%d), P an arbitrary polynomial" % qinfo["m"])
+        return ("k[Y^%d] (infinite dimensional)" % aspec.order,
+                "P(Y^%d), P an arbitrary polynomial" % aspec.order)
     return "k (one free scalar)", "lambda, a free scalar"
 
 
 def presentation_relations(aspec: PolyActionSpec):
     """The defining relations of the crossed-product family, generators
-    ordered Y < W1 < W2; the commutator is `exact_h2_and_commutator`'s."""
-    return _relations(aspec, exact_h2_and_commutator(classify_Q(aspec.Q),
-                                                     aspec)[1])
-
-
-def _relations(aspec: PolyActionSpec, comm):
-    """The two W_i*Y relations of aspec and the commutator text comm."""
+    ordered Y < W1 < W2: the two W_i*Y relations of aspec and the
+    commutator of `exact_h2_and_commutator`."""
     Q = aspec.Q
 
     def w_relation(i):
@@ -562,6 +518,7 @@ def _relations(aspec: PolyActionSpec, comm):
             parts.append(bi)
         return "W%d*Y = %s" % (i + 1, " + ".join(parts) if parts else "0")
 
+    comm = exact_h2_and_commutator(aspec)[1]
     return [w_relation(0), w_relation(1), "W1*W2 - W2*W1 = " + comm]
 
 

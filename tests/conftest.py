@@ -2,12 +2,10 @@ import pytest
 
 from fractions import Fraction
 
-from hopfcross.exact import Element
 from hopfcross.hopf import GroupSpec, LieSpec, build_group_algebra, \
     build_truncated_enveloping, build_truncated_poly_hopf
 from hopfcross.actions import (AlgebraData, action_module_algebra,
-                               build_poly_action, graded_module_algebra,
-                               trivial_module_algebra)
+                               build_poly_action, graded_module_algebra)
 
 
 @pytest.fixture(scope="session")

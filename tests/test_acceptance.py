@@ -9,7 +9,6 @@ import itertools
 import random
 import time
 
-import pytest
 from fractions import Fraction
 
 from hopfcross.exact import Element, LinMap
@@ -17,7 +16,7 @@ from hopfcross.hopf import (GroupSpec, LieSpec, build_group_algebra,
                             build_truncated_enveloping,
                             build_truncated_poly_hopf, verify_antipode,
                             verify_braided_bialgebra)
-from hopfcross.actions import build_poly_action, tensor_power_coalgebra
+from hopfcross.actions import build_poly_action
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,
                                    is_psi_central, is_psi_compatible)

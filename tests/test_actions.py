@@ -10,13 +10,12 @@ from hopfcross.exact import (ColumnOverflow, Element, LinMap, Slot, Space,
 from hopfcross.hopf import (GroupSpec, HopfData, build_group_algebra,
                             build_truncated_poly_hopf, flip_braid)
 from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
-                               action_module_algebra, braid_cross,
+                               braid_cross,
                                braid_cross_recursive, braid_is_flip,
                                braid_shuffle, braid_shuffle_recursive,
                                build_graded_transposition,
                                build_poly_action, example_entwining,
-                               graded_module_algebra, matrix_order,
-                               poly_algebra, tensor_power_coalgebra,
+                               graded_module_algebra, tensor_power_coalgebra,
                                tensor_power_comul, tensor_power_comul_shuffled,
                                trivial_module_algebra, verify_entwining,
                                verify_module_algebra, verify_module_coalgebra,
@@ -518,10 +517,13 @@ def test_graded_invariants_match_identity_component(z3_graded):
 
 
 def test_matrix_order():
-    assert matrix_order([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 1
-    assert matrix_order([[Fraction(-1), Fraction(0)], [Fraction(0), Fraction(-1)]]) == 2
-    assert matrix_order([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]) == 4
-    assert matrix_order([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]]) is None
+    # the order PolyActionSpec reads off its own power table, over every
+    # finite order a rational 2x2 matrix can have
+    for Q, m in [([[1, 0], [0, 1]], 1), ([[-1, 0], [0, -1]], 2),
+                 ([[0, -1], [1, -1]], 3), ([[0, -1], [1, 0]], 4),
+                 ([[1, -1], [1, 0]], 6), ([[2, 0], [0, 1]], None),
+                 ([[2, 1], [0, 2]], None)]:
+        assert PolyActionSpec(Q, [], []).order == m
 
 
 def _mat_power(Q, n):

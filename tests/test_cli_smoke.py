@@ -91,3 +91,17 @@ def test_cohomology_of_a_group_spec_without_an_algebra_is_bad_input(tmp_path):
     assert main(["cohomology", str(path)], out=out) == 2
     assert out.getvalue() == ("input error: group spec has no coefficient "
                               "algebra\n")
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"dim": 2, "brackets": []},
+    {"dim": 2, "brackets": {"0,1": {"5": 1}}},
+    {"dim": 2, "brackets": {"0,1": {"-1": 1}}},
+], ids=["payload-list", "brackets-list", "output-index-5", "output-index-minus-1"])
+def test_a_malformed_lie_spec_is_bad_input(tmp_path, payload):
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps({"kind": "lie", "budget": 3, "payload": payload}))
+    out = io.StringIO()
+    assert main(["verify", str(path)], out=out) == 2
+    assert out.getvalue().startswith("input error: ")

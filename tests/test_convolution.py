@@ -4,10 +4,8 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import Element, LinMap
-from hopfcross.hopf import GroupSpec, build_group_algebra, \
-    build_truncated_poly_hopf
-from hopfcross.actions import (AlgebraData, action_module_algebra,
-                               example_entwining, poly_algebra,
+from hopfcross.hopf import build_truncated_poly_hopf
+from hopfcross.actions import (AlgebraData, example_entwining, poly_algebra,
                                tensor_power_coalgebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_inverse, conv_unit, convolve,

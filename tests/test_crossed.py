@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import random
@@ -7,15 +6,14 @@ import re
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import (Element, TruncationOverflow, add_basis_term,
-                             tensor)
+from hopfcross.exact import Element, TruncationOverflow, add_basis_term
 from hopfcross.hopf import compare_on
 from hopfcross.actions import (build_poly_action, example_entwining,
                                trivial_module_algebra)
-from hopfcross.convolution import (ConvMap, conv_inverse, conv_unit, convolve,
+from hopfcross.convolution import (ConvMap, conv_inverse, convolve,
                                    is_psi_central)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
-                                conv_exp, differential, _scalar_cochain)
+                                conv_exp, differential)
 from hopfcross.crossed import (CrossedProductAlgebra, check_cocycle_conditions,
                                check_equivalence, chi_map,
                                equivalence_conditions, script_F,

@@ -7,8 +7,7 @@ from hopfcross.exact import (Element, KSPACE, LinMap, NotInvertible, Slot,
                              Space, SpaceMismatch, TruncationOverflow, apply_at,
                              compose, echelon_basis, invert_linmap,
                              kernel_image_quotient, nullspace, rat, rref,
-                             slot_permutation, solution_space, tensor,
-                             tensor_maps)
+                             slot_permutation, solution_space, tensor)
 
 
 def _poly_space(N, name="P"):

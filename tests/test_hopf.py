@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from hopfcross.exact import Element, tensor
 from hopfcross.hopf import (CheckResult, GroupSpec, InvalidGroup,

@@ -7,10 +7,9 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import Element, LinMap, TruncationOverflow
-from hopfcross.hopf import GroupSpec, build_group_algebra
+from hopfcross.hopf import GroupSpec
 from hopfcross.actions import (build_poly_action, example_entwining,
-                               graded_module_algebra, tensor_power_coalgebra,
-                               trivial_module_algebra)
+                               graded_module_algebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, conv_equal, conv_unit, convolve,
                                    is_psi_central, is_psi_compatible,
                                    is_s_compatible)

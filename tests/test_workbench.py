@@ -12,11 +12,12 @@ from hopfcross.cli import main
 from hopfcross.exact import Element
 from hopfcross.hopf import LieSpec
 from hopfcross.sweedler import SweedlerContext
-from hopfcross.workbench import (ClassificationReport, InputError,
-                                 NotJordanForm, WorkbenchSpec,
+from hopfcross.actions import InvalidAction, PolyActionSpec
+from hopfcross.workbench import (InputError, NotJordanForm, WorkbenchSpec,
                                  build_and_verify_presentation,
-                                 build_poly2_instance, classify_Q,
+                                 build_poly2_instance,
                                  classify_crossed_products, cocycle_from_doc,
+                                 exact_h2_and_commutator,
                                  transport_cochain, xi2_cocycle)
 
 HERE = os.path.dirname(__file__)
@@ -34,20 +35,27 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def test_classify_Q_cases():
-    assert classify_Q([[1, 0], [0, 1]])["case"] == "2"
-    info = classify_Q([[1, 0], [0, -1]])
-    assert info["case"] == "3b" and info["m"] == 2
-    assert classify_Q([[2, 0], [0, "1/2"]])["case"] == "1b"
-    assert classify_Q([[2, 1], [0, 2]])["case"] == "1a"
-    assert classify_Q([[-1, 0], [0, -1]])["case"] == "3a"
+def test_poly_action_spec_decides_case_and_order():
+    # the matrices the classifier sees, and the order-4 rotation, whose case
+    # is None since it is neither diagonal nor a single Jordan block
+    for Q, case, order in [([[1, 0], [0, 1]], "2", 1),
+                           ([[1, 0], [0, -1]], "3b", 2),
+                           ([[2, 0], [0, "1/2"]], "1b", None),
+                           ([[2, 1], [0, 2]], "1a", None),
+                           ([[-1, 0], [0, -1]], "3a", 2),
+                           ([[0, -1], [1, 0]], None, 4),
+                           ([[1, 2], [3, 4]], None, None)]:
+        spec = PolyActionSpec(Q, [], [])
+        assert (spec.case, spec.order) == (case, order), Q
 
 
-def test_classify_Q_rejects_non_jordan():
-    with pytest.raises(NotJordanForm):
-        classify_Q([[1, 2], [3, 4]])
-    with pytest.raises(InputError):
-        classify_Q([[1, 1], [1, 1]])       # singular
+def test_non_jordan_Q_is_refused_by_the_case_ladder():
+    for Q in ([[1, 2], [3, 4]], [[0, -1], [1, 0]]):
+        with pytest.raises(NotJordanForm):
+            exact_h2_and_commutator(PolyActionSpec(Q, [], []))
+    with pytest.raises(InvalidAction) as err:
+        PolyActionSpec([[1, 1], [1, 1]], [], [])       # singular
+    assert str(err.value) == "Q violated: Q is not invertible"
 
 
 def test_spec_parsing_errors(tmp_path):
@@ -108,8 +116,8 @@ def test_case_tags_consistent_with_Q():
         spec = WorkbenchSpec.load(fixture(name + ".json"))
         rep = classify_crossed_products(spec)
         assert rep.data["case"] == tag
-        assert rep.data["case"] == classify_Q(
-            [[Fraction(x) for x in row] for row in spec.payload["Q"]])["case"]
+        assert rep.data["case"] == PolyActionSpec(
+            spec.payload["Q"], [], []).case
 
 
 @pytest.mark.parametrize("name,b", [
@@ -295,6 +303,16 @@ def test_cli_rejects_negative_degree():
     code, out = run_cli("cohomology", fixture("case2_beta1_Y.json"),
                         "--degree", "-1")
     assert code == 2 and out.startswith("input error:") and "degree" in out
+
+
+def test_only_compare_takes_a_seed():
+    spec = fixture("case2_beta1_Y.json")
+    with pytest.raises(SystemExit) as err:
+        main(["verify", spec, "--seed", "1"], out=io.StringIO())
+    assert err.value.code == 2
+    code, out = run_cli("compare", spec, "--budget", "2", "--seed", "1",
+                        "--samples", "1")
+    assert code == 0
 
 
 def test_cli_rejects_nonpositive_samples():
@@ -488,3 +506,64 @@ def test_classify_computes_the_center_of_invariants_once(monkeypatch, argv):
             assert out == fh.read()
     else:
         assert out == "H^1 dimension at window 4: 3\n"
+
+
+# the facts about Q, decided once by PolyActionSpec
+
+def test_crossed_product_refuses_a_non_jordan_Q_before_building(
+        tmp_path, monkeypatch):
+    import hopfcross.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("crossed-product went past the Jordan test")
+
+    monkeypatch.setattr(cli, "SweedlerContext", unreachable)
+    monkeypatch.setattr(cli, "check_cocycle_conditions", unreachable)
+    spec = _poly2_spec_file(tmp_path, Q=(("1", "1"), ("0", "2")), beta1=(),
+                            budget=7)
+    code, out = run_cli("crossed-product", spec,
+                        "--cocycle", fixture("cocycle_trivial.json"))
+    assert code == 2
+    assert out == ("input error: Q must be diagonal or a single Jordan "
+                   "block\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["cohomology"], ["classify"], ["compare"],
+    ["crossed-product", "--cocycle", fixture("cocycle_trivial.json")]],
+    ids=lambda argv: argv[0])
+def test_a_singular_Q_reads_the_same_on_every_command(tmp_path, argv):
+    spec = _poly2_spec_file(tmp_path, Q=(("1", "1"), ("1", "1")))
+    code, out = run_cli(argv[0], spec, *argv[1:])
+    assert code == 2
+    assert out == "input error: Q violated: Q is not invertible\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["crossed-product", "--cocycle", fixture("cocycle_trivial.json"),
+     "--budget", "2"]], ids=lambda argv: argv[0])
+def test_the_order_of_Q_is_computed_once(monkeypatch, argv):
+    import hopfcross.actions as actions
+    calls = []
+    real = actions.matrix_order
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(actions, "matrix_order", counting)
+    code, out = run_cli(argv[0], fixture("case3b.json"), *argv[1:])
+    assert code == 0
+    assert len(calls) == 1
+    if argv == ["classify"]:
+        with open(os.path.join(GOLDENS, "case3b.txt")) as fh:
+            assert out == fh.read()
+
+
+def test_verify_titles_the_module_algebra_with_rational_entries():
+    code, out = run_cli("verify", fixture("case2_beta1_Y.json"),
+                        "--budget", "2")
+    assert code == 0
+    assert "module algebra: k[X1,X2] on k[Y] (Q=[[1, 0], [0, 1]])" in \
+        out.splitlines()
