@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, apply_at, nullspace, tensor)
+                    TruncationOverflow, add_into, apply_at, nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
                       ModuleCoalgebraData, tensor_power_coalgebra)
 from .hopf import compare_on
@@ -126,43 +126,62 @@ def convolve(f: ConvMap, g: ConvMap) -> ConvMap:
                                         partial=True))
 
 
+def conv_series(e: ConvMap, x: ConvMap, coeff, with_unit, stop) -> ConvMap:
+    """sum coeff(i) x^{*i} over 1 <= i <= stop, plus e when `with_unit`: the
+    one power series loop of exp, log and the inverse.  The caller knows the
+    powers past `stop` vanish; the loop also ends at a zero power.  Columns
+    are summed in place, and one missing from a power (it left the budget)
+    leaves the sum, as in `ConvMap` addition."""
+    C, A = e.coalgebra, e.algebra
+    acc = {lab: dict(col.coeffs) if with_unit else {}
+           for lab, col in e.values.columns.items()}
+    term = e
+    for i in range(1, stop + 1):
+        term = convolve(term, x)
+        if term.is_zero():
+            break
+        cols = term.values.columns
+        c = coeff(i)
+        for gone in [lab for lab in acc if lab not in cols]:
+            del acc[gone]
+        for lab, vals in acc.items():
+            add_into(vals, cols[lab].coeffs, c)
+    return ConvMap(C, A, LinMap(C.space, A.space, {
+        lab: Element(A.space, vals, validate=False)
+        for lab, vals in acc.items()}))
+
+
+def _value_inverse(A: AlgebraData, value, lab):
+    """value^-1 in A, for a cochain's value at lab; refused when A has none
+    or the budget cannot certify one (a trial product left it)."""
+    try:
+        return A.element_inverse(value)
+    except (NotInvertible, TruncationOverflow) as exc:
+        raise NotConvolutionInvertible(
+            "value at %r is not invertible in A" % (lab,), lab) from exc
+
+
 def conv_inverse(f: ConvMap) -> ConvMap:
     """Cached two-sided convolution inverse; strategy depends on the domain."""
     if f._inverse is not None:
         return f._inverse
     C, A = f.coalgebra, f.algebra
+    e = conv_unit(C, A)
     if C.kind == "grouplike":
-        cols = {}
-        for lab in C.space.basis():
-            try:
-                cols[lab] = A.element_inverse(f(lab))
-            except NotInvertible as exc:
-                raise NotConvolutionInvertible(
-                    "value at %r is not invertible in A" % (lab,), lab) from exc
-        inv = ConvMap(C, A, LinMap(C.space, A.space, cols))
+        inv = ConvMap(C, A, LinMap(C.space, A.space, {
+            lab: _value_inverse(A, f(lab), lab) for lab in C.space.basis()}))
     elif C.kind == "graded_connected":
         degree0 = [lab for lab in C.space.basis() if C.space.degree(lab) == 0]
         if len(degree0) != 1:
             raise NotConvolutionInvertible("domain is not connected")
-        top = max(C.space.degree(lab) for lab in C.space.basis())
-        u = f(degree0[0])
-        try:
-            u_inv = A.element_inverse(u)
-        except NotInvertible as exc:
-            raise NotConvolutionInvertible(
-                "degree-0 value is not invertible in A", degree0[0]) from exc
-        g = ConvMap(C, A, LinMap(C.space, A.space, {
+        u_inv = _value_inverse(A, f(degree0[0]), degree0[0])
+        delta = e - ConvMap(C, A, LinMap(C.space, A.space, {
             lab: A.multiply(u_inv, col)
             for lab, col in f.values.columns.items()}))
-        e = conv_unit(C, A)
-        delta = e - g
-        # (e - g) kills degree 0, so the geometric series stops at the budget
-        acc, term = e, e
-        for _ in range(top):
-            term = convolve(term, delta)
-            if term.is_zero():
-                break
-            acc = acc + term
+        # e - u^-1 f kills degree 0, so its i-th power kills every label of
+        # degree below i: the geometric series stops at the top degree
+        top = max(C.space.degree(lab) for lab in C.space.basis())
+        acc = conv_series(e, delta, lambda i: 1, with_unit=True, stop=top)
         inv = ConvMap(C, A, LinMap(C.space, A.space, {
             lab: A.multiply(col, u_inv)
             for lab, col in acc.values.columns.items()}))
@@ -170,7 +189,6 @@ def conv_inverse(f: ConvMap) -> ConvMap:
         raise NotConvolutionInvertible(
             "no inversion strategy for coalgebra kind %r" % C.kind)
 
-    e = conv_unit(C, A)
     for side in (convolve(f, inv), convolve(inv, f)):
         res = compare_on(C.space, lambda x, t: side(t), lambda x, t: e(t),
                          first_failure=True)
@@ -265,8 +283,7 @@ def carrier_grid(C: ModuleCoalgebraData, A: AlgebraData):
     space = C.space
     if C.kind != "graded_connected":
         return list(itertools.product(space.basis(), A.space.basis()))
-    return [(c, a) for c in space.basis()
-            if all(s.degree(x) > 0 for s, x in zip(space.slots, c))
+    return [(c, a) for c in space.basis() if space.min_slot_degree(c) != 0
             for a in A.space.basis() if A.space.degree(a) <= space.degree(c)]
 
 

@@ -136,6 +136,10 @@ class Space:
     def degree(self, label):
         return sum(map(getitem, self._degrees, label))
 
+    def min_slot_degree(self, label):
+        """The smallest degree of a slot of label; None if it has no slot."""
+        return min(map(getitem, self._degrees, label), default=None)
+
     def contains(self, label):
         if len(label) != self.arity:
             return False
@@ -644,14 +648,17 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
     """
     end = at + f.domain.arity
     sp = elt.space
-    budget = sp.budget
     # one result space per position, budget and input slot objects: the
-    # cached space holds the slots it keeps, so their ids are not reused
-    key = (at, budget, *map(id, sp.slots))
+    # cached space holds the slots it keeps, so their ids are not reused.
+    # Its budget is merged as in `Space.tensor`, so a budgeted image keeps
+    # its budget inside an unbudgeted input such as k (x) k.
+    key = (at, sp.budget, *map(id, sp.slots))
     codomain = f._spaces.get(key)
     if codomain is None:
         codomain = f._spaces[key] = Space(
-            sp.slots[:at] + f.codomain.slots + sp.slots[end:], budget)
+            sp.slots[:at] + f.codomain.slots + sp.slots[end:],
+            _merge_budget(sp.budget, f.codomain.budget))
+    budget = codomain.budget
     if budget is not None:
         pre_degrees, post_degrees = sp._degrees[:at], sp._degrees[end:]
     entries = f._entries

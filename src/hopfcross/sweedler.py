@@ -13,13 +13,13 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, add_into, apply_at, echelon_basis,
-                    solution_space, span_coefficients, tensor)
+from .exact import (Element, KSPACE, LinMap, NotInvertible, add_into,
+                    apply_at, echelon_basis, solution_space,
+                    span_coefficients, tensor)
 from .actions import ModuleAlgebraData, example_entwining, \
     tensor_power_coalgebra
 from .convolution import (ConvMap, carrier_grid, carrier_solve, conv_inverse,
-                          conv_unit, convolve, unit_coalgebra)
+                          conv_series, conv_unit, convolve, unit_coalgebra)
 from .hopf import compare_on
 
 
@@ -189,18 +189,6 @@ def is_normalized(ctx: SweedlerContext, f: ConvMap) -> bool:
         return True
     e = ctx.unit_cochain(n - 1)
     return all(codegeneracy(ctx, i, f) == e for i in range(n))
-
-
-def vanishes_on_scalar_slots(f: ConvMap) -> bool:
-    space = f.coalgebra.space
-    for lab in space.basis():
-        if any(s.degree(a) == 0 for s, a in zip(space.slots, lab)):
-            try:
-                if not f(lab).is_zero():
-                    return False
-            except TruncationOverflow:
-                continue
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -452,51 +440,38 @@ def barr_differential(ctx: SweedlerContext, table, n: int):
 # ---------------------------------------------------------------------------
 # exp / log
 
+def _series_stop(x: ConvMap, need) -> int:
+    """The last power of x that can be nonzero, once x is checked to vanish
+    on every label with a scalar slot (values left out for budget unread).
+    Then x^{*i} vanishes on every label with a slot of degree below i; a
+    label with no slot (the domain k of 0-cochains) bounds nothing."""
+    space = x.coalgebra.space
+    stop = 0
+    for lab in space.basis():
+        low = space.min_slot_degree(lab)
+        if low is None:
+            raise SeriesPreconditionViolated("the domain k has no slot: "
+                                             + need)
+        if low == 0:
+            val = x.values.columns.get(lab)
+            if val is not None and not val.is_zero():
+                raise SeriesPreconditionViolated(need)
+        stop = max(stop, low)
+    return stop
+
+
 def conv_exp(f: ConvMap) -> ConvMap:
     """exp(f) = sum f^{*i} / i!; exact because f kills scalar slots."""
-    if not vanishes_on_scalar_slots(f):
-        raise SeriesPreconditionViolated("exp needs a normalized cochain")
-    return _conv_series(conv_unit(f.coalgebra, f.algebra), f,
-                        lambda i: Fraction(1, factorial(i)), with_unit=True)
+    stop = _series_stop(f, "exp needs a normalized cochain")
+    return conv_series(conv_unit(f.coalgebra, f.algebra), f,
+                       lambda i: Fraction(1, factorial(i)),
+                       with_unit=True, stop=stop)
 
 
 def conv_log(g: ConvMap) -> ConvMap:
     """log(g) = sum (-1)^{i+1} (g - e)^{*i} / i on normalized g."""
     e = conv_unit(g.coalgebra, g.algebra)
     delta = g - e
-    if not vanishes_on_scalar_slots(delta):
-        raise SeriesPreconditionViolated("log needs g = unit on scalar slots")
-    return _conv_series(e, delta, lambda i: Fraction((-1) ** (i + 1), i),
-                        with_unit=False)
-
-
-def _conv_series(e: ConvMap, x: ConvMap, coeff, with_unit) -> ConvMap:
-    """sum coeff(i) x^{*i} over i >= 1, plus the unit e when `with_unit`.
-
-    x vanishes on every label with a degree-0 slot, so x^{*i} vanishes on
-    every label with a slot of degree below i: the series stops at the
-    largest smallest slot degree of a label, or at the first zero power.
-    The sum is kept as one coefficient dict per column and added into in
-    place.  A column missing from a power (it left the budget) leaves the
-    sum, as it does in `ConvMap` addition.
-    """
-    C, A = e.coalgebra, e.algebra
-    space = C.space
-    last = max((min((s.degree(a) for s, a in zip(space.slots, lab)),
-                    default=0) for lab in space.basis()), default=0)
-    acc = {lab: dict(col.coeffs) if with_unit else {}
-           for lab, col in e.values.columns.items()}
-    term = e
-    for i in range(1, last + 1):
-        term = convolve(term, x)
-        if term.is_zero():
-            break
-        cols = term.values.columns
-        c = coeff(i)
-        for gone in [lab for lab in acc if lab not in cols]:
-            del acc[gone]
-        for lab, vals in acc.items():
-            add_into(vals, cols[lab].coeffs, c)
-    return ConvMap(C, A, LinMap(C.space, A.space, {
-        lab: Element(A.space, vals, validate=False)
-        for lab, vals in acc.items()}))
+    stop = _series_stop(delta, "log needs g = unit on scalar slots")
+    return conv_series(e, delta, lambda i: Fraction((-1) ** (i + 1), i),
+                       with_unit=False, stop=stop)

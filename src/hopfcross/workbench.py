@@ -534,7 +534,7 @@ def transport_cochain(ctx: SweedlerContext, bc, values):
     C = ctx.domain(len(next(iter(values))))
 
     def fn(lab):
-        if any(sum(a) == 0 for a in lab):
+        if C.space.min_slot_degree(lab) == 0:
             return Element.zero(mad.algebra.space)
         zdict = bc.Phi((bc.unit_atom, lab, bc.unit_atom))
         return evaluate_bimodule_cochain(mad, values, zdict)

@@ -72,6 +72,25 @@ def test_cohomology_at_the_truncation_boundary_is_inconclusive(tmp_path):
     assert "caveat: differential met the truncation boundary" in out.getvalue()
 
 
+@pytest.mark.parametrize("spec,budget", [
+    ("case2_beta1_Y.json", "3"), ("case2_beta1_Y.json", "5"),
+    ("case1a_q2.json", None)])
+def test_a_cocycle_whose_inverse_leaves_the_budget_is_not_invertible(
+        tmp_path, spec, budget):
+    # f(1 (x) 1) = 1 + Y: its trial products (1 + Y) Y^N leave k[Y]_{<=N}, so
+    # the budget cannot certify an inverse
+    cocycle = tmp_path / "cocycle.json"
+    cocycle.write_text(json.dumps({"kind": "table", "values": {
+        "0,0|0,0": {"0": "1", "1": "1"}}}))
+    argv = ["crossed-product", os.path.join(FIXTURES, spec),
+            "--cocycle", str(cocycle)]
+    if budget is not None:
+        argv += ["--budget", budget]
+    out = io.StringIO()
+    assert main(argv, out=out) == 1, argv
+    assert "invertible=False" in out.getvalue()
+
+
 def test_an_invalid_poly2_action_is_bad_input(tmp_path):
     out = io.StringIO()
     argv = ["cohomology", _poly2_spec(tmp_path, ["0", "0", "0", "1"], ["0", "1"]),

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -8,11 +9,12 @@ from hopfcross.hopf import build_truncated_poly_hopf
 from hopfcross.actions import (AlgebraData, example_entwining, poly_algebra,
                                tensor_power_coalgebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
-                                   conv_inverse, conv_unit, convolve,
-                                   is_h_linear, is_psi_central,
+                                   conv_equal, conv_inverse, conv_unit,
+                                   convolve, is_h_linear, is_psi_central,
                                    is_psi_compatible, is_s_compatible,
                                    transfer_TAC, transfer_TAC_inverse)
 from hopfcross.sweedler import SweedlerContext, codegeneracy, coface
+from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
 
 from sampling import random_combination
 
@@ -79,6 +81,63 @@ def test_conv_inverse_graded_series():
     assert fi(((2,),)).coeffs == {(2,): 2}
     e = conv_unit(C, A)
     assert convolve(f, fi) == e and convolve(fi, f) == e
+
+
+def _inverse_by_convmap_sums(f):
+    """The graded-connected inverse with its geometric series summed by
+    ConvMap addition: u^-1 (sum (e - u^-1 f)^{*i}) to the top degree, u the
+    degree-0 value; the reference for `conv_inverse`'s columns."""
+    C, A = f.coalgebra, f.algebra
+    unit_lab = next(lab for lab in C.space.basis()
+                    if C.space.degree(lab) == 0)
+    u_inv = A.element_inverse(f(unit_lab))
+    e = conv_unit(C, A)
+    delta = e - ConvMap(C, A, LinMap(C.space, A.space, {
+        lab: A.multiply(u_inv, col) for lab, col in f.values.columns.items()}))
+    acc, term = e, e
+    for _ in range(max(C.space.degree(lab) for lab in C.space.basis())):
+        term = convolve(term, delta)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return {lab: A.multiply(col, u_inv)
+            for lab, col in acc.values.columns.items()}
+
+
+def _random_invertible_cochain(rng, C, A):
+    """A non-normalized cochain with an invertible scalar (not 1) at the
+    degree-0 label and values of degree at most the label's elsewhere,
+    scalar slots included."""
+    cols = {}
+    for lab in C.space.basis():
+        deg = C.space.degree(lab)
+        if deg == 0:
+            cols[lab] = Fraction(rng.choice([-3, -2, 2, 3]),
+                                 rng.randint(1, 3)) * A.unit
+        else:
+            cols[lab] = Element(A.space, {
+                (d,): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for d in range(deg + 1) if rng.random() < 0.4})
+    return ConvMap(C, A, LinMap(C.space, A.space, cols))
+
+
+@pytest.mark.parametrize("name", ["case2_beta1_Y", "case3a"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_conv_inverse_of_random_graded_cochains(name, n):
+    spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
+                                           "fixtures", name + ".json"))
+    spec.set_budget(4)
+    ctx = SweedlerContext(build_poly2_instance(spec))
+    C, A = ctx.domain(n), ctx.mad.algebra
+    e = conv_unit(C, A)
+    rng = random.Random(100 * n + len(name))
+    for _ in range(3):
+        f = _random_invertible_cochain(rng, C, A)
+        inv = conv_inverse(f)
+        for side in (convolve(f, inv), convolve(inv, f)):
+            res = conv_equal(side, e)
+            assert res.passed and res.skipped == 0
+        assert inv.values.columns == _inverse_by_convmap_sums(f)
 
 
 def test_conv_inverse_refuses_other_kinds(z2, dual_numbers):

@@ -10,9 +10,9 @@ from hopfcross.exact import Element, LinMap, TruncationOverflow
 from hopfcross.hopf import GroupSpec
 from hopfcross.actions import (build_poly_action, example_entwining,
                                graded_module_algebra, trivial_module_algebra)
-from hopfcross.convolution import (ConvMap, conv_equal, conv_unit, convolve,
-                                   is_psi_central, is_psi_compatible,
-                                   is_s_compatible)
+from hopfcross.convolution import (ConvMap, conv_equal, conv_inverse,
+                                   conv_unit, convolve, is_psi_central,
+                                   is_psi_compatible, is_s_compatible)
 from hopfcross.sweedler import (SeriesPreconditionViolated,
                                 SweedlerContext, additive_coboundary,
                                 barr_differential, codegeneracy, coface,
@@ -421,6 +421,23 @@ def test_exp_precondition(poly_ctx):
     not_normal = _additive_cochain(poly_ctx, 1, {((0, 0),): 2 * A.unit})
     with pytest.raises(SeriesPreconditionViolated):
         conv_log(not_normal)    # g(1) != 1
+    # the domain k of a 0-cochain has no slot, so no degree bounds the
+    # powers and neither series stops
+    y = Element.basis_vector(A.space, (1,))
+    with pytest.raises(SeriesPreconditionViolated):
+        conv_exp(_scalar_cochain(poly_ctx, y))
+    with pytest.raises(SeriesPreconditionViolated):
+        conv_log(_scalar_cochain(poly_ctx, A.unit + y))
+
+
+def test_a_0_cochain_over_a_budgeted_algebra():
+    # k (x) k has no budget; the products of 0-cochain values still land in
+    # the budgeted A (x) A that A's multiplication reads
+    ctx = SweedlerContext(_poly2("case2_beta1_Y", 4))
+    A = ctx.mad.algebra
+    f = _scalar_cochain(ctx, 2 * A.unit)
+    assert conv_inverse(f)(()) == Fraction(1, 2) * A.unit
+    assert differential(ctx, f) == ctx.unit_cochain(1)
 
 
 def test_additive_d1_matches_resolution_side(case2_beta_y):
