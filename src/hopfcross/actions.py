@@ -13,9 +13,9 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot, Space,
-                    TruncationOverflow, apply_at, rat, rat_str,
-                    slot_permutation, span_coefficients, tensor)
+from .exact import (ONE, ColumnOverflow, Element, KSPACE, LinMap,
+                    NotInvertible, Slot, Space, TruncationOverflow, apply_at,
+                    rat, rat_str, slot_permutation, span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_group_algebra,
                    build_truncated_poly_hopf, check_equal_on, check_invertible,
                    GroupSpec)
@@ -112,10 +112,11 @@ class ModuleAlgebraData:
 
 class ModuleCoalgebraData:
     def __init__(self, hopf: HopfData, space, comul, counit, s, rho, varsigma,
-                 kind="other", name=""):
+                 kind="other", name="", walk=None):
         self.hopf = hopf
         self.space = space
         self.comul = comul          # C -> C (x) C
+        self._walk = walk           # label -> terms of Delta, or None
         self.counit = counit        # C -> k
         self.s = s                  # H (x) C -> C (x) H
         self.rho = rho              # H (x) C -> C
@@ -133,6 +134,16 @@ class ModuleCoalgebraData:
 
     def counit_value(self, label) -> Fraction:
         return self.counit.columns[label].scalar_value()
+
+    def comul_terms(self, label):
+        """The terms (c1, c2, coefficient) of Delta(label), in the order of
+        its comul column: the coalgebra's walk when it was given one (H^n),
+        else the stored column split after the first factor."""
+        if self._walk is not None:
+            return self._walk(label)
+        k = self.space.arity
+        return [(t[:k], t[k:], c)
+                for t, c in self.comul.columns[label].coeffs.items()]
 
 
 class EntwiningData:
@@ -245,56 +256,102 @@ def braid_shuffle_recursive(n: int, h: HopfData) -> LinMap:
 
 
 def tensor_power_comul(h: HopfData, n: int) -> LinMap:
-    """The comultiplication of H^n, (H (x) sc_{n-1} (x) H) o Delta^(x)n.
-
-    For the flip braid sc_{n-1} only reorders slots, so each column is built
-    directly from the per-slot coproduct columns, first factors then second
-    factors; any other braid goes through `tensor_power_comul_shuffled`.
+    """The comultiplication of H^n, (H (x) sc_{n-1} (x) H) o Delta^(x)n, as
+    a map made once per HopfData.  For the flip braid its columns are built
+    from `tensor_power_walk` when read, and the commands only walk the
+    coproduct, so the map is for the oracles that read it as a LinMap; any
+    other braid gives `tensor_power_comul_shuffled`, whose columns the walk
+    reads.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return h.comul
+    return h.derived(("tensor_power_comul", n),
+                     lambda: _tensor_power_comul(h, n))
+
+
+def _tensor_power_comul(h: HopfData, n: int) -> LinMap:
     if not braid_is_flip(h):
         return tensor_power_comul_shuffled(h, n)
     C = h.power(n)
     CC = C.tensor(C)
+    walk = tensor_power_walk(h, n)
+    return LinMap.from_function(C, CC, lambda lab: Element(
+        CC, {c1 + c2: c for c1, c2, c in walk(lab)}, validate=False))
+
+
+def tensor_power_walk(h: HopfData, n: int):
+    """The function from a label of H^n to the list of terms (c1, c2,
+    coefficient) of its coproduct, in the column order of
+    `tensor_power_comul`: slot 0 varies fastest.  For n >= 2 the list is
+    built on every call and kept by no one, so a reader pays time, not
+    memory, for each column it reads; readers never change it.
+
+    The terms come from the per-slot coproduct parts, computed once per
+    HopfData: at n = 1 they are the parts themselves, and for the flip
+    braid sc_{n-1} only reorders slots, so the first factors and the second
+    factors of the parts are joined.  Any other braid splits the columns of
+    `tensor_power_comul_shuffled`, the reference recursion.  A term past
+    the budget, or an atom without a coproduct, is a defect of Delta and
+    raises ColumnOverflow before any term is given.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return h.derived(("tensor_power_walk", n), lambda: _walk(h, n))
+
+
+def _walk(h: HopfData, n: int):
+    if n > 1 and not braid_is_flip(h):
+        comul = tensor_power_comul(h, n)
+        return lambda lab: [(t[:n], t[n:], c)
+                            for t, c in comul.columns[lab].coeffs.items()]
+    C = h.power(n)
+    CC = C.tensor(C)
     budget = CC.budget
+    parts, tops = h.derived("coproduct_parts", lambda: _coproduct_parts(h))
+    # when no atom has a coproduct pair above its own degree, every term of
+    # a label of H^n lies in the budget the label lies in
+    check = budget is not None and any(
+        top > h.space.degree((atom,)) for atom, top in tops.items())
+
+    def walk(lab):
+        # the last slot first, so a label with several atoms lacking a
+        # coproduct names the last of them
+        try:
+            factors = [parts[atom] for atom in reversed(lab)]
+        except KeyError as exc:
+            raise ColumnOverflow.at(lab, C, CC, "no column for %r"
+                                    % ((exc.args[0],),)) from None
+        # each slot's terms run inside the next slot's, so slot 0 varies
+        # fastest and each coefficient product is one multiplication
+        terms = factors[-1]
+        for part in factors[-2::-1]:
+            terms = [(l1 + l2, r1 + r2,
+                      c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2)
+                     for l2, r2, c2 in part for l1, r1, c1 in terms]
+        # a label whose atoms' top pair degrees fit the budget has every
+        # term inside it
+        if check and sum(map(tops.__getitem__, lab)) > budget:
+            for c1, c2, _ in terms:
+                if CC.degree(c1 + c2) > budget:
+                    raise ColumnOverflow.at(lab, C, CC, "label exceeds budget")
+        return terms
+
+    return walk
+
+
+def _coproduct_parts(h: HopfData):
+    """Per atom, the terms ((left,), (right,), coefficient) of its coproduct
+    column, a coefficient equal to 1 given as ONE, and the largest degree of
+    a pair among them."""
     H2 = h.comul.codomain
-    # a coefficient of 1 is given as None, so it is never multiplied
-    parts = {lab[0]: [(pair, None if c == 1 else c, H2.degree(pair))
-                      for pair, c in col.coeffs.items()]
-             for lab, col in h.comul.columns.items()}
-    # the largest degree of a coproduct pair of each atom: a label whose
-    # atoms' tops fit the budget has every combination inside it
-    tops = {atom: max((t[2] for t in terms), default=0)
-            for atom, terms in parts.items()}
-
-    def col(lab):
-        factors = []
-        bound = 0
-        for atom in reversed(lab):
-            terms = parts.get(atom)
-            if terms is None:
-                raise TruncationOverflow("no column for %r" % ((atom,),))
-            factors.append(terms)
-            bound += tops[atom]
-        check = budget is not None and bound > budget
-        out = {}
-        # slot 0 varies fastest, the order apply_at slot by slot produces
-        for combo in itertools.product(*factors):
-            pairs, coeffs, degrees = zip(*combo[::-1])
-            if check and sum(degrees) > budget:
-                raise TruncationOverflow("label exceeds budget")
-            coeff = None
-            for c in coeffs:
-                if c is not None:
-                    coeff = c if coeff is None else coeff * c
-            left, right = zip(*pairs)
-            out[left + right] = ONE if coeff is None else coeff
-        return Element(CC, out, validate=False)
-
-    return LinMap.from_function(C, CC, col)
+    parts, tops = {}, {}
+    for lab, col in h.comul.columns.items():
+        parts[lab[0]] = [(pair[:1], pair[1:], ONE if c == 1 else c)
+                         for pair, c in col.coeffs.items()]
+        tops[lab[0]] = max(map(H2.degree, col.coeffs), default=0)
+    return parts, tops
 
 
 def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:
@@ -319,12 +376,14 @@ def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:
 def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
     """H^n as a left H-braided module coalgebra (Example-style structure).
 
-    The comultiplication (see `tensor_power_comul`), counit, s = c^1_n and
-    the action rho on the first slot are built once per HopfData and shared
-    by every call; each call returns its own ModuleCoalgebraData over them,
-    so changing one's attributes leaves the others alone.  varsigma = c^n_n
-    is built lazily, on its first read (only the entwining and
-    psi-compatibility checks use it), and then shared too.
+    The counit, s = c^1_n, the action rho on the first slot and the map
+    `tensor_power_comul` are made once per HopfData and shared by every
+    call; each call returns its own ModuleCoalgebraData over them, so
+    changing one's attributes leaves the others alone.  The coproduct is
+    read through `tensor_power_walk` (`comul_terms`), which stores no
+    column; the comul map builds a column only when an oracle reads it.
+    varsigma = c^n_n is built lazily, on its first read (only the entwining
+    and psi-compatibility checks use it), and then shared too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -333,7 +392,8 @@ def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
     return ModuleCoalgebraData(
         h, h.power(n), comul, counit, s, rho,
         lambda: h.derived(("varsigma", n), lambda: braid_cross(n, n, h)),
-        kind=kind, name="%s^%d" % (h.name, n))
+        kind=kind, name="%s^%d" % (h.name, n),
+        walk=tensor_power_walk(h, n))
 
 
 def _tensor_power_maps(h: HopfData, n: int):

@@ -8,7 +8,7 @@ doubles as an end-to-end oracle for every cocycle we construct.
 from __future__ import annotations
 
 from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
-                    add_basis_term, apply_at, tensor)
+                    add_basis_term, apply_at, apply_first, tensor)
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
                           convolve, is_psi_central, is_s_compatible)
@@ -39,8 +39,7 @@ def script_F(ctx: SweedlerContext, f: ConvMap) -> LinMap:
     AH = mad.algebra.space.tensor(h.space)
 
     def col(lab):
-        x = C2.comul.columns[lab]
-        x = apply_at(f.values, x, 0)
+        x = apply_first(f.values, C2.comul_terms(lab), C2.comul.codomain)
         return apply_at(h.mul, x, 1)
 
     return LinMap.from_function(C2.space, AH, col, partial=True)

@@ -1,13 +1,16 @@
 import os
 import random
+import re
 
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import Element, LinMap
+from hopfcross.exact import (ColumnOverflow, Element, LinMap,
+                             TruncationOverflow, apply_at)
 from hopfcross.hopf import build_truncated_poly_hopf
-from hopfcross.actions import (AlgebraData, example_entwining, poly_algebra,
-                               tensor_power_coalgebra, trivial_module_algebra)
+from hopfcross.actions import (AlgebraData, braid_is_flip, example_entwining,
+                               poly_algebra, tensor_power_coalgebra,
+                               tensor_power_comul, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_equal, conv_inverse, conv_unit,
                                    convolve, is_h_linear, is_psi_central,
@@ -17,6 +20,7 @@ from hopfcross.sweedler import SweedlerContext, codegeneracy, coface
 from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
 
 from sampling import random_combination
+from test_actions import _degree_raising_hopf, _scaled_flip_hopf
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +125,114 @@ def _random_invertible_cochain(rng, C, A):
     return ConvMap(C, A, LinMap(C.space, A.space, cols))
 
 
+def _reference_convolve(f, g):
+    """mul o (f (x) g) o Delta column by column, on the stored columns of
+    `tensor_power_comul`: the reference for the walked `convolve`."""
+    C = f.coalgebra
+    comul = tensor_power_comul(C.hopf, C.space.arity)
+
+    def column(lab):
+        x = apply_at(f.values, comul.columns[lab], 0)
+        x = apply_at(g.values, x, 1)
+        return f.algebra.mul.apply(x)
+
+    return LinMap.from_function(C.space, f.algebra.space, column, partial=True)
+
+
+def _random_cochain(rng, C, A, rise=0, gaps=False):
+    """Values of degree up to deg c + rise on each label c (any value off a
+    graded A), a label whose value would leave A's budget being absent;
+    with gaps, some other labels are absent too."""
+    def fn(lab):
+        if gaps and rng.random() < 0.2:
+            raise TruncationOverflow("no value at %r" % (lab,))
+        top = C.space.degree(lab) + rise
+        if A.space.budget is not None and top > A.space.budget:
+            raise TruncationOverflow("value at %r past the budget" % (lab,))
+        vals = [a for a in A.space.basis() if A.space.degree(a) <= top]
+        return Element(A.space, {a: Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 2))
+                                 for a in vals if rng.random() < 0.5})
+    f = ConvMap.from_function(C, A, fn, partial=True)
+    list(f.values.columns)
+    return f
+
+
+def _columns_and_absent(m):
+    """Each label's column of the map m as its ordered terms, None where it
+    is absent."""
+    out = []
+    for lab in m.domain.basis():
+        col = m.columns.get(lab)
+        out.append((lab, None if col is None else list(col.coeffs.items())))
+    return out
+
+
+def _assert_walked_convolve_matches_reference(C, A, rng):
+    cochains = [_random_cochain(rng, C, A), _random_cochain(rng, C, A),
+                _random_cochain(rng, C, A, rise=1, gaps=True)]
+    absent = 0
+    for f in cochains:
+        for g in cochains:
+            got = _columns_and_absent(convolve(f, g).values)
+            assert got == _columns_and_absent(_reference_convolve(f, g))
+            absent += sum(col is None for _, col in got)
+    return absent
+
+
+def _fixture_domain(name, budget, n):
+    spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
+                                           "fixtures", name + ".json"))
+    spec.set_budget(budget)
+    ctx = SweedlerContext(build_poly2_instance(spec))
+    return ctx.domain(n), ctx.mad.algebra
+
+
+@pytest.mark.parametrize("budget", [3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["case2_beta1_Y", "case3a", "case1a_q2"])
+def test_walked_convolve_matches_the_stored_coproduct(name, n, budget):
+    C, A = _fixture_domain(name, budget, n)
+    rng = random.Random(budget * 10 + n + len(name))
+    # the cochain that raises degree leaves the budget at the top labels
+    assert _assert_walked_convolve_matches_reference(C, A, rng) > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_walked_convolve_matches_on_grouplike_and_non_flip_powers(
+        z3, dual_numbers, n):
+    rng = random.Random(n)
+    _assert_walked_convolve_matches_reference(
+        tensor_power_coalgebra(z3, n), dual_numbers, rng)
+    h = _scaled_flip_hopf(2, 4)
+    assert not braid_is_flip(h)
+    assert _assert_walked_convolve_matches_reference(
+        tensor_power_coalgebra(h, n), poly_algebra(4), rng) > 0
+
+
+def test_walked_convolve_raises_where_the_coproduct_leaves_the_budget():
+    # a coproduct term past the budget is a defect of Delta: the column
+    # raises ColumnOverflow, as reading the stored column does, and is
+    # never counted as absent
+    h = _degree_raising_hopf(3)
+    C, A = tensor_power_coalgebra(h, 2), poly_algebra(3)
+    f = _random_cochain(random.Random(0), C, A)
+    conv, comul = convolve(f, f), tensor_power_comul(h, 2)
+    raised = 0
+    for lab in C.space.basis():
+        try:
+            comul.columns[lab]
+        except ColumnOverflow as exc:
+            with pytest.raises(ColumnOverflow, match=re.escape(str(exc))):
+                conv.values.columns.get(lab)
+            raised += 1
+    assert raised > 0
+
+
 @pytest.mark.parametrize("name", ["case2_beta1_Y", "case3a"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_conv_inverse_of_random_graded_cochains(name, n):
-    spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
-                                           "fixtures", name + ".json"))
-    spec.set_budget(4)
-    ctx = SweedlerContext(build_poly2_instance(spec))
-    C, A = ctx.domain(n), ctx.mad.algebra
+    C, A = _fixture_domain(name, 4, n)
     e = conv_unit(C, A)
     rng = random.Random(100 * n + len(name))
     for _ in range(3):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hopfcross.exact import Element, TruncationOverflow, add_basis_term
 from hopfcross.hopf import compare_on
 from hopfcross.actions import (build_poly_action, example_entwining,
-                               trivial_module_algebra)
+                               tensor_power_comul, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, conv_inverse, convolve,
                                    is_psi_central)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
@@ -422,6 +422,18 @@ def test_twisted_composite_matches_the_term_loop(name, cocycle, budget):
         skipped += got == "skipped"
     # the families with Q != I leave the budget on some pairs
     assert (skipped > 0) == (name != "case2_beta1_Y")
+
+
+def test_crossed_product_path_stores_no_tensor_power_coproduct_column():
+    # the cocycle flags convolve on H^3 and F_f reads Delta of H^2; both
+    # walk the coproduct.  dict.__len__ counts the stored columns without
+    # building the others, as len() would
+    cp = _fixture_crossed_product("case2_beta1_Y", "cocycle_b1", 5)
+    assert verify_crossed_product(cp).ok
+    h = cp.mad.hopf
+    assert [dict.__len__(tensor_power_comul(h, n).columns)
+            for n in (2, 3)] == [0, 0]
+    assert tensor_power_comul(h, 2) is cp.ctx.domain(2).comul
 
 
 def test_comodule_check_keeps_the_skip_count_of_the_term_loop():

@@ -3,9 +3,9 @@ import random
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import (Element, KSPACE, LinMap, NotInvertible, Slot,
+from hopfcross.exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot,
                              Space, SpaceMismatch, TruncationOverflow, apply_at,
-                             compose, echelon_basis, invert_linmap,
+                             apply_first, compose, echelon_basis, invert_linmap,
                              kernel_image_quotient, nullspace, rat, rref,
                              slot_permutation, solution_space, tensor)
 
@@ -328,6 +328,11 @@ def test_kernel_matches_per_term_reference(seed):
                 got = _outcome(apply_at, f, elt, at)
                 assert got == _outcome(_reference_apply_at, f, elt, at)
                 seen.add(got[0] if got[0] == "value" else got[2].split()[0])
+                if at == 0 and not past:
+                    # the same element given as split terms, as a walk is
+                    k = f.domain.arity
+                    terms = [(l[:k], l[k:], c) for l, c in elt.coeffs.items()]
+                    assert _outcome(apply_first, f, terms, sp) == got
             x = _random_element(rng, dom, past)
             got = _outcome(f.apply, x)
             assert got == _outcome(_reference_apply, f, x)
@@ -368,9 +373,8 @@ def test_kernel_entries_belong_to_their_map():
 
 
 def test_a_unit_coefficient_that_is_not_ONE_applies_like_a_basis_vector():
-    from hopfcross.exact import ONE
     P = Space((Slot("P", range(4), {i: i for i in range(4)}),), 3)
-    # columns mixing coefficient 1 (kept as None in the term entry) and others
+    # columns mixing coefficient 1 (rebound to ONE in the term entry) and others
     f = LinMap(P, P, {(0,): Element(P, {(1,): 1, (2,): Fraction(-3, 2)}),
                       (1,): Element(P, {(3,): 2, (1,): 1}),
                       (2,): Element(P, {(2,): 1}),
@@ -390,6 +394,43 @@ def test_a_unit_coefficient_that_is_not_ONE_applies_like_a_basis_vector():
         got2 = apply_at(f, x2, 1)
         assert list(got2.coeffs.items()) == list(want2.coeffs.items())
         assert got2.space == want2.space
+
+
+def test_apply_first_checks_a_budget_its_input_space_lacks():
+    P4 = Space((_P,), 4)
+    f = LinMap.identity(P4)
+    wide = Space((_P, _P))
+    x = Element(wide, {(1, 3): 1, (2, 3): 1})
+    terms = [(lab[:1], lab[1:], c) for lab, c in x.coeffs.items()]
+    # f raises no degree, but (2, 3) has degree 5, past f's budget of 4
+    for fn, args in ((apply_at, (f, x, 0)), (apply_first, (f, terms, wide))):
+        with pytest.raises(TruncationOverflow):
+            fn(*args)
+    got = apply_first(f, terms[:1], wide)
+    assert got == apply_at(f, Element(wide, {(1, 3): 1}), 0)
+    assert got.space.budget == 4
+
+
+def test_term_entries_share_the_column_dict():
+    P = Space((Slot("P", range(4), {i: i for i in range(4)}),), 3)
+    PP = Space(P.slots * 2, 3)
+    col = Element(P, {(1,): Fraction(2, 2), (2,): Fraction(3)})
+    one = col.coeffs[(1,)]
+    assert one == 1 and one is not ONE
+    f = LinMap(P, P, {(0,): col})
+    x = Element(P, {(0,): Fraction(5)})
+    pair = Element(PP, {(1, 0): Fraction(5)})
+    want = [((1,), Fraction(5)), ((2,), Fraction(15))]
+    want_at = [((1, 1), Fraction(5)), ((1, 2), Fraction(15))]
+    # the entry is the column's own dict, its 1 rebound to the shared ONE
+    assert f._terms((0,))[0] is col.coeffs
+    assert col.coeffs[(1,)] is ONE
+    assert list(col.coeffs.items()) == [((1,), 1), ((2,), 3)]
+    for _ in range(2):
+        assert list(f.apply(x).coeffs.items()) == want
+        assert list(apply_at(f, pair, 1).coeffs.items()) == want_at
+    # a unit input coefficient takes the column's coefficients as they are
+    assert f.apply(Element.basis_vector(P, (0,))).coeffs[(1,)] is ONE
 
 
 def test_apply_at_result_space_follows_position_and_budget():
