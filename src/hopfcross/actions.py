@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import comb
 
 from .exact import (ONE, ColumnOverflow, Element, KSPACE, LinMap,
-                    NotInvertible, Slot, Space, TruncationOverflow, apply_at,
-                    rat, rat_str, slot_permutation, span_coefficients, tensor)
+                    NotInvertible, Slot, Space, TruncationOverflow, _element,
+                    apply_at, rat, rat_str, slot_permutation,
+                    span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_group_algebra,
                    build_truncated_poly_hopf, check_equal_on, check_invertible,
                    GroupSpec)
@@ -116,7 +117,7 @@ class ModuleCoalgebraData:
         self.hopf = hopf
         self.space = space
         self.comul = comul          # C -> C (x) C
-        self._walk = walk           # label -> terms of Delta, or None
+        self._walk = walk           # label -> column of Delta, or None
         self.counit = counit        # C -> k
         self.s = s                  # H (x) C -> C (x) H
         self.rho = rho              # H (x) C -> C
@@ -135,15 +136,12 @@ class ModuleCoalgebraData:
     def counit_value(self, label) -> Fraction:
         return self.counit.columns[label].scalar_value()
 
-    def comul_terms(self, label):
-        """The terms (c1, c2, coefficient) of Delta(label), in the order of
-        its comul column: the coalgebra's walk when it was given one (H^n),
-        else the stored column split after the first factor."""
+    def comul_column(self, label) -> Element:
+        """Delta(label): built by the coalgebra's walk when it was given one
+        (H^n), else its stored comul column."""
         if self._walk is not None:
             return self._walk(label)
-        k = self.space.arity
-        return [(t[:k], t[k:], c)
-                for t, c in self.comul.columns[label].coeffs.items()]
+        return self.comul.columns[label]
 
 
 class EntwiningData:
@@ -257,11 +255,10 @@ def braid_shuffle_recursive(n: int, h: HopfData) -> LinMap:
 
 def tensor_power_comul(h: HopfData, n: int) -> LinMap:
     """The comultiplication of H^n, (H (x) sc_{n-1} (x) H) o Delta^(x)n, as
-    a map made once per HopfData.  For the flip braid its columns are built
-    from `tensor_power_walk` when read, and the commands only walk the
-    coproduct, so the map is for the oracles that read it as a LinMap; any
-    other braid gives `tensor_power_comul_shuffled`, whose columns the walk
-    reads.
+    a map made once per HopfData.  For the flip braid its columns are those
+    of `tensor_power_walk`, built when read; the commands read the walk, not
+    this map, so the map is for the oracles that read it as a LinMap.  Any
+    other braid gives `tensor_power_comul_shuffled`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -275,45 +272,33 @@ def _tensor_power_comul(h: HopfData, n: int) -> LinMap:
     if not braid_is_flip(h):
         return tensor_power_comul_shuffled(h, n)
     C = h.power(n)
-    CC = C.tensor(C)
-    walk = tensor_power_walk(h, n)
-    return LinMap.from_function(C, CC, lambda lab: Element(
-        CC, {c1 + c2: c for c1, c2, c in walk(lab)}, validate=False))
+    return LinMap.from_function(C, C.tensor(C), tensor_power_walk(h, n))
 
 
 def tensor_power_walk(h: HopfData, n: int):
-    """The function from a label of H^n to the list of terms (c1, c2,
-    coefficient) of its coproduct, in the column order of
-    `tensor_power_comul`: slot 0 varies fastest.  For n >= 2 the list is
-    built on every call and kept by no one, so a reader pays time, not
-    memory, for each column it reads; readers never change it.
+    """The function from a label of H^n to the column of its coproduct.
 
-    The terms come from the per-slot coproduct parts, computed once per
-    HopfData: at n = 1 they are the parts themselves, and for the flip
-    braid sc_{n-1} only reorders slots, so the first factors and the second
-    factors of the parts are joined.  Any other braid splits the columns of
-    `tensor_power_comul_shuffled`, the reference recursion.  A term past
+    For the flip braid and n >= 2 the column is built on every call from
+    the per-slot coproduct parts, computed once per HopfData, and kept by no
+    one, so a reader pays time, not memory, for each column it reads:
+    sc_{n-1} only reorders slots, so the first factors and the second
+    factors of the parts are joined, slot 0 varying fastest.  A label past
     the budget, or an atom without a coproduct, is a defect of Delta and
-    raises ColumnOverflow before any term is given.
+    raises ColumnOverflow.  At n = 1, and for any other braid, it reads the
+    stored columns of `tensor_power_comul` (the reference recursion).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n == 1 or not braid_is_flip(h):
+        return tensor_power_comul(h, n).columns.__getitem__
     return h.derived(("tensor_power_walk", n), lambda: _walk(h, n))
 
 
 def _walk(h: HopfData, n: int):
-    if n > 1 and not braid_is_flip(h):
-        comul = tensor_power_comul(h, n)
-        return lambda lab: [(t[:n], t[n:], c)
-                            for t, c in comul.columns[lab].coeffs.items()]
     C = h.power(n)
     CC = C.tensor(C)
     budget = CC.budget
     parts, tops = h.derived("coproduct_parts", lambda: _coproduct_parts(h))
-    # when no atom has a coproduct pair above its own degree, every term of
-    # a label of H^n lies in the budget the label lies in
-    check = budget is not None and any(
-        top > h.space.degree((atom,)) for atom, top in tops.items())
 
     def walk(lab):
         # the last slot first, so a label with several atoms lacking a
@@ -330,13 +315,14 @@ def _walk(h: HopfData, n: int):
             terms = [(l1 + l2, r1 + r2,
                       c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2)
                      for l2, r2, c2 in part for l1, r1, c1 in terms]
+        col = {left + right: c for left, right, c in terms}
         # a label whose atoms' top pair degrees fit the budget has every
         # term inside it
-        if check and sum(map(tops.__getitem__, lab)) > budget:
-            for c1, c2, _ in terms:
-                if CC.degree(c1 + c2) > budget:
+        if budget is not None and sum(map(tops.__getitem__, lab)) > budget:
+            for img in col:
+                if CC.degree(img) > budget:
                     raise ColumnOverflow.at(lab, C, CC, "label exceeds budget")
-        return terms
+        return _element(CC, col)
 
     return walk
 
@@ -380,10 +366,11 @@ def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
     `tensor_power_comul` are made once per HopfData and shared by every
     call; each call returns its own ModuleCoalgebraData over them, so
     changing one's attributes leaves the others alone.  The coproduct is
-    read through `tensor_power_walk` (`comul_terms`), which stores no
-    column; the comul map builds a column only when an oracle reads it.
-    varsigma = c^n_n is built lazily, on its first read (only the entwining
-    and psi-compatibility checks use it), and then shared too.
+    read through `tensor_power_walk` (`comul_column`), which for the flip
+    braid and n >= 2 stores no column; the comul map builds a column only
+    when an oracle reads it.  varsigma = c^n_n is built lazily, on its
+    first read (only the entwining and psi-compatibility checks use it),
+    and then shared too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, add_into, apply_at, apply_first,
-                    nullspace, tensor)
+                    TruncationOverflow, add_into, apply_at, nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
                       ModuleCoalgebraData, tensor_power_coalgebra)
 from .hopf import compare_on
@@ -115,10 +114,9 @@ def convolve(f: ConvMap, g: ConvMap) -> ConvMap:
     if f.coalgebra is not g.coalgebra and f.coalgebra.space != g.coalgebra.space:
         raise ValueError("convolution requires a shared domain coalgebra")
     C = f.coalgebra
-    CC = C.comul.codomain
 
     def column(lab):
-        x = apply_first(f.values, C.comul_terms(lab), CC)
+        x = apply_at(f.values, C.comul_column(lab), 0)
         x = apply_at(g.values, x, 1)
         return f.algebra.mul.apply(x)
 

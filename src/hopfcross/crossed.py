@@ -8,7 +8,7 @@ doubles as an end-to-end oracle for every cocycle we construct.
 from __future__ import annotations
 
 from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
-                    add_basis_term, apply_at, apply_first, tensor)
+                    add_basis_term, apply_at, tensor)
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
                           convolve, is_psi_central, is_s_compatible)
@@ -39,7 +39,7 @@ def script_F(ctx: SweedlerContext, f: ConvMap) -> LinMap:
     AH = mad.algebra.space.tensor(h.space)
 
     def col(lab):
-        x = apply_first(f.values, C2.comul_terms(lab), C2.comul.codomain)
+        x = apply_at(f.values, C2.comul_column(lab), 0)
         return apply_at(h.mul, x, 1)
 
     return LinMap.from_function(C2.space, AH, col, partial=True)

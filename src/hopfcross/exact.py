@@ -534,13 +534,12 @@ class LinMap:
         """Build and cache the term entry of the column at `lab`, on a miss
         in `_entries`; None if there is no such column.
 
-        The entry is (items, top, lifts, fits): `items` is the column's
-        own coefficient dict, in which every coefficient equal to 1 is
-        rebound to the shared `ONE` (the same value), so `apply` and
-        `apply_at` find it by identity and never multiply by it; `top` is
-        the largest codomain degree of an image label; `lifts` says `top`
-        exceeds the degree of `lab`; `fits` says the column lies in the
-        codomain.
+        The entry is (items, top, fits): `items` is the column's own
+        coefficient dict, in which every coefficient equal to 1 is rebound
+        to the shared `ONE` (the same value), so `apply` and `apply_at`
+        find it by identity and never multiply by it; `top` is the largest
+        codomain degree of an image label; `fits` says the column lies in
+        the codomain.
         """
         col = self.columns.get(lab)
         if col is None:
@@ -551,7 +550,6 @@ class LinMap:
             items[img] = ONE
         top = max(map(cod.degree, items), default=0)
         entry = self._entries[lab] = (items, top,
-                                      top > self.domain.degree(lab),
                                       col.space is cod or col.space == cod)
         return entry
 
@@ -583,7 +581,7 @@ class LinMap:
             entry = entries.get(lab) or self._terms(lab)
             if entry is None:
                 raise TruncationOverflow("no column for label %r" % (lab,))
-            items, _, _, fits = entry
+            items, _, fits = entry
             if not fits:
                 raise SpaceMismatch("adding elements of different spaces")
             # `is`, not ==: a 1 that is not ONE multiplies, to an equal value
@@ -656,7 +654,16 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
     """
     end = at + f.domain.arity
     sp = elt.space
-    codomain = _result_space(f, sp, at)
+    # one result space per position, budget and input slot objects: the
+    # cached space holds the slots it keeps, so their ids are not reused.
+    # Its budget is merged as in `Space.tensor`, so a budgeted image keeps
+    # its budget inside an unbudgeted input such as k (x) k.
+    key = (at, sp.budget, *map(id, sp.slots))
+    codomain = f._spaces.get(key)
+    if codomain is None:
+        codomain = f._spaces[key] = Space(
+            sp.slots[:at] + f.codomain.slots + sp.slots[end:],
+            _merge_budget(sp.budget, f.codomain.budget))
     budget = codomain.budget
     if budget is not None:
         pre_degrees, post_degrees = sp._degrees[:at], sp._degrees[end:]
@@ -668,7 +675,7 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
         entry = entries.get(mid) or f._terms(mid)
         if entry is None:
             raise TruncationOverflow("no column for %r" % (mid,))
-        items, top, _, _ = entry
+        items, top, _ = entry
         if not items:
             continue
         pre, post = lab[:at], lab[end:]
@@ -692,66 +699,6 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
                 else:
                     del out[new]
     return _element(codomain, out)
-
-
-def apply_first(f: LinMap, terms, space: Space) -> Element:
-    """apply_at(f, x, 0) for the x of `space` given by its terms (x1, x2, c)
-    in order, x1 the first f.domain.arity slots of a label and x2 the rest;
-    each x1 + x2 must be a label of `space`, as a walk's terms are.
-
-    A walked coproduct (see `actions.tensor_power_walk`) is read this way,
-    so x is never built.  The result, its order, its cancellations and its
-    TruncationOverflow cases are those of `apply_at` on x.
-    """
-    codomain = _result_space(f, space, 0)
-    budget = codomain.budget
-    # a term (x1, x2) lies in `space`, so where f lifts no degree at x1 and
-    # the budget is the input's, every output label is inside it
-    bounded = budget is None or budget == space.budget
-    post_degrees = space._degrees[f.domain.arity:]
-    entries = f._entries
-    out = {}
-    get = out.get
-    for x1, x2, c in terms:
-        entry = entries.get(x1) or f._terms(x1)
-        if entry is None:
-            raise TruncationOverflow("no column for %r" % (x1,))
-        items, top, lifts, _ = entry
-        if not items:
-            continue
-        check = (lifts or not bounded) and budget is not None and (
-            sum(map(getitem, post_degrees, x2)) + top > budget)
-        unit = c is ONE
-        for img, ci in items.items():
-            new = img + x2
-            if check and codomain.degree(new) > budget:
-                raise TruncationOverflow("label %r exceeds budget" % (new,))
-            v = c if ci is ONE else ci if unit else c * ci
-            old = get(new)
-            if old is None:
-                out[new] = v
-            else:
-                v = old + v
-                if v:
-                    out[new] = v
-                else:
-                    del out[new]
-    return _element(codomain, out)
-
-
-def _result_space(f: LinMap, sp: Space, at: int) -> Space:
-    """The space of apply_at(f, x, at) for x in sp, kept in f._spaces: one
-    per position, budget and input slot objects.  The cached space holds
-    the slots it keeps, so their ids are not reused.  Its budget is merged
-    as in `Space.tensor`, so a budgeted image keeps its budget inside an
-    unbudgeted input such as k (x) k."""
-    key = (at, sp.budget, *map(id, sp.slots))
-    codomain = f._spaces.get(key)
-    if codomain is None:
-        codomain = f._spaces[key] = Space(
-            sp.slots[:at] + f.codomain.slots + sp.slots[at + f.domain.arity:],
-            _merge_budget(sp.budget, f.codomain.budget))
-    return codomain
 
 
 # ---------------------------------------------------------------------------

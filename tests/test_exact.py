@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hopfcross.exact import (ONE, Element, KSPACE, LinMap, NotInvertible, Slot,
                              Space, SpaceMismatch, TruncationOverflow, apply_at,
-                             apply_first, compose, echelon_basis, invert_linmap,
+                             compose, echelon_basis, invert_linmap,
                              kernel_image_quotient, nullspace, rat, rref,
                              slot_permutation, solution_space, tensor)
 
@@ -328,11 +328,6 @@ def test_kernel_matches_per_term_reference(seed):
                 got = _outcome(apply_at, f, elt, at)
                 assert got == _outcome(_reference_apply_at, f, elt, at)
                 seen.add(got[0] if got[0] == "value" else got[2].split()[0])
-                if at == 0 and not past:
-                    # the same element given as split terms, as a walk is
-                    k = f.domain.arity
-                    terms = [(l[:k], l[k:], c) for l, c in elt.coeffs.items()]
-                    assert _outcome(apply_first, f, terms, sp) == got
             x = _random_element(rng, dom, past)
             got = _outcome(f.apply, x)
             assert got == _outcome(_reference_apply, f, x)
@@ -394,21 +389,6 @@ def test_a_unit_coefficient_that_is_not_ONE_applies_like_a_basis_vector():
         got2 = apply_at(f, x2, 1)
         assert list(got2.coeffs.items()) == list(want2.coeffs.items())
         assert got2.space == want2.space
-
-
-def test_apply_first_checks_a_budget_its_input_space_lacks():
-    P4 = Space((_P,), 4)
-    f = LinMap.identity(P4)
-    wide = Space((_P, _P))
-    x = Element(wide, {(1, 3): 1, (2, 3): 1})
-    terms = [(lab[:1], lab[1:], c) for lab, c in x.coeffs.items()]
-    # f raises no degree, but (2, 3) has degree 5, past f's budget of 4
-    for fn, args in ((apply_at, (f, x, 0)), (apply_first, (f, terms, wide))):
-        with pytest.raises(TruncationOverflow):
-            fn(*args)
-    got = apply_first(f, terms[:1], wide)
-    assert got == apply_at(f, Element(wide, {(1, 3): 1}), 0)
-    assert got.space.budget == 4
 
 
 def test_term_entries_share_the_column_dict():
