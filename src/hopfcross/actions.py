@@ -86,15 +86,6 @@ def poly_algebra(N) -> AlgebraData:
                        Element.basis_vector(space, (0,)))
 
 
-class Transposition:
-    """Invertible s: H (x) V -> V (x) H, later subjected to the full suite."""
-
-    def __init__(self, hopf: HopfData, target: AlgebraData, s: LinMap):
-        self.hopf = hopf
-        self.target = target
-        self.s = s
-
-
 class ModuleAlgebraData:
     def __init__(self, hopf: HopfData, algebra: AlgebraData, s: LinMap,
                  rho: LinMap, name=""):
@@ -662,7 +653,8 @@ def _auto_compose(f, g):
 
 def build_graded_transposition(g: GroupSpec, algebra: AlgebraData,
                                grading, autos):
-    """s(g (x) a) = a (x) zeta(g) for a homogeneous of degree zeta.
+    """(k[G], s) with s(g (x) a) = a (x) zeta(g) for a homogeneous of
+    degree zeta.
 
     grading maps each basis label of A to an automorphism name; autos maps
     names to permutation tables of G.  The gradation must be multiplicative
@@ -701,21 +693,19 @@ def build_graded_transposition(g: GroupSpec, algebra: AlgebraData,
         return Element.basis_vector(HV.permuted((1, 0)), (t[1], zeta[t[0]]))
 
     s = LinMap.from_function(HV, HV.permuted((1, 0)), s_col)
-    return Transposition(h, algebra, s)
+    return h, s
 
 
 def graded_module_algebra(g: GroupSpec, algebra: AlgebraData, grading, autos,
                           action_table=None, name="") -> ModuleAlgebraData:
     """Module algebra over k[G] with an Aut(G)-graded transposition."""
-    trans = build_graded_transposition(g, algebra, grading, autos)
-    h, s = trans.hopf, trans.s
+    h, s = build_graded_transposition(g, algebra, grading, autos)
     if action_table is None:
         action_table = {(ga, la): {la: 1} for ga in g.elements
                         for la in [l[0] for l in algebra.space.basis()]}
     mad = action_module_algebra(h, algebra, action_table, s=s, name=name)
     mad.grading = dict(grading)
     mad.autos = {k: dict(v) for k, v in autos.items()}
-    mad.group = g
     return mad
 
 

@@ -221,7 +221,6 @@ def _random_additive(rng, ctx, n, basis=None):
 
 def _random_group_cochain(rng, ctx, n):
     mad = ctx.mad
-    group = mad.group
     A = mad.algebra
     C = ctx.domain(n)
     autos = mad.autos
@@ -313,8 +312,10 @@ def main(argv=None, out=None):
         if args.budget is not None:
             spec.set_budget(args.budget)
         return handler(spec, args, out)
-    except (InputError, NotJordanForm, InvalidAction, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    # OSError covers a missing file and a directory; UnicodeDecodeError a
+    # file that is not text
+    except (InputError, NotJordanForm, InvalidAction, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         out.write("input error: %s\n" % exc)
         return BADINPUT
 

@@ -1,14 +1,16 @@
 """Braided crossed products A #_f H and their equivalence theory.
 
-The multiplication is built literally from chi and F_f; verifying
-associativity on basis triples is what makes a cocycle trustworthy, and it
-doubles as an end-to-end oracle for every cocycle we construct.
+A #_f H is the space A (x) H itself, so its labels are those of A (x) H and
+its maps are `apply_at` chains on them.  The multiplication is built
+literally from chi and F_f; verifying associativity on basis triples is what
+makes a cocycle trustworthy, and it doubles as an end-to-end oracle for
+every cocycle we construct.  Doi's condition (4') for an equivalence is a
+convolution identity between the Sweedler cofaces of u.
 """
 
 from __future__ import annotations
 
-from .exact import (Element, LinMap, Slot, Space, TruncationOverflow,
-                    add_basis_term, apply_at, tensor)
+from .exact import Element, LinMap, apply_at, tensor
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
                           convolve, is_psi_central, is_s_compatible)
@@ -108,7 +110,8 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
 
 
 class CrossedProductAlgebra(AlgebraData):
-    """A #_f H on pair labels, with the comodule transposition and coaction.
+    """A #_f H on the space A (x) H, with the comodule transposition and the
+    coaction A (x) Delta.
 
     The multiplication is built from the 2-cochain f as given; callers that
     need a crossed product check f's cocycle flags first."""
@@ -120,68 +123,37 @@ class CrossedProductAlgebra(AlgebraData):
         self.mad = mad
         chi = chi_map(mad)
         Ff = script_F(ctx, f)
-
-        AH = A.space.tensor(h.space)
-        pair_labels = list(AH.basis())
-        degrees = {lab: AH.degree(lab) for lab in pair_labels}
-        slot = Slot("A#H", pair_labels,
-                    degrees if AH.budget is not None else None)
-        space = Space((slot,), AH.budget)
+        space = A.space.tensor(h.space)
         sq = space.tensor(space)
 
         def mul_col(lab):
-            (a, hh), (b, ll) = lab
-            x = Element.basis_vector(AH.tensor(AH), (a, hh, b, ll))
+            x = Element.basis_vector(sq, lab)
             x = apply_at(chi, x, 1)
             x = apply_at(Ff, x, 2)
             x = apply_at(A.mul, x, 1)
-            x = apply_at(A.mul, x, 0)
-            return Element(space, {(pair,): v for pair, v in x.coeffs.items()},
-                           validate=False)
+            return apply_at(A.mul, x, 0)
 
-        unit = Element.basis_vector(space, ((A.unit.items()[0][0][0],
-                                             h.unit_label()),))
-        super().__init__("A#_f H", space,
-                         LinMap.from_function(sq, space, mul_col, partial=True),
-                         unit)
-        self._AH = AH
-
-        rho_space = space.tensor(h.space)
-
-        def rho_col(lab):
-            (a, hh), = lab
-            dh = h.comul.columns[(hh,)]
-            return Element(rho_space, {((a, h1), h2): c
-                                       for (h1, h2), c in dh.coeffs.items()})
-
-        # the coaction A (x) Delta: A#H -> (A#H) (x) H
-        self.rho = LinMap.from_function(space, rho_space, rho_col, partial=True)
+        mul = LinMap.from_function(sq, space, mul_col, partial=True)
+        super().__init__("A#_f H", space, mul, tensor(A.unit, h.unit))
         self._s_hat = None
 
-    def pair(self, a_elt: Element, h_elt: Element) -> Element:
-        """a # h as an element of the crossed product."""
-        x = tensor(a_elt, h_elt)
-        return Element(self.space,
-                       {(pair,): v for pair, v in x.coeffs.items()},
-                       validate=False)
-
     def include_algebra(self, a_elt: Element) -> Element:
-        return self.pair(a_elt, Element.basis_vector(self.mad.hopf.space,
-                                                     (self.mad.hopf.unit_label(),)))
+        return tensor(a_elt, self.mad.hopf.unit)
 
     def include_hopf(self, h_elt: Element) -> Element:
-        return self.pair(self.mad.algebra.unit, h_elt)
+        return tensor(self.mad.algebra.unit, h_elt)
 
     def coaction(self, x: Element) -> Element:
         """A (x) Delta, landing in (A#H) (x) H."""
-        return self.rho.apply(x)
+        return apply_at(self.mad.hopf.comul, x, self.mad.algebra.space.arity)
 
     def twisted_multiply(self, x: Element, y: Element) -> Element:
         """x y in the s_hat-twisted algebra (A#H) (x) H:
         (mul (x) mu_H) o ((A#H) (x) s_hat (x) H) applied to x (x) y."""
-        z = apply_at(self.hat_transposition(), tensor(x, y), 1)
+        n = self.space.arity
+        z = apply_at(self.hat_transposition(), tensor(x, y), n)
         z = apply_at(self.mul, z, 0)
-        return apply_at(self.mad.hopf.mul, z, 1)
+        return apply_at(self.mad.hopf.mul, z, n)
 
     def hat_transposition(self) -> LinMap:
         """s_hat = (A (x) c) o (s (x) H): H (x) (A#H) -> (A#H) (x) H, built
@@ -194,16 +166,8 @@ class CrossedProductAlgebra(AlgebraData):
         cod = self.space.tensor(h.space)
 
         def col(lab):
-            hh, pair = lab
-            a, l = pair
-            x = Element.basis_vector(
-                h.space.tensor(self._AH), (hh, a, l))
-            x = apply_at(mad.s, x, 0)
-            x = apply_at(h.braid, x, 1)
-            out = {}
-            for (aa, l1, h1), v in x.coeffs.items():
-                add_basis_term(out, cod, ((aa, l1), h1), v)
-            return Element(cod, out, validate=False)
+            x = apply_at(mad.s, Element.basis_vector(dom, lab), 0)
+            return apply_at(h.braid, x, mad.algebra.space.arity)
 
         self._s_hat = LinMap.from_function(dom, cod, col)
         return self._s_hat
@@ -214,12 +178,13 @@ def verify_crossed_product(cp: CrossedProductAlgebra, budget=None) -> Report:
     the comodule-algebra structure (coaction multiplicativity under s_hat)."""
     report = Report("crossed product: %s" % cp.name)
     space = cp.space
+    n = space.arity
     sq = space.tensor(space)
     cube = sq.tensor(space)
 
     check_equal_on(report, "crossed.associativity", cube,
                    lambda x, t: cp.mul.apply(apply_at(cp.mul, x, 0)),
-                   lambda x, t: cp.mul.apply(apply_at(cp.mul, x, 1)), budget)
+                   lambda x, t: cp.mul.apply(apply_at(cp.mul, x, n)), budget)
     check_equal_on(report, "crossed.unit", space,
                    lambda x, t: cp.multiply(cp.unit, x),
                    lambda x, t: x, budget)
@@ -240,8 +205,8 @@ def verify_crossed_product(cp: CrossedProductAlgebra, budget=None) -> Report:
     check_equal_on(report, "crossed.comodule_algebra", sq,
                    lambda x, t: cp.coaction(cp.mul.apply(x)),
                    lambda x, t: cp.twisted_multiply(
-                       cp.coaction(Element.basis_vector(space, t[:1])),
-                       cp.coaction(Element.basis_vector(space, t[1:]))),
+                       cp.coaction(Element.basis_vector(space, t[:n])),
+                       cp.coaction(Element.basis_vector(space, t[n:]))),
                    budget)
     return report
 
@@ -272,11 +237,12 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     try:
         u_inv = conv_inverse(u)
         HA = h.space.tensor(A.space)
+        chi = chi_map(mad)
 
         def raw3(x, t):
             x = apply_at(h.comul, x, 0)
             x = apply_at(u_inv.values, x, 0)
-            x = apply_at(chi_map(mad), x, 1)
+            x = apply_at(chi, x, 1)
             x = apply_at(u.values, x, 2)
             x = apply_at(A.mul, x, 1)
             return A.mul.apply(x)
@@ -287,23 +253,11 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
         check_item(report, "equivalence.3_raw_display",
                    "u not convolution invertible")
 
-    # condition (4'): [rho o (H (x) u)] * (u (x) eps) * f2 = f * (u o mu_H)
-    C2 = ctx.domain(2)
-
-    def rho_Hu(lab):
-        return mad.act(Element.basis_vector(h.space, lab[:1]), u(lab[1:]))
-
-    def u_eps(lab):
-        return h.counit_value(lab[1]) * u(lab[:1])
-
-    def u_mul(lab):
-        return u.values.apply(h.mul.apply(Element.basis_vector(H2, lab)))
-
-    lhs = convolve(convolve(ConvMap.from_function(C2, A, rho_Hu, partial=True),
-                            ConvMap.from_function(C2, A, u_eps, partial=True)),
-                   f2)
-    rhs = convolve(f, ConvMap.from_function(C2, A, u_mul, partial=True))
-    check_equal_on(report, "equivalence.4prime", C2.space,
+    # condition (4'): (delta^0 u) * (delta^2 u) * f2 = f * (delta^1 u), where
+    # delta^0 u = rho o (H (x) u), delta^2 u = u (x) eps, delta^1 u = u o mu_H
+    lhs = convolve(convolve(coface(ctx, 0, u), coface(ctx, 2, u)), f2)
+    rhs = convolve(f, coface(ctx, 1, u))
+    check_equal_on(report, "equivalence.4prime", ctx.domain(2).space,
                    lambda x, t: lhs(t), lambda x, t: rhs(t))
     return report
 
@@ -317,19 +271,12 @@ def equivalence_isomorphism(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     cp_f = CrossedProductAlgebra(ctx, f)
     cp_g = CrossedProductAlgebra(ctx, f2)
 
-    pair_set = cp_g.space.slots[0]._set
+    na, n = A.space.arity, cp_f.space.arity
 
     def g_col(lab):
-        a, hh = lab[0]
-        out = {}
-        dh = h.comul.columns[(hh,)]
-        for (h1, h2), w in dh.coeffs.items():
-            val = A.multiply(Element.basis_vector(A.space, (a,)), u((h1,)))
-            for (aa,), v in val.coeffs.items():
-                if (aa, h2) not in pair_set:
-                    raise TruncationOverflow("isomorphism column leaves budget")
-                add_basis_term(out, cp_g.space, ((aa, h2),), w * v)
-        return Element(cp_g.space, out, validate=False)
+        x = apply_at(h.comul, Element.basis_vector(cp_f.space, lab), na)
+        x = apply_at(u.values, x, na)
+        return apply_at(A.mul, x, 0)
 
     g = LinMap.from_function(cp_f.space, cp_g.space, g_col, partial=True)
 
@@ -338,7 +285,8 @@ def equivalence_isomorphism(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
 
     res = compare_on(cp_f.space.tensor(cp_f.space),
                      lambda x, t: g.apply(cp_f.mul.apply(x)),
-                     lambda x, t: cp_g.mul.apply(tensor(g_of(t[:1]), g_of(t[1:]))),
+                     lambda x, t: cp_g.mul.apply(
+                         tensor(g_of(t[:n]), g_of(t[n:]))),
                      first_failure=True)
     return (True, g) if res.passed else (False, res.failures[0])
 

@@ -342,7 +342,7 @@ def _scalar_cochain(ctx: SweedlerContext, a: Element) -> ConvMap:
 def gimel(ctx: SweedlerContext, f: ConvMap):
     """Homogenize: (g0, ..., gn) -> g0 . f(g1 (x) ... (x) gn)."""
     mad = ctx.mad
-    group = mad.group
+    group = mad.hopf.group
     n = f.coalgebra.space.arity
     table = {}
     for tup in itertools.product(group.elements, repeat=n + 1):
@@ -352,7 +352,7 @@ def gimel(ctx: SweedlerContext, f: ConvMap):
 
 
 def gimel_inverse(ctx: SweedlerContext, table, n: int) -> ConvMap:
-    ident = ctx.mad.group.identity
+    ident = ctx.mad.hopf.group.identity
     C = ctx.domain(n)
 
     def fn(lab):
@@ -369,7 +369,7 @@ def digamma_membership(ctx: SweedlerContext, table, n: int):
     condition value(m) a = a value(zeta . m) for homogeneous a.
     """
     mad = ctx.mad
-    group, grading, autos = mad.group, mad.grading, mad.autos
+    group, grading, autos = mad.hopf.group, mad.grading, mad.autos
     A = mad.algebra
     ident_basis = [Element.basis_vector(A.space, (l,))
                    for l, z in grading.items()
@@ -419,7 +419,7 @@ def barr_differential(ctx: SweedlerContext, table, n: int):
     alternating multiplicative product over those faces.
     """
     mad = ctx.mad
-    group = mad.group
+    group = mad.hopf.group
     A = mad.algebra
     out = {}
     for tup in itertools.product(group.elements, repeat=n + 2):

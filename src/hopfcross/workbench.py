@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
-                    add_into, rat, rat_str, rref, span_coefficients)
+                    add_into, rat, rat_str, rref, span_coefficients, tensor)
 from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
                    build_group_algebra, build_truncated_enveloping, check_item)
 from .actions import (AlgebraData, InvalidGradation,
@@ -246,11 +246,9 @@ def build_group_instance(spec: WorkbenchSpec):
     elif action is not None:
         hopf = build_group_algebra(group)
         mad = action_module_algebra(hopf, algebra, action)
-        mad.group = group
     else:
         hopf = build_group_algebra(group)
         mad = trivial_module_algebra(hopf, algebra)
-        mad.group = group
     return mad.hopf, mad
 
 
@@ -688,7 +686,7 @@ def _h2_group(ctx, q):
     nilpotents: the witness u to check, or the verdict if there is none."""
     mad = ctx.mad
     A = mad.algebra
-    group = getattr(mad, "group", None) or getattr(mad.hopf, "group", None)
+    group = getattr(mad.hopf, "group", None)
     if group is None:
         return H2Verdict("inconclusive", detail="no group data on the instance")
     # cyclicity check: some element generates
@@ -863,8 +861,8 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
     spec_obj = mad.poly_spec
     for i, W in ((0, W1), (1, W2)):
         lhs = cp.multiply(W, Ye)
-        rhs = cp.pair(Element(A.space, {(1,): spec_obj.Q[i][0]}), x1) + \
-            cp.pair(Element(A.space, {(1,): spec_obj.Q[i][1]}), x2) + \
+        rhs = tensor(Element(A.space, {(1,): spec_obj.Q[i][0]}), x1) + \
+            tensor(Element(A.space, {(1,): spec_obj.Q[i][1]}), x2) + \
             cp.include_algebra(Element(
                 A.space, {(u,): c for u, c in enumerate(spec_obj.beta[i]) if c}))
         check_item(report, "relation.W%d_Y" % (i + 1),

@@ -297,7 +297,7 @@ def test_acceptance_08_presentation_oracle():
 def test_acceptance_09_group_variant(z3_graded):
     ctx = SweedlerContext(z3_graded)
     mad = z3_graded
-    group = mad.group
+    group = mad.hopf.group
     A = mad.algebra
     rng = random.Random(99)
     ok = True

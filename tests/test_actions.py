@@ -446,9 +446,8 @@ def test_eq9_against_leibniz_expansion():
 def test_graded_transposition_identity_component_is_flip(z3, dual_numbers):
     g3 = GroupSpec.cyclic(3)
     autos = {"id": {e: e for e in g3.elements}}
-    trans = build_graded_transposition(
+    h, s = build_graded_transposition(
         g3, dual_numbers, {"1": "id", "t": "id"}, autos)
-    h, s = trans.hopf, trans.s
     HV = h.space.tensor(dual_numbers.space)
     for lab in HV.basis():
         out = s.apply(Element.basis_vector(HV, lab))

@@ -124,3 +124,25 @@ def test_a_malformed_lie_spec_is_bad_input(tmp_path, payload):
     out = io.StringIO()
     assert main(["verify", str(path)], out=out) == 2
     assert out.getvalue().startswith("input error: ")
+
+
+@pytest.mark.parametrize("which", ["directory", "not-text"])
+@pytest.mark.parametrize("role", ["spec", "cocycle"])
+def test_an_unreadable_input_file_is_bad_input(tmp_path, role, which):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff\xfe\x00\x9c{}")
+    bad = FIXTURES if which == "directory" else str(bad)
+    spec = os.path.join(FIXTURES, "case2_beta1_Y.json")
+    cocycle = os.path.join(FIXTURES, "cocycle_b1.json")
+    if role == "spec":
+        spec = bad
+    else:
+        cocycle = bad
+    out = io.StringIO()
+    argv = ["crossed-product", spec, "--cocycle", cocycle, "--budget", "3"]
+    assert main(argv, out=out) == 2, argv
+    assert out.getvalue().startswith("input error: ")
+    if role == "spec":
+        out = io.StringIO()
+        assert main(["verify", spec], out=out) == 2
+        assert out.getvalue().startswith("input error: ")

@@ -6,7 +6,8 @@ import re
 import pytest
 from fractions import Fraction
 
-from hopfcross.exact import Element, TruncationOverflow, add_basis_term
+from hopfcross.exact import (Element, LinMap, Slot, Space, TruncationOverflow,
+                             add_basis_term, apply_at)
 from hopfcross.hopf import compare_on
 from hopfcross.actions import (build_poly_action, example_entwining,
                                tensor_power_comul, trivial_module_algebra)
@@ -46,7 +47,6 @@ def weyl_cocycle(pctx):
             table[lab] = Fraction(-1, 2) * A.unit
         else:
             table[lab] = Element.zero(A.space)
-    from hopfcross.exact import LinMap
     g = ConvMap(C2, A, LinMap(C2.space, A.space, table))
     return conv_exp(g)
 
@@ -104,7 +104,7 @@ def test_trivial_crossed_product_is_smash(sctx, sign_action):
     g = cp.include_hopf(Element.basis_vector(h.space, ("g1",)))
     t = cp.include_algebra(Element.basis_vector(A.space, ("t",)))
     gt = cp.multiply(g, t)
-    assert gt.coeffs == {(("t", "g1"),): -1}      # g t = (g.t) g = -t g
+    assert gt.coeffs == {("t", "g1"): -1}      # g t = (g.t) g = -t g
 
 
 def test_case2_weyl_commutator(pctx, weyl_cocycle):
@@ -131,7 +131,7 @@ def test_case1b_W1_relation(case1b):
     Y = cp.include_algebra(Element.basis_vector(A.space, (1,)))
     out = cp.multiply(W1, Y)
     # q1 = 2, beta1(Y) = 3Y
-    assert out.coeffs == {((1, (1, 0)),): 2, ((1, (0, 0)),): 3}
+    assert out.coeffs == {(1, (1, 0)): 2, (1, (0, 0)): 3}
 
 
 def test_crossed_product_rejects_bad_cocycle(sctx, sign_action):
@@ -364,20 +364,27 @@ def _fixture_ctx(name, budget):
     return SweedlerContext(build_poly2_instance(spec))
 
 
-def _fixture_crossed_product(name, cocycle, budget):
+def _fixture_cocycle(name, cocycle, budget):
+    """(ctx, f) for the fixture cocycle, with all its flags checked."""
     from hopfcross.workbench import cocycle_from_doc
     ctx = _fixture_ctx(name, budget)
     with open(os.path.join(FIXTURES, cocycle + ".json")) as fh:
         coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, json.load(fh)))
     assert coc.all_flags
-    return CrossedProductAlgebra(ctx, coc.f)
+    return ctx, coc.f
+
+
+def _fixture_crossed_product(name, cocycle, budget):
+    return CrossedProductAlgebra(*_fixture_cocycle(name, cocycle, budget))
 
 
 def _reference_twisted_mul(cp, x, y):
     """The s_hat-twisted product of (A#H) (x) H as a loop over the terms of
-    x and y, reading one column of s_hat, mul and mu_H per term."""
+    x and y, reading one column of s_hat, mul and mu_H per term; a term
+    a (x) h (x) h' of (A#H) (x) H splits at the arity n of A#H."""
     s_hat, h = cp.hat_transposition(), cp.mad.hopf
     out_space = cp.space.tensor(h.space)
+    n = cp.space.arity
 
     def column(f, lab):
         col = f.columns.get(lab)
@@ -386,15 +393,18 @@ def _reference_twisted_mul(cp, x, y):
         return col
 
     out = {}
-    for (p1, h1), v in x.coeffs.items():
-        for (p2, h2), u in y.coeffs.items():
-            cross = column(s_hat, (h1, p2))
-            for (p2b, h1b), w in cross.coeffs.items():
-                prod_p = column(cp.mul, (p1, p2b))
-                prod_h = column(h.mul, (h1b, h2))
-                for (pp,), vv in prod_p.coeffs.items():
-                    for (hh2,), ww in prod_h.coeffs.items():
-                        add_basis_term(out, out_space, (pp, hh2),
+    for t1, v in x.coeffs.items():
+        p1, h1 = t1[:n], t1[n:]
+        for t2, u in y.coeffs.items():
+            p2, h2 = t2[:n], t2[n:]
+            cross = column(s_hat, h1 + p2)
+            for t2b, w in cross.coeffs.items():
+                p2b, h1b = t2b[:n], t2b[n:]
+                prod_p = column(cp.mul, p1 + p2b)
+                prod_h = column(h.mul, h1b + h2)
+                for pp, vv in prod_p.coeffs.items():
+                    for hh2, ww in prod_h.coeffs.items():
+                        add_basis_term(out, out_space, pp + hh2,
                                        v * w * u * vv * ww)
     return Element(out_space, out, validate=False)
 
@@ -413,10 +423,11 @@ def _outcome(fn, *args):
                                           ("case3b", "cocycle_trivial")])
 def test_twisted_composite_matches_the_term_loop(name, cocycle, budget):
     cp = _fixture_crossed_product(name, cocycle, budget)
+    n = cp.space.arity
     skipped = 0
     for t in cp.space.tensor(cp.space).basis():
-        x = cp.coaction(Element.basis_vector(cp.space, t[:1]))
-        y = cp.coaction(Element.basis_vector(cp.space, t[1:]))
+        x = cp.coaction(Element.basis_vector(cp.space, t[:n]))
+        y = cp.coaction(Element.basis_vector(cp.space, t[n:]))
         got = _outcome(cp.twisted_multiply, x, y)
         assert got == _outcome(_reference_twisted_mul, cp, x, y), t
         skipped += got == "skipped"
@@ -441,14 +452,140 @@ def test_comodule_check_keeps_the_skip_count_of_the_term_loop():
     rep = verify_crossed_product(cp)
     check = next(c for c in rep.checks if c.name == "crossed.comodule_algebra")
     space = cp.space
+    n = space.arity
     ref = compare_on(space.tensor(space),
                      lambda x, t: cp.coaction(cp.mul.apply(x)),
                      lambda x, t: _reference_twisted_mul(
-                         cp, cp.coaction(Element.basis_vector(space, t[:1])),
-                         cp.coaction(Element.basis_vector(space, t[1:]))))
+                         cp, cp.coaction(Element.basis_vector(space, t[:n])),
+                         cp.coaction(Element.basis_vector(space, t[n:]))))
     assert (check.checked, check.skipped, check.failures) == \
         (ref.checked, ref.skipped, ref.failures)
     assert check.passed and check.skipped > 0
+
+
+class _PairSlotReference:
+    """A #_f H as it was first built: one slot whose labels are the pairs
+    (a, h) of A (x) H, with the multiplication, the coaction A (x) Delta and
+    s_hat relabelled from the A (x) H computations into that slot."""
+
+    def __init__(self, ctx, f):
+        mad = ctx.mad
+        h, A = mad.hopf, mad.algebra
+        chi, Ff = chi_map(mad), script_F(ctx, f)
+        AH = A.space.tensor(h.space)
+        pair_labels = list(AH.basis())
+        degrees = {lab: AH.degree(lab) for lab in pair_labels}
+        slot = Slot("A#H", pair_labels,
+                    degrees if AH.budget is not None else None)
+        space = Space((slot,), AH.budget)
+        self.space = space
+        sq = space.tensor(space)
+
+        def mul_col(lab):
+            (a, hh), (b, ll) = lab
+            x = Element.basis_vector(AH.tensor(AH), (a, hh, b, ll))
+            x = apply_at(chi, x, 1)
+            x = apply_at(Ff, x, 2)
+            x = apply_at(A.mul, x, 1)
+            x = apply_at(A.mul, x, 0)
+            return Element(space, {(pair,): v for pair, v in x.coeffs.items()},
+                           validate=False)
+
+        self.mul = LinMap.from_function(sq, space, mul_col, partial=True)
+        rho_space = space.tensor(h.space)
+
+        def rho_col(lab):
+            (a, hh), = lab
+            dh = h.comul.columns[(hh,)]
+            return Element(rho_space, {((a, h1), h2): c
+                                       for (h1, h2), c in dh.coeffs.items()})
+
+        self.rho = LinMap.from_function(space, rho_space, rho_col, partial=True)
+        cod = space.tensor(h.space)
+
+        def s_hat_col(lab):
+            hh, (a, l) = lab
+            x = Element.basis_vector(h.space.tensor(AH), (hh, a, l))
+            x = apply_at(mad.s, x, 0)
+            x = apply_at(h.braid, x, 1)
+            out = {}
+            for (aa, l1, h1), v in x.coeffs.items():
+                add_basis_term(out, cod, ((aa, l1), h1), v)
+            return Element(cod, out, validate=False)
+
+        self.s_hat = LinMap.from_function(h.space.tensor(space), cod,
+                                          s_hat_col)
+
+
+def _relabelled(elt, relabel):
+    """The terms of elt, in order, with each label relabelled; None for an
+    absent column."""
+    if elt is None:
+        return None
+    return [(relabel(lab), c) for lab, c in elt.coeffs.items()]
+
+
+def _pair(p):
+    """((a, h),) -> (a, h)"""
+    return p[0]
+
+
+def _pair_then_rest(p):
+    """((a, h), h') -> (a, h, h')"""
+    return p[0] + p[1:]
+
+
+# 3b's b = 1 class fails its flags, so it is crossed with the trivial cocycle
+@pytest.mark.parametrize("name,cocycle,budget",
+                         [(name, cocycle, budget)
+                          for name, cocycle in [("case2_beta1_Y", "cocycle_b1"),
+                                                ("case3a", "cocycle_b1"),
+                                                ("case3b", "cocycle_trivial")]
+                          for budget in (3, 4, 5)]
+                         + [("z2_sign", "trivial", None)])
+def test_crossed_product_on_A_tensor_H_matches_the_pair_slot_build(
+        name, cocycle, budget, request):
+    if name == "z2_sign":
+        ctx = SweedlerContext(request.getfixturevalue("sign_action"))
+        f = trivial_cocycle(ctx)
+    else:
+        ctx, f = _fixture_cocycle(name, cocycle, budget)
+    cp, ref = CrossedProductAlgebra(ctx, f), _PairSlotReference(ctx, f)
+
+    # the same labels, and the same columns of the multiplication, in the
+    # same term order and with the same absent set
+    assert sorted(map(_pair, ref.space.basis()), key=repr) == \
+        sorted(cp.space.basis(), key=repr)
+    absent = 0
+    for lab in ref.mul.domain.basis():
+        want = ref.mul.columns.get(lab)
+        absent += want is None
+        assert _relabelled(cp.mul.columns.get(lab[0] + lab[1]), tuple) == \
+            _relabelled(want, _pair), lab
+    assert (absent > 0) == (name in ("case3a", "case3b"))
+    # the coaction A (x) Delta
+    for lab in ref.space.basis():
+        got = cp.coaction(Element.basis_vector(cp.space, _pair(lab)))
+        want = ref.rho.apply(Element.basis_vector(ref.space, lab))
+        assert _relabelled(got, tuple) == \
+            _relabelled(want, _pair_then_rest), lab
+    # s_hat: H (x) (A#H) -> (A#H) (x) H
+    s_hat = cp.hat_transposition()
+    for lab in ref.s_hat.domain.basis():
+        got = s_hat.columns[lab[:1] + lab[1]]
+        assert _relabelled(got, tuple) == \
+            _relabelled(ref.s_hat.columns[lab], _pair_then_rest), lab
+
+
+def test_every_crossed_check_is_exercised():
+    cp = _fixture_crossed_product("case2_beta1_Y", "cocycle_b1", 5)
+    rep = verify_crossed_product(cp)
+    checks = {c.name: c.checked for c in rep.checks}
+    assert sorted(checks) == ["crossed.A_embedding", "crossed.associativity",
+                              "crossed.comodule_algebra", "crossed.unit",
+                              "crossed.unit_right"]
+    assert all(n > 0 for n in checks.values()), checks
+    assert rep.ok, rep.summary()
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_gimel_pointwise_formula(ctx3, z3_graded):
     A = z3_graded.algebra
     a = _scalar_cochain(ctx3, 4 * A.unit)
     table = gimel(ctx3, a)
-    for g in z3_graded.group.elements:
+    for g in z3_graded.hopf.group.elements:
         assert table[(g,)] == 4 * A.unit      # trivial action: g . a = a
 
 
@@ -163,7 +163,7 @@ def test_gimel_group_isomorphism_exhaustive(ctx3, z3_graded):
     mad = z3_graded
     A = mad.algebra
     C1 = ctx3.domain(1)
-    g3 = mad.group
+    g3 = mad.hopf.group
 
     def inv_cochain(v_e, v_g):
         return ConvMap.from_table(C1, A, {("e",): v_e * A.unit,
@@ -186,7 +186,7 @@ def test_gimel_group_isomorphism_exhaustive(ctx3, z3_graded):
 
 def test_gimel_transports_differential_to_barr(ctx3, z3_graded):
     rng = random.Random(5)
-    g3 = z3_graded.group
+    g3 = z3_graded.hopf.group
     A = z3_graded.algebra
     for n in (0, 1, 2):
         C = ctx3.domain(n)
@@ -217,7 +217,7 @@ def test_strongly_graded_centrality_equivalence(ctx3, z3_graded):
     inv = mad.autos["inv"]
     for f, expect in ((sym, True), (asym, False)):
         central = is_psi_central(f, ent).passed
-        invariant = all(f((g,)) == f((inv[g],)) for g in mad.group.elements)
+        invariant = all(f((g,)) == f((inv[g],)) for g in mad.hopf.group.elements)
         assert central == invariant == expect
 
 
