@@ -108,7 +108,8 @@ class ModuleCoalgebraData:
         self.hopf = hopf
         self.space = space
         self.comul = comul          # C -> C (x) C
-        self._walk = walk           # label -> column of Delta, or None
+        # (label, keep) -> the kept terms of Delta(label)
+        self._walk = walk or stored_walk(comul, space.arity)
         self.counit = counit        # C -> k
         self.s = s                  # H (x) C -> C (x) H
         self.rho = rho              # H (x) C -> C
@@ -127,12 +128,12 @@ class ModuleCoalgebraData:
     def counit_value(self, label) -> Fraction:
         return self.counit.columns[label].scalar_value()
 
-    def comul_column(self, label) -> Element:
-        """Delta(label): built by the coalgebra's walk when it was given one
-        (H^n), else its stored comul column."""
-        if self._walk is not None:
-            return self._walk(label)
-        return self.comul.columns[label]
+    def comul_column(self, label, keep=None) -> Element:
+        """Delta(label), or only its terms that `keep` keeps (see
+        `kept_terms`), in the order of Delta: built by the coalgebra's walk
+        when it was given one (H^n), else read from its stored comul
+        column."""
+        return self._walk(label, keep)
 
 
 class EntwiningData:
@@ -267,22 +268,52 @@ def _tensor_power_comul(h: HopfData, n: int) -> LinMap:
 
 
 def tensor_power_walk(h: HopfData, n: int):
-    """The function from a label of H^n to the column of its coproduct.
+    """The function (label, keep=None) of H^n to the column of its
+    coproduct, or to its terms that `keep` keeps (see `kept_terms`).
 
     For the flip braid and n >= 2 the column is built on every call from
     the per-slot coproduct parts, computed once per HopfData, and kept by no
     one, so a reader pays time, not memory, for each column it reads:
     sc_{n-1} only reorders slots, so the first factors and the second
-    factors of the parts are joined, slot 0 varying fastest.  A label past
-    the budget, or an atom without a coproduct, is a defect of Delta and
-    raises ColumnOverflow.  At n = 1, and for any other braid, it reads the
-    stored columns of `tensor_power_comul` (the reference recursion).
+    factors of the parts are joined, slot 0 varying fastest.  With a keep
+    filter, the joined prefixes are filtered after each slot, so a dropped
+    prefix is never extended.  A label past the budget, or an atom without
+    a coproduct, is a defect of Delta and raises ColumnOverflow, whatever
+    keep drops.  At n = 1, and for any other braid, it reads the stored
+    columns of `tensor_power_comul` (the reference recursion).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or not braid_is_flip(h):
-        return tensor_power_comul(h, n).columns.__getitem__
+        return stored_walk(tensor_power_comul(h, n), n)
     return h.derived(("tensor_power_walk", n), lambda: _walk(h, n))
+
+
+def kept_terms(terms, keep):
+    """The terms (left, right, c) of a coproduct that keep = (lefts,
+    rights) keeps, in their order: those whose left label is in lefts and,
+    unless rights is None, whose right label is in rights.  The walk
+    filters prefixes of the labels with it, so each set holds the prefixes
+    of the labels it keeps."""
+    lefts, rights = keep
+    return [t for t in terms
+            if t[0] in lefts and (rights is None or t[1] in rights)]
+
+
+def stored_walk(comul: LinMap, n: int):
+    """The walk of a coalgebra on n slots whose coproduct columns are the
+    stored columns of comul."""
+    columns = comul.columns
+
+    def walk(lab, keep=None):
+        col = columns[lab]
+        if keep is None:
+            return col
+        terms = [(img[:n], img[n:], c) for img, c in col.coeffs.items()]
+        return _element(col.space, {left + right: c for left, right, c
+                                    in kept_terms(terms, keep)})
+
+    return walk
 
 
 def _walk(h: HopfData, n: int):
@@ -291,7 +322,7 @@ def _walk(h: HopfData, n: int):
     budget = CC.budget
     parts, tops = h.derived("coproduct_parts", lambda: _coproduct_parts(h))
 
-    def walk(lab):
+    def walk(lab, keep=None):
         # the last slot first, so a label with several atoms lacking a
         # coproduct names the last of them
         try:
@@ -299,21 +330,27 @@ def _walk(h: HopfData, n: int):
         except KeyError as exc:
             raise ColumnOverflow.at(lab, C, CC, "no column for %r"
                                     % ((exc.args[0],),)) from None
+        # a label whose atoms' top pair degrees fit the budget has every
+        # term inside it; any other has all its terms checked, so nothing
+        # is dropped before the check
+        check = budget is not None and sum(map(tops.__getitem__, lab)) > budget
+        prune = None if check else keep
         # each slot's terms run inside the next slot's, so slot 0 varies
         # fastest and each coefficient product is one multiplication
         terms = factors[-1]
         for part in factors[-2::-1]:
+            if prune is not None:
+                terms = kept_terms(terms, prune)
             terms = [(l1 + l2, r1 + r2,
                       c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2)
                      for l2, r2, c2 in part for l1, r1, c1 in terms]
-        col = {left + right: c for left, right, c in terms}
-        # a label whose atoms' top pair degrees fit the budget has every
-        # term inside it
-        if budget is not None and sum(map(tops.__getitem__, lab)) > budget:
-            for img in col:
-                if CC.degree(img) > budget:
+        if check:
+            for left, right, _ in terms:
+                if CC.degree(left + right) > budget:
                     raise ColumnOverflow.at(lab, C, CC, "label exceeds budget")
-        return _element(CC, col)
+        if keep is not None:
+            terms = kept_terms(terms, keep)
+        return _element(CC, {left + right: c for left, right, c in terms})
 
     return walk
 
@@ -329,6 +366,17 @@ def _coproduct_parts(h: HopfData):
                          for pair, c in col.coeffs.items()]
         tops[lab[0]] = max(map(H2.degree, col.coeffs), default=0)
     return parts, tops
+
+
+def coproduct_preserves_degree(h: HopfData) -> bool:
+    """Whether every term of the coproduct of each atom has the atom's
+    degree; decided once per HopfData from its coproduct parts."""
+    def decide():
+        degree = h.space.degree
+        parts, _ = h.derived("coproduct_parts", lambda: _coproduct_parts(h))
+        return all(degree(left) + degree(right) == degree((atom,))
+                   for atom, part in parts.items() for left, right, _ in part)
+    return h.derived("coproduct_preserves_degree", decide)
 
 
 def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import itertools
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, add_into, apply_at, nullspace, tensor)
+                    TruncationOverflow, _Columns, add_into, apply_at,
+                    nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
-                      ModuleCoalgebraData, tensor_power_coalgebra)
+                      ModuleCoalgebraData, coproduct_preserves_degree,
+                      tensor_power_coalgebra)
 from .hopf import compare_on
 
 
@@ -45,6 +47,7 @@ class ConvMap:
         self.algebra = algebra
         self.values = values
         self._inverse = None
+        self._profile = None
 
     @staticmethod
     def from_function(coalgebra, algebra, fn, partial=False):
@@ -104,19 +107,74 @@ def conv_equal(f: ConvMap, g: ConvMap):
 
 
 def conv_unit(coalgebra, algebra) -> ConvMap:
-    """eta_A o eps_C, the convolution unit."""
-    return ConvMap.from_function(
-        coalgebra, algebra,
-        lambda lab: coalgebra.counit_value(lab) * algebra.unit)
+    """eta_A o eps_C, the convolution unit, built on every label (none of
+    its columns can leave the budget)."""
+    return ConvMap(coalgebra, algebra, LinMap(
+        coalgebra.space, algebra.space,
+        {lab: coalgebra.counit_value(lab) * algebra.unit
+         for lab in coalgebra.space.basis()}))
+
+
+def support_profile(f: ConvMap):
+    """(support, bounded) of f, read once per cochain.
+
+    support holds every prefix, the empty one included, of each label whose
+    column is absent, nonzero or not yet built: a coproduct term whose
+    factor is outside it reads a zero column.  Every column of a partial
+    map is built for it, but only the built columns of any other map, since
+    building one there could raise ColumnOverflow on a column the
+    convolution never reads.  f is bounded when every column is built and
+    present, no value has a degree above its label's, and A has no budget
+    or that of C.
+    """
+    if f._profile is None:
+        space, A = f.coalgebra.space, f.algebra.space
+        cols = f.values.columns
+        if isinstance(cols, _Columns) and cols.partial:
+            cols.complete()
+        bounded = A.budget is None or A.budget == space.budget
+        support = set()
+        for lab in space.basis():
+            col = dict.get(cols, lab)
+            if col is None:
+                bounded = False
+            elif not col.coeffs:
+                continue
+            elif bounded and max(map(A.degree, col.coeffs)) > space.degree(lab):
+                bounded = False
+            support.update(lab[:k] for k in range(len(lab) + 1))
+        f._profile = (frozenset(support), bounded)
+    return f._profile
 
 
 def convolve(f: ConvMap, g: ConvMap) -> ConvMap:
+    """f * g = mu_A o (f (x) g) o Delta, reading only the coproduct terms
+    that can add to a column or leave the budget.
+
+    A term whose f factor is outside f's support (`support_profile`) adds
+    nothing.  One whose g factor is outside g's support adds nothing
+    either, and when f is bounded and Delta preserves degree, its product
+    a (x) c2 has degree at most the label's, so it cannot leave the budget
+    and is dropped too.  Kept terms are read in the order of Delta, so
+    every column, its coefficient order, and which columns are absent are
+    those of reading all of Delta.
+    """
     if f.coalgebra is not g.coalgebra and f.coalgebra.space != g.coalgebra.space:
         raise ValueError("convolution requires a shared domain coalgebra")
     C = f.coalgebra
+    keep = None
 
     def column(lab):
-        x = apply_at(f.values, C.comul_column(lab), 0)
+        nonlocal keep
+        if keep is None:
+            lefts, bounded = support_profile(f)
+            rights = (support_profile(g)[0] if bounded
+                      and coproduct_preserves_degree(C.hopf) else None)
+            keep = (lefts, rights)
+        x = C.comul_column(lab, keep)
+        if not x.coeffs:
+            return Element.zero(f.algebra.space)
+        x = apply_at(f.values, x, 0)
         x = apply_at(g.values, x, 1)
         return f.algebra.mul.apply(x)
 

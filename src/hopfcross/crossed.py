@@ -13,7 +13,8 @@ from __future__ import annotations
 from .exact import Element, LinMap, apply_at, tensor
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
-                          convolve, is_psi_central, is_s_compatible)
+                          convolve, is_psi_central, is_s_compatible,
+                          support_profile)
 from .hopf import Report, check_equal_on, check_item, compare_on
 from .sweedler import SweedlerContext, coface
 
@@ -33,15 +34,26 @@ def chi_map(mad: ModuleAlgebraData) -> LinMap:
     return LinMap.from_function(HA, AH, col, partial=True)
 
 
+def _chi(ctx: SweedlerContext) -> LinMap:
+    """chi_map of ctx's module algebra, built once per context: it depends
+    on the module algebra alone, so every crossed product shares it."""
+    return ctx.derived("chi", lambda: chi_map(ctx.mad))
+
+
 def script_F(ctx: SweedlerContext, f: ConvMap) -> LinMap:
-    """F_f = (f (x) mu) o Delta_{H^2}: H^2 -> A (x) H."""
+    """F_f = (f (x) mu) o Delta_{H^2}: H^2 -> A (x) H, reading only the
+    coproduct terms whose f factor is in f's support, as `convolve` does."""
     mad = ctx.mad
     h = mad.hopf
     C2 = ctx.domain(2)
     AH = mad.algebra.space.tensor(h.space)
+    keep = None
 
     def col(lab):
-        x = apply_at(f.values, C2.comul_column(lab), 0)
+        nonlocal keep
+        if keep is None:
+            keep = (support_profile(f)[0], None)
+        x = apply_at(f.values, C2.comul_column(lab, keep), 0)
         return apply_at(h.mul, x, 1)
 
     return LinMap.from_function(C2.space, AH, col, partial=True)
@@ -92,13 +104,7 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
 
     normal = compare_on(h.space, unit_slots, counit_twice,
                         first_failure=True).passed
-
-    # (delta^0 f) * (delta^2 f) = (delta^3 f) * (delta^1 f) on H^3
-    lhs = convolve(coface(ctx, 0, f), coface(ctx, 2, f))
-    rhs = convolve(coface(ctx, 3, f), coface(ctx, 1, f))
-    cocycle = compare_on(ctx.domain(3).space, lambda x, t: lhs(t),
-                         lambda x, t: rhs(t), first_failure=True).passed
-
+    cocycle = _is_cocycle(ctx, f)
     twisted = is_psi_central(f, ctx.entwining(2)).passed
     s_comp = is_s_compatible(f, mad).passed
     try:
@@ -107,6 +113,16 @@ def check_cocycle_conditions(ctx: SweedlerContext, f: ConvMap) -> Cocycle2:
     except NotConvolutionInvertible:
         invertible = False
     return Cocycle2(f, normal, cocycle, twisted, s_comp, invertible)
+
+
+def _is_cocycle(ctx: SweedlerContext, f: ConvMap) -> bool:
+    """(delta^0 f) * (delta^2 f) = (delta^3 f) * (delta^1 f) on H^3.  The
+    cofaces and products on H^3 are freed when it returns, before the
+    other flags are checked."""
+    lhs = convolve(coface(ctx, 0, f), coface(ctx, 2, f))
+    rhs = convolve(coface(ctx, 3, f), coface(ctx, 1, f))
+    return compare_on(ctx.domain(3).space, lambda x, t: lhs(t),
+                      lambda x, t: rhs(t), first_failure=True).passed
 
 
 class CrossedProductAlgebra(AlgebraData):
@@ -121,7 +137,7 @@ class CrossedProductAlgebra(AlgebraData):
         h, A = mad.hopf, mad.algebra
         self.ctx = ctx
         self.mad = mad
-        chi = chi_map(mad)
+        chi = _chi(ctx)
         Ff = script_F(ctx, f)
         space = A.space.tensor(h.space)
         sq = space.tensor(space)
@@ -237,7 +253,7 @@ def equivalence_conditions(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     try:
         u_inv = conv_inverse(u)
         HA = h.space.tensor(A.space)
-        chi = chi_map(mad)
+        chi = _chi(ctx)
 
         def raw3(x, t):
             x = apply_at(h.comul, x, 0)

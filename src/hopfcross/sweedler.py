@@ -46,6 +46,14 @@ class SweedlerContext:
         self._grids = {}
         self._entwinings = {}
         self._carriers = {}
+        self._derived = {}
+
+    def derived(self, key, build):
+        """build(), computed on the first request for key and then kept
+        with the context, for maps other modules derive from mad."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def domain(self, n):
         if n not in self._powers:

@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from hopfcross.exact import (ColumnOverflow, Element, LinMap,
-                             TruncationOverflow, apply_at)
+                             TruncationOverflow, add_into, apply_at)
 from hopfcross.hopf import build_truncated_poly_hopf
 from hopfcross.actions import (AlgebraData, braid_is_flip, example_entwining,
                                poly_algebra, tensor_power_coalgebra,
@@ -15,7 +15,8 @@ from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_equal, conv_inverse, conv_unit,
                                    convolve, is_h_linear, is_psi_central,
                                    is_psi_compatible, is_s_compatible,
-                                   transfer_TAC, transfer_TAC_inverse)
+                                   support_profile, transfer_TAC,
+                                   transfer_TAC_inverse)
 from hopfcross.sweedler import SweedlerContext, codegeneracy, coface
 from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
 
@@ -180,11 +181,15 @@ def _assert_walked_convolve_matches_reference(C, A, rng):
     return absent
 
 
-def _fixture_domain(name, budget, n):
+def _fixture_ctx(name, budget):
     spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
                                            "fixtures", name + ".json"))
     spec.set_budget(budget)
-    ctx = SweedlerContext(build_poly2_instance(spec))
+    return SweedlerContext(build_poly2_instance(spec))
+
+
+def _fixture_domain(name, budget, n):
+    ctx = _fixture_ctx(name, budget)
     return ctx.domain(n), ctx.mad.algebra
 
 
@@ -227,6 +232,175 @@ def test_walked_convolve_raises_where_the_coproduct_leaves_the_budget():
                 conv.values.columns.get(lab)
             raised += 1
     assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# the pruned convolution against one that reads every term of Delta
+
+def _full_walk_convolve(f, g):
+    """mul o (f (x) g) o Delta on every term of the walked Delta: the
+    reference for `convolve`, which reads only the terms its factors'
+    supports keep."""
+    C = f.coalgebra
+
+    def column(lab):
+        x = apply_at(f.values, C.comul_column(lab), 0)
+        x = apply_at(g.values, x, 1)
+        return f.algebra.mul.apply(x)
+
+    return LinMap.from_function(C.space, f.algebra.space, column, partial=True)
+
+
+def _count_terms(monkeypatch, C):
+    """The coproduct terms read on C from now on, one entry per column."""
+    counts = []
+    walk = C._walk
+
+    def counted(lab, keep=None):
+        col = walk(lab, keep)
+        counts.append(len(col.coeffs))
+        return col
+
+    monkeypatch.setattr(C, "_walk", counted)
+    return counts
+
+
+def _assert_pruned_matches_full(monkeypatch, pairs):
+    """Each pair (f, g) convolves as on every term of Delta: the same
+    absent columns, values and coefficient order.  Returns the coproduct
+    terms the pruned and the full products read."""
+    counts = _count_terms(monkeypatch, pairs[0][0].coalgebra)
+    pruned = full = 0
+    for f, g in pairs:
+        start = len(counts)
+        got = _columns_and_absent(convolve(f, g).values)
+        mid = len(counts)
+        assert got == _columns_and_absent(_full_walk_convolve(f, g))
+        pruned += sum(counts[start:mid])
+        full += sum(counts[mid:])
+    return pruned, full
+
+
+def _carrier_cochain(ctx, n, rng):
+    vec = {}
+    for v in ctx.carrier(n):
+        add_into(vec, v, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return ctx.cochain(n, vec)
+
+
+@pytest.mark.parametrize("budget", [4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", ["case2_beta1_Y", "case3a"])
+def test_pruned_convolve_matches_the_full_walk_on_carrier_cochains(
+        monkeypatch, name, n, budget):
+    ctx = _fixture_ctx(name, budget)
+    rng = random.Random(budget * 10 + n)
+    f, g = _carrier_cochain(ctx, n, rng), _carrier_cochain(ctx, n, rng)
+    e = ctx.unit_cochain(n)
+    # carrier cochains are bounded, so both rules drop terms
+    assert support_profile(f)[1] and support_profile(g)[1]
+    pruned, full = _assert_pruned_matches_full(
+        monkeypatch, [(f, g), (g, f), (e, f), (f, e), (e, e), (f - e, g)])
+    assert pruned < full
+
+
+def test_pruned_convolve_matches_with_a_factor_that_is_not_bounded(
+        monkeypatch):
+    # f(1 (x) 1) = 1 + Y has degree above its label's: g's zeros cannot
+    # drop a term after f, since its budget check could still raise
+    from hopfcross.workbench import cocycle_from_doc
+    ctx = _fixture_ctx("case2_beta1_Y", 5)
+    f = cocycle_from_doc(ctx, {"kind": "table",
+                               "values": {"0,0|0,0": {"0": "1", "1": "1"}}})
+    list(f.values.columns)
+    assert not support_profile(f)[1]
+    g = _carrier_cochain(ctx, 2, random.Random(5))
+    _assert_pruned_matches_full(monkeypatch, [(f, g), (g, f), (f, f)])
+
+
+def test_pruned_convolve_builds_no_unread_column_of_a_total_factor():
+    # the total map raises ColumnOverflow at X^2; Delta(X) never reads it
+    h = build_truncated_poly_hopf(1, 3)
+    C, A = tensor_power_coalgebra(h, 1), poly_algebra(3)
+
+    def fn(lab):
+        if lab == ((2,),):
+            raise TruncationOverflow("no value at X^2")
+        return A.unit
+
+    f = ConvMap.from_function(C, A, fn)
+    assert convolve(f, f)(((1,),)).coeffs == {(0,): 2}
+    assert not support_profile(f)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_convolve_matches_on_partial_factors_with_absent_columns(
+        monkeypatch, n):
+    C, A = _fixture_domain("case3a", 5, n)
+    rng = random.Random(n)
+    f = _random_cochain(rng, C, A, rise=1, gaps=True)
+    g = _random_cochain(rng, C, A)
+    assert any(lab not in f.values.columns for lab in C.space.basis())
+    _assert_pruned_matches_full(monkeypatch, [(f, g), (g, f), (f, f)])
+
+
+def _zeroed(f, drop):
+    """f with its columns at the labels drop(lab) names set to zero."""
+    C, A = f.coalgebra, f.algebra
+    return ConvMap(C, A, LinMap(C.space, A.space, {
+        lab: Element.zero(A.space) if drop(lab) else col
+        for lab, col in f.values.columns.items()}))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_convolve_matches_on_grouplike_powers(monkeypatch, z3,
+                                                     dual_numbers, n):
+    C = tensor_power_coalgebra(z3, n)
+    rng = random.Random(n)
+    first = C.space.slots[0].labels[0]
+    f, g = (_zeroed(_random_cochain(rng, C, dual_numbers),
+                    lambda lab: lab[0] == first) for _ in range(2))
+    e = conv_unit(C, dual_numbers)
+    pruned, full = _assert_pruned_matches_full(
+        monkeypatch, [(f, g), (g, f), (e, f), (f, e)])
+    assert pruned < full
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, -1])
+def test_pruned_convolve_matches_on_non_flip_braids(monkeypatch, q, n):
+    h = _scaled_flip_hopf(q, 4)
+    assert not braid_is_flip(h)
+    C, A = tensor_power_coalgebra(h, n), poly_algebra(4)
+    rng = random.Random(n)
+    f, g = (_zeroed(_random_cochain(rng, C, A),
+                    lambda lab: C.space.min_slot_degree(lab) == 0)
+            for _ in range(2))
+    e = conv_unit(C, A)
+    pruned, full = _assert_pruned_matches_full(
+        monkeypatch, [(f, g), (g, f), (e, f), (f, e),
+                      (_random_cochain(rng, C, A, rise=1, gaps=True), f)])
+    assert pruned < full
+
+
+def test_pruned_convolve_matches_on_0_cochains(monkeypatch):
+    ctx = _fixture_ctx("case2_beta1_Y", 4)
+    C, A = ctx.domain(0), ctx.mad.algebra
+    y = Element.basis_vector(A.space, (1,))
+
+    def cochain(value):
+        return ConvMap(C, A, LinMap(C.space, A.space, {(): value}))
+
+    f, g, z = cochain(A.unit + 2 * y), cochain(3 * y), cochain(0 * y)
+    # the empty label's one prefix is the empty one
+    assert support_profile(f)[0] == {()} and not support_profile(f)[1]
+    assert support_profile(z)[0] == frozenset()
+    # A's budget is not that of k, so no 0-cochain over it is bounded
+    e = ctx.unit_cochain(0)
+    assert not support_profile(e)[1]
+    _assert_pruned_matches_full(
+        monkeypatch, [(f, g), (g, f), (e, f), (f, e), (z, f), (f, z), (e, e)])
+    assert convolve(f, g)(()) == A.multiply(A.unit + 2 * y, 3 * y)
 
 
 @pytest.mark.parametrize("name", ["case2_beta1_Y", "case3a"])

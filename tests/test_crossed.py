@@ -378,6 +378,68 @@ def _fixture_crossed_product(name, cocycle, budget):
     return CrossedProductAlgebra(*_fixture_cocycle(name, cocycle, budget))
 
 
+def test_the_h3_cocycle_identity_reads_only_the_terms_its_factors_keep(
+        monkeypatch):
+    # measured: all of Delta of H^3 at budget 4 has 3640 terms; a change
+    # that reads them all again fails here
+    import hopfcross.crossed as crossed
+    from hopfcross.workbench import cocycle_from_doc
+    from test_convolution import _count_terms
+    ctx = _fixture_ctx("case2_beta1_Y", 4)
+    with open(os.path.join(FIXTURES, "cocycle_b1.json")) as fh:
+        f = cocycle_from_doc(ctx, json.load(fh))
+    terms = _count_terms(monkeypatch, ctx.domain(3))
+    assert crossed._is_cocycle(ctx, f)
+    assert sum(terms) == 56
+
+
+def test_check_cocycle_conditions_frees_the_h3_maps_before_the_other_flags(
+        monkeypatch):
+    import weakref
+    import hopfcross.crossed as crossed
+    made, dead_at_psi = [], []
+
+    def recorded(build):
+        def wrapper(*args):
+            out = build(*args)
+            made.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    def psi_central(*args):
+        dead_at_psi.append(all(ref() is None for ref in made))
+        return is_psi_central(*args)
+
+    monkeypatch.setattr(crossed, "coface", recorded(crossed.coface))
+    monkeypatch.setattr(crossed, "convolve", recorded(crossed.convolve))
+    monkeypatch.setattr(crossed, "is_psi_central", psi_central)
+    ctx, f = _fixture_cocycle("case2_beta1_Y", "cocycle_b1", 4)
+    # four cofaces and two products on H^3, all gone by the psi check
+    assert len(made) == 6 and dead_at_psi == [True]
+    assert all(ref() is None for ref in made)
+
+
+def test_check_equivalence_builds_chi_once(monkeypatch):
+    import hopfcross.crossed as crossed
+    from hopfcross.workbench import h2_correspondence, xi2_cocycle
+    ctx = _fixture_ctx("case2_beta1_Y", 5)
+    A = ctx.mad.algebra
+    f = xi2_cocycle(ctx, Element.basis_vector(A.space, (1,)))
+    v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert v.status == "cohomologous", v
+    builds = []
+
+    def counted(mad):
+        builds.append(mad)
+        return chi_map(mad)
+
+    monkeypatch.setattr(crossed, "chi_map", counted)
+    rep, iso = check_equivalence(ctx, f, trivial_cocycle(ctx), v.u)
+    assert rep.ok and iso is not None
+    # the raw display of (3) and both crossed products share one chi
+    assert len(builds) == 1
+
+
 def _reference_twisted_mul(cp, x, y):
     """The s_hat-twisted product of (A#H) (x) H as a loop over the terms of
     x and y, reading one column of s_hat, mul and mu_H per term; a term
