@@ -51,22 +51,20 @@ def _report_doc(reports):
 
 
 def cmd_verify(spec, args, out):
-    reports = []
     if spec.kind == "group":
         hopf, mad = build_group_instance(spec)
-        reports.append(verify_braided_bialgebra(hopf))
-        reports.append(verify_antipode(hopf))
-        if mad is not None:
-            reports.append(verify_module_algebra(mad))
     elif spec.kind == "poly2":
         mad = build_poly2_instance(spec)
-        reports.append(verify_braided_bialgebra(mad.hopf, budget=spec.budget))
-        reports.append(verify_antipode(mad.hopf, budget=spec.budget))
-        reports.append(verify_module_algebra(mad, budget=spec.budget))
+        hopf = mad.hopf
     else:
         lie, hopf = build_lie_instance(spec)
-        reports.append(verify_braided_bialgebra(hopf, budget=spec.budget))
-        reports.append(verify_antipode(hopf, budget=spec.budget))
+        mad = None
+    # a group's labels all have degree 0, so the budget filters nothing there
+    reports = [verify_braided_bialgebra(hopf, budget=spec.budget),
+               verify_antipode(hopf, budget=spec.budget)]
+    if mad is not None:
+        reports.append(verify_module_algebra(mad, budget=spec.budget))
+    if spec.kind == "lie":
         reports.append(verify_resolution_identities(CEAlgebra(lie),
                                                     spec.budget))
     doc = _report_doc(reports)

@@ -352,10 +352,10 @@ def _exponent_labels(nvars, budget):
 
 
 def _binomial_comul(H, H2):
-    """Delta on an ordered-power basis where every generator is primitive.
+    """Delta on the PBW basis of U(L), where every generator is primitive.
 
-    Cross terms of the binomial expansion stay ordered, so the same formula
-    serves k[X_1..X_m] and truncated U(L) in a PBW basis.
+    Cross terms of the binomial expansion stay ordered, so the formula holds
+    for every L, not only for the abelian L of k[X_1..X_m].
     """
     def column(lab):
         exp = lab[0]
@@ -369,32 +369,6 @@ def _binomial_comul(H, H2):
             out[(left, right)] = Fraction(coeff)
         return Element(H2, out, validate=False)
     return LinMap.from_function(H, H2, column)
-
-
-def build_truncated_poly_hopf(m: int, N: int) -> HopfData:
-    """k[X_1..X_m] truncated at total degree N, generators primitive."""
-    labels = _exponent_labels(m, N)
-    slot = Slot("kX%d" % m, labels, {e: sum(e) for e in labels})
-    H = Space((slot,), budget=N)
-    H2 = H.tensor(H)
-
-    def mul_col(lab):
-        a, b = lab
-        return Element.basis_vector(H, (tuple(x + y for x, y in zip(a, b)),))
-
-    mul = LinMap.from_function(H2, H, mul_col)
-    unit = Element.basis_vector(H, ((0,) * m,))
-    comul = _binomial_comul(H, H2)
-    counit = LinMap.from_function(
-        H, KSPACE, lambda lab: Element.scalar(1 if sum(lab[0]) == 0 else 0))
-
-    def antipode_col(lab):
-        return Element.basis_vector(H, lab, Fraction(-1) ** sum(lab[0]))
-
-    antipode = LinMap.from_function(H, H, antipode_col)
-    return HopfData("k[X1..X%d]/deg>%d" % (m, N), H, mul, unit, comul,
-                    counit, antipode, flip_braid(H),
-                    cocommutative=True, involutive_braid=True)
 
 
 class _PBW:
@@ -470,6 +444,13 @@ def build_truncated_enveloping(L: LieSpec, N: int) -> HopfData:
     return HopfData("U(L)/deg>%d" % N, H, mul, unit, comul, counit,
                     antipode, flip_braid(H),
                     cocommutative=True, involutive_braid=True)
+
+
+def build_truncated_poly_hopf(m: int, N: int) -> HopfData:
+    """k[X_1..X_m] truncated at total degree N: U(L) of the abelian L."""
+    h = build_truncated_enveloping(LieSpec.abelian(m), N)
+    h.name = "k[X1..X%d]/deg>%d" % (m, N)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import itertools
+from math import comb, prod
+
 import pytest
 
-from hopfcross.exact import Element, tensor
+from hopfcross.actions import braid_is_flip
+from hopfcross.exact import Element, TruncationOverflow, tensor
 from hopfcross.hopf import (CheckResult, GroupSpec, InvalidGroup,
                             InvalidLieAlgebra, LieSpec, Report,
                             build_group_algebra, build_truncated_enveloping,
@@ -80,14 +84,36 @@ def test_poly_axioms(poly24):
     assert verify_antipode(poly24).ok
 
 
-def test_abelian_enveloping_equals_polynomial():
-    upoly = build_truncated_enveloping(LieSpec.abelian(2), 4)
-    poly = build_truncated_poly_hopf(2, 4)
-    assert upoly.mul.columns.keys() == poly.mul.columns.keys()
-    for lab, col in poly.mul.columns.items():
-        assert upoly.mul.columns[lab].coeffs == col.coeffs
-    for lab, col in poly.comul.columns.items():
-        assert upoly.comul.columns[lab].coeffs == col.coeffs
+@pytest.mark.parametrize("m,N", [(1, 5), (2, 6), (3, 4)])
+def test_truncated_polynomial_hopf_closed_form(m, N):
+    # oracle: on the monomials X^a of k[X1..Xm], X^a X^b = X^(a+b),
+    # Delta(X^a) = sum_p C(a, p) X^p (x) X^(a-p), eps(X^a) = [a = 0] and
+    # S(X^a) = (-1)^|a| X^a, with the flip braid; U(L) of the abelian L is
+    # the same Hopf algebra
+    for h in (build_truncated_poly_hopf(m, N),
+              build_truncated_enveloping(LieSpec.abelian(m), N)):
+        H = h.space
+        H2 = H.tensor(H)
+        assert list(h.mul.columns) == list(H2.basis())
+        for a, b in H2.basis():
+            assert h.mul.columns[(a, b)].coeffs == {
+                (tuple(x + y for x, y in zip(a, b)),): 1}
+        # past the budget the product has no column and is loud
+        top, gen = (N,) + (0,) * (m - 1), (0,) * (m - 1) + (1,)
+        assert (top, gen) not in h.mul.columns
+        with pytest.raises(TruncationOverflow):
+            h.multiply(Element.basis_vector(H, (top,)),
+                       Element.basis_vector(H, (gen,)))
+        for (a,) in H.basis():
+            assert h.comul.columns[(a,)].coeffs == {
+                (p, tuple(x - y for x, y in zip(a, p))):
+                    prod(comb(x, y) for x, y in zip(a, p))
+                for p in itertools.product(*(range(x + 1) for x in a))}
+            assert h.counit_value(a) == (1 if sum(a) == 0 else 0)
+            assert h.antipode.columns[(a,)].coeffs == {(a,): (-1) ** sum(a)}
+        assert h.unit.coeffs == {((0,) * m,): 1}
+        assert braid_is_flip(h)
+    assert build_truncated_poly_hopf(m, N).name == "k[X1..X%d]/deg>%d" % (m, N)
 
 
 def test_heisenberg_straightening(heis5):
