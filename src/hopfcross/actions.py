@@ -245,50 +245,6 @@ def braid_shuffle_recursive(n: int, h: HopfData) -> LinMap:
     return LinMap.from_function(dom, dom, col)
 
 
-def tensor_power_comul(h: HopfData, n: int) -> LinMap:
-    """The comultiplication of H^n, (H (x) sc_{n-1} (x) H) o Delta^(x)n, as
-    a map made once per HopfData.  For the flip braid its columns are those
-    of `tensor_power_walk`, built when read; the commands read the walk, not
-    this map, so the map is for the oracles that read it as a LinMap.  Any
-    other braid gives `tensor_power_comul_shuffled`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return h.comul
-    return h.derived(("tensor_power_comul", n),
-                     lambda: _tensor_power_comul(h, n))
-
-
-def _tensor_power_comul(h: HopfData, n: int) -> LinMap:
-    if not braid_is_flip(h):
-        return tensor_power_comul_shuffled(h, n)
-    C = h.power(n)
-    return LinMap.from_function(C, C.tensor(C), tensor_power_walk(h, n))
-
-
-def tensor_power_walk(h: HopfData, n: int):
-    """The function (label, keep=None) of H^n to the column of its
-    coproduct, or to its terms that `keep` keeps (see `kept_terms`).
-
-    For the flip braid and n >= 2 the column is built on every call from
-    the per-slot coproduct parts, computed once per HopfData, and kept by no
-    one, so a reader pays time, not memory, for each column it reads:
-    sc_{n-1} only reorders slots, so the first factors and the second
-    factors of the parts are joined, slot 0 varying fastest.  With a keep
-    filter, the joined prefixes are filtered after each slot, so a dropped
-    prefix is never extended.  A label past the budget, or an atom without
-    a coproduct, is a defect of Delta and raises ColumnOverflow, whatever
-    keep drops.  At n = 1, and for any other braid, it reads the stored
-    columns of `tensor_power_comul` (the reference recursion).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1 or not braid_is_flip(h):
-        return stored_walk(tensor_power_comul(h, n), n)
-    return h.derived(("tensor_power_walk", n), lambda: _walk(h, n))
-
-
 def kept_terms(terms, keep):
     """The terms (left, right, c) of a coproduct that keep = (lefts,
     rights) keeps, in their order: those whose left label is in lefts and,
@@ -317,6 +273,16 @@ def stored_walk(comul: LinMap, n: int):
 
 
 def _walk(h: HopfData, n: int):
+    """The walk of H^n, flip braid and n >= 2: (label, keep=None) to the
+    column of its coproduct, or to its terms that `keep` keeps (see
+    `kept_terms`).  The column is built on every call from the per-slot
+    coproduct parts, computed once per HopfData, and kept by no one:
+    sc_{n-1} only reorders slots, so the first factors and the second
+    factors of the parts are joined, slot 0 varying fastest.  With keep,
+    the joined prefixes are filtered after each slot, so a dropped prefix
+    is never extended.  A label past the budget, or an atom without a
+    coproduct, is a defect of Delta and raises ColumnOverflow, whatever
+    keep drops."""
     C = h.power(n)
     CC = C.tensor(C)
     budget = CC.budget
@@ -399,32 +365,35 @@ def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:
 
 
 def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
-    """H^n as a left H-braided module coalgebra (Example-style structure).
+    """H^n as a left H-braided module coalgebra, the one builder of H^n.
 
-    The counit, s = c^1_n, the action rho on the first slot and the map
-    `tensor_power_comul` are made once per HopfData and shared by every
-    call; each call returns its own ModuleCoalgebraData over them, so
-    changing one's attributes leaves the others alone.  The coproduct is
-    read through `tensor_power_walk` (`comul_column`), which for the flip
-    braid and n >= 2 stores no column; the comul map builds a column only
-    when an oracle reads it.  varsigma = c^n_n is built lazily, on its
-    first read (only the entwining and psi-compatibility checks use it),
-    and then shared too.
+    Its maps are built once per HopfData, in one `derived` entry, and
+    shared by every call; each call returns its own ModuleCoalgebraData
+    over them, so changing one's attributes leaves the others alone.  The
+    coproduct is h.comul at n = 1; for the flip braid it is read through
+    `_walk`, which stores no column, and its map builds a column only when
+    an oracle reads it; any other braid gives `tensor_power_comul_shuffled`.
+    varsigma = c^n_n is built on its first read, then shared too.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    comul, counit, s, rho, kind = h.derived(
+    comul, walk, counit, s, rho, kind = h.derived(
         ("tensor_power", n), lambda: _tensor_power_maps(h, n))
     return ModuleCoalgebraData(
         h, h.power(n), comul, counit, s, rho,
         lambda: h.derived(("varsigma", n), lambda: braid_cross(n, n, h)),
-        kind=kind, name="%s^%d" % (h.name, n),
-        walk=tensor_power_walk(h, n))
+        kind=kind, name="%s^%d" % (h.name, n), walk=walk)
 
 
 def _tensor_power_maps(h: HopfData, n: int):
     C = h.power(n)
-    comul = tensor_power_comul(h, n)
+    if n == 1:
+        comul, walk = h.comul, None
+    elif braid_is_flip(h):
+        walk = _walk(h, n)
+        comul = LinMap.from_function(C, C.tensor(C), walk)
+    else:
+        comul, walk = tensor_power_comul_shuffled(h, n), None
 
     def counit_col(lab):
         v = Fraction(1)
@@ -453,7 +422,7 @@ def _tensor_power_maps(h: HopfData, n: int):
             if h.comul.apply(x) != tensor(x, x):
                 kind = "other"
                 break
-    return comul, counit, s, rho, kind
+    return comul, walk, counit, s, rho, kind
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from .exact import (Element, KSPACE, LinMap, NotInvertible,
                     TruncationOverflow, _Columns, add_into, apply_at,
                     nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
-                      ModuleCoalgebraData, coproduct_preserves_degree,
-                      tensor_power_coalgebra)
+                      ModuleCoalgebraData, coproduct_preserves_degree)
 from .hopf import compare_on
 
 
@@ -272,12 +271,11 @@ def is_psi_compatible(f: ConvMap, ent: EntwiningData):
 
 
 def is_s_compatible(f: ConvMap, mad: ModuleAlgebraData):
-    """The one-H form: s o (H (x) f) = (f (x) H) o c^1_n."""
+    """The one-H form: s o (H (x) f) = (f (x) H) o c^1_n, c^1_n = C.s."""
     C = f.coalgebra
-    c1n = tensor_power_coalgebra(mad.hopf, C.space.arity).s
     return compare_on(mad.hopf.space.tensor(C.space),
                       lambda x, t: mad.s.apply(apply_at(f.values, x, 1)),
-                      lambda x, t: apply_at(f.values, c1n.apply(x), 0),
+                      lambda x, t: apply_at(f.values, C.s.apply(x), 0),
                       name="s_compatible", first_failure=True)
 
 

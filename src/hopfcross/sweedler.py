@@ -42,44 +42,37 @@ class SweedlerContext:
         if not mad.hopf.cocommutative:
             raise ValueError("the Sweedler complex requires a cocommutative H")
         self.mad = mad
-        self._powers = {0: unit_coalgebra(mad.hopf)}
-        self._grids = {}
-        self._entwinings = {}
-        self._carriers = {}
         self._derived = {}
 
     def derived(self, key, build):
         """build(), computed on the first request for key and then kept
-        with the context, for maps other modules derive from mad."""
+        with the context: the caches below, and maps other modules derive."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
 
     def domain(self, n):
-        if n not in self._powers:
-            self._powers[n] = tensor_power_coalgebra(self.mad.hopf, n)
-        return self._powers[n]
+        h = self.mad.hopf
+        return self.derived(("domain", n), lambda: (
+            tensor_power_coalgebra(h, n) if n else unit_coalgebra(h)))
 
     def unit_cochain(self, n) -> ConvMap:
         return conv_unit(self.domain(n), self.mad.algebra)
 
     def grid(self, n):
         """The `carrier_grid` of H^n -> A, the coordinates of every vector."""
-        if n not in self._grids:
-            self._grids[n] = carrier_grid(self.domain(n), self.mad.algebra)
-        return self._grids[n]
+        return self.derived(("grid", n), lambda: carrier_grid(
+            self.domain(n), self.mad.algebra))
 
     def entwining(self, n):
         """(H^n, c^n_n, A, s^n), built once."""
-        if n not in self._entwinings:
-            self._entwinings[n] = example_entwining(self.mad, n)
-        return self._entwinings[n]
+        return self.derived(("entwining", n),
+                            lambda: example_entwining(self.mad, n))
 
     def carrier(self, n):
         """Basis of C^n_s: the vectors `carrier_solve` returns."""
-        if n not in self._carriers:
-            self._carriers[n] = carrier_solve(self.entwining(n), self.grid(n))
-        return self._carriers[n]
+        return self.derived(("carrier", n), lambda: carrier_solve(
+            self.entwining(n), self.grid(n)))
 
     def cochain(self, n, vec) -> ConvMap:
         """The cochain whose value at c is the sum of vec[j] a over the grid

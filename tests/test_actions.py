@@ -16,7 +16,7 @@ from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
                                build_graded_transposition,
                                build_poly_action, example_entwining,
                                graded_module_algebra, tensor_power_coalgebra,
-                               tensor_power_comul, tensor_power_comul_shuffled,
+                               tensor_power_comul_shuffled,
                                trivial_module_algebra, verify_entwining,
                                verify_module_algebra, verify_module_coalgebra,
                                PolyActionSpec, check_poly_action_validity)
@@ -105,7 +105,7 @@ def test_flip_shortcut_matches_recursions(build):
 def test_direct_comul_matches_shuffled_construction(build):
     h = build()
     for n in (1, 2, 3):
-        direct = tensor_power_comul(h, n)
+        direct = tensor_power_coalgebra(h, n).comul
         ref = tensor_power_comul_shuffled(h, n)
         assert direct == ref, n
         # same terms in the same order, so downstream sums are unchanged
@@ -164,7 +164,7 @@ def _column_outcomes(f):
 @pytest.mark.parametrize("n", [2, 3])
 def test_direct_comul_matches_its_reference_builder(n, budget):
     h = build_truncated_poly_hopf(2, budget)
-    direct = tensor_power_comul(h, n)
+    direct = tensor_power_coalgebra(h, n).comul
     assert _column_outcomes(direct) == \
         _column_outcomes(_reference_tensor_power_comul(h, n))
     assert direct == tensor_power_comul_shuffled(h, n)
@@ -184,7 +184,7 @@ def _degree_raising_hopf(budget):
 @pytest.mark.parametrize("n,budget", [(2, 2), (2, 3), (3, 3), (3, 4)])
 def test_direct_comul_raises_where_its_reference_builder_raises(n, budget):
     h = _degree_raising_hopf(budget)
-    got = _column_outcomes(tensor_power_comul(h, n))
+    got = _column_outcomes(tensor_power_coalgebra(h, n).comul)
     assert got == _column_outcomes(_reference_tensor_power_comul(h, n))
     assert any(out[1] is ColumnOverflow for out in got)
 

@@ -10,7 +10,7 @@ from hopfcross.exact import (ColumnOverflow, Element, LinMap,
 from hopfcross.hopf import build_truncated_poly_hopf
 from hopfcross.actions import (AlgebraData, braid_is_flip, example_entwining,
                                poly_algebra, tensor_power_coalgebra,
-                               tensor_power_comul, trivial_module_algebra)
+                               trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    conv_equal, conv_inverse, conv_unit,
                                    convolve, is_h_linear, is_psi_central,
@@ -128,9 +128,10 @@ def _random_invertible_cochain(rng, C, A):
 
 def _reference_convolve(f, g):
     """mul o (f (x) g) o Delta column by column, on the stored columns of
-    `tensor_power_comul`: the reference for the walked `convolve`."""
+    the comul map of `tensor_power_coalgebra`: the reference for the
+    walked `convolve`."""
     C = f.coalgebra
-    comul = tensor_power_comul(C.hopf, C.space.arity)
+    comul = tensor_power_coalgebra(C.hopf, C.space.arity).comul
 
     def column(lab):
         x = apply_at(f.values, comul.columns[lab], 0)
@@ -222,7 +223,7 @@ def test_walked_convolve_raises_where_the_coproduct_leaves_the_budget():
     h = _degree_raising_hopf(3)
     C, A = tensor_power_coalgebra(h, 2), poly_algebra(3)
     f = _random_cochain(random.Random(0), C, A)
-    conv, comul = convolve(f, f), tensor_power_comul(h, 2)
+    conv, comul = convolve(f, f), tensor_power_coalgebra(h, 2).comul
     raised = 0
     for lab in C.space.basis():
         try:

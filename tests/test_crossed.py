@@ -10,7 +10,7 @@ from hopfcross.exact import (Element, LinMap, Slot, Space, TruncationOverflow,
                              add_basis_term, apply_at)
 from hopfcross.hopf import compare_on
 from hopfcross.actions import (build_poly_action, example_entwining,
-                               tensor_power_comul, trivial_module_algebra)
+                               tensor_power_coalgebra, trivial_module_algebra)
 from hopfcross.convolution import (ConvMap, conv_inverse, convolve,
                                    is_psi_central)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
@@ -504,9 +504,9 @@ def test_crossed_product_path_stores_no_tensor_power_coproduct_column():
     cp = _fixture_crossed_product("case2_beta1_Y", "cocycle_b1", 5)
     assert verify_crossed_product(cp).ok
     h = cp.mad.hopf
-    assert [dict.__len__(tensor_power_comul(h, n).columns)
+    assert [dict.__len__(tensor_power_coalgebra(h, n).comul.columns)
             for n in (2, 3)] == [0, 0]
-    assert tensor_power_comul(h, 2) is cp.ctx.domain(2).comul
+    assert tensor_power_coalgebra(h, 2).comul is cp.ctx.domain(2).comul
 
 
 def test_comodule_check_keeps_the_skip_count_of_the_term_loop():

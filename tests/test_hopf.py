@@ -124,6 +124,23 @@ def test_heisenberg_straightening(heis5):
     assert yx.coeffs == {((1, 1, 0),): 1, ((0, 0, 1),): -1}   # xy - z
 
 
+def test_a_commuting_swap_shares_the_swapped_words_entry():
+    # an empty bracket adds nothing to the swapped term, so the straightened
+    # word is the very memo entry of its swap; a nonzero bracket is not
+    from hopfcross.hopf import _PBW
+    pbw = _PBW(LieSpec.abelian(2))
+    yx = pbw.straighten((1, 0))
+    assert yx == {(1, 1): 1}
+    assert yx is pbw.memo[(0, 1)] is pbw.memo[(1, 0)]
+    assert pbw.straighten((1, 1, 0)) is pbw.straighten((1, 0, 1)) \
+        is pbw.straighten((0, 1, 1))
+    heis = _PBW(LieSpec.heisenberg())
+    assert heis.straighten((1, 0)) == {(1, 1, 0): 1, (0, 0, 1): -1}
+    assert heis.straighten((1, 0)) is not heis.memo[(0, 1)]
+    # z is central, so z y shares the entry of y z
+    assert heis.straighten((2, 1)) is heis.memo[(1, 2)]
+
+
 def test_heisenberg_comul_of_product(heis5):
     # oracle: Delta is multiplicative, Delta(xy) = Delta(x) Delta(y)
     H = heis5.space
@@ -150,6 +167,16 @@ def test_corrupted_antipode_fails_with_witness():
     assert not rep.ok
     failing = [c for c in rep.checks if not c.passed]
     assert any(((1,),) in c.failures for c in failing)
+
+
+def test_missing_antipode_is_one_failed_check():
+    h = build_truncated_poly_hopf(1, 2)
+    h.antipode = None
+    rep = verify_antipode(h)
+    assert [c.line() for c in rep.checks] == [
+        "%-42s FAIL (1 checked) witness='no antipode supplied'"
+        % "antipode.present"]
+    assert not rep.ok
 
 
 def test_group_algebra_invariants(z3):
