@@ -1,7 +1,7 @@
 """Transpositions, braided module (co)algebras and entwining structures.
 
-Builds the iterated braids c^m_n and sc_n (slot permutations when the braid
-is the flip, their defining recursions otherwise), the module-coalgebra
+Builds the iterated braids c^m_n and sc_n as words of elementary crossings
+(a slot permutation when the braid is the flip), the module-coalgebra
 structure on tensor powers of H, the Aut(G)-graded transposition of the
 group variant, and the two-variable polynomial action on k[Y] with its
 validity analysis.
@@ -15,7 +15,7 @@ from math import comb
 
 from .exact import (ONE, ColumnOverflow, Element, KSPACE, LinMap,
                     NotInvertible, Slot, Space, TruncationOverflow, _element,
-                    apply_at, rat, rat_str, slot_permutation,
+                    apply_at, chain, rat, rat_str, slot_permutation,
                     span_coefficients, tensor)
 from .hopf import (HopfData, Report, build_group_algebra,
                    build_truncated_poly_hopf, check_equal_on, check_invertible,
@@ -166,83 +166,42 @@ def _is_flip(braid: LinMap, space: Space) -> bool:
                for a, b in labels) and len(cols) == len(labels)
 
 
-def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
-    """c^m_n: H^m (x) H^n -> H^n (x) H^m.
+def braid_word(h: HopfData, slots: int, positions) -> LinMap:
+    """The composite on H^slots of c at each position p (on slots p and
+    p + 1) in turn, first position first.  For the flip braid the word only
+    moves slots, so its permutation is built directly; any other braid
+    goes through `chain`."""
+    space = h.power(slots)
+    if braid_is_flip(h):
+        perm = list(range(slots))
+        for p in positions:
+            perm[p], perm[p + 1] = perm[p + 1], perm[p]
+        return slot_permutation(space, tuple(perm))
+    return chain(space, space, [(h.braid, p) for p in positions])
 
-    For the flip braid the defining recursion reduces to the slot
-    permutation (m..m+n-1, 0..m-1), which is built directly; any other
-    braid goes through `braid_cross_recursive`.
-    """
+
+def braid_cross(m: int, n: int, h: HopfData) -> LinMap:
+    """c^m_n: H^m (x) H^n -> H^n (x) H^m, by the recursions c^1_n =
+    (H (x) c^1_{n-1}) o (c (x) H^{n-1}) and c^m_n = (c^{m-1}_n (x) H) o
+    (H^{m-1} (x) c^1_n) unrolled into one braid word."""
     if m < 1 or n < 1:
         raise ValueError("arities must be >= 1")
     if m == 1 and n == 1:
         return h.braid
-    if braid_is_flip(h):
-        return slot_permutation(h.power(m + n),
-                                tuple(range(m, m + n)) + tuple(range(m)))
-    return braid_cross_recursive(m, n, h)
-
-
-def braid_cross_recursive(m: int, n: int, h: HopfData) -> LinMap:
-    """c^m_n by the defining recursion, for any braid (the reference path)."""
-    if m < 1 or n < 1:
-        raise ValueError("arities must be >= 1")
-    c = h.braid
-    if m == 1 and n == 1:
-        return c
-    dom = h.power(m + n)
-    cod = dom
-    if m == 1:
-        inner = braid_cross_recursive(1, n - 1, h)
-
-        def col(lab):
-            x = Element.basis_vector(dom, lab)
-            x = apply_at(c, x, 0)
-            return apply_at(inner, x, 1)
-    else:
-        tail = braid_cross_recursive(1, n, h)
-        head = braid_cross_recursive(m - 1, n, h)
-
-        def col(lab):
-            x = Element.basis_vector(dom, lab)
-            x = apply_at(tail, x, m - 1)
-            return apply_at(head, x, 0)
-
-    return LinMap.from_function(dom, cod, col)
+    return braid_word(h, m + n,
+                      [i + j for i in reversed(range(m)) for j in range(n)])
 
 
 def braid_shuffle(n: int, h: HopfData) -> LinMap:
-    """sc_n: H^2n -> H^2n; carries the odd-position entries to the right.
-
-    For the flip braid this is the slot permutation (1, 3, ..., 0, 2, ...),
-    built directly; any other braid goes through `braid_shuffle_recursive`.
-    """
+    """sc_n: H^2n -> H^2n; carries the odd-position entries to the right, by
+    the recursion sc_n = (H (x) sc_{n-1} (x) H) o (c (x) ... (x) c) unrolled
+    into one braid word."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     if n == 1:
         return h.braid
-    if braid_is_flip(h):
-        return slot_permutation(h.power(2 * n), tuple(range(1, 2 * n, 2))
-                                + tuple(range(0, 2 * n, 2)))
-    return braid_shuffle_recursive(n, h)
-
-
-def braid_shuffle_recursive(n: int, h: HopfData) -> LinMap:
-    """sc_n by the defining recursion, for any braid (the reference path)."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    if n == 1:
-        return h.braid
-    inner = braid_shuffle_recursive(n - 1, h)
-    dom = h.power(2 * n)
-
-    def col(lab):
-        x = Element.basis_vector(dom, lab)
-        for i in range(n):
-            x = apply_at(h.braid, x, 2 * i)
-        return apply_at(inner, x, 1)
-
-    return LinMap.from_function(dom, dom, col)
+    return braid_word(h, 2 * n,
+                      [t + 2 * i for t in range(n) for i in range(n - t)])
 
 
 def kept_terms(terms, keep):
@@ -346,22 +305,16 @@ def coproduct_preserves_degree(h: HopfData) -> bool:
 
 
 def tensor_power_comul_shuffled(h: HopfData, n: int) -> LinMap:
-    """Delta of H^n by Delta on every slot, then the recursive sc_{n-1} on
-    the middle slots, for any braid (the reference path)."""
+    """Delta of H^n by Delta on every slot, then sc_{n-1} on the middle
+    slots, for any braid (the reference path)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return h.comul
     C = h.power(n)
-    shuffle = braid_shuffle_recursive(n - 1, h)
-
-    def comul_col(lab):
-        x = Element.basis_vector(C, lab)
-        for i in range(n - 1, -1, -1):
-            x = apply_at(h.comul, x, i)
-        return apply_at(shuffle, x, 1)
-
-    return LinMap.from_function(C, C.tensor(C), comul_col)
+    return chain(C, C.tensor(C),
+                 [(h.comul, i) for i in reversed(range(n))]
+                 + [(braid_shuffle(n - 1, h), 1)])
 
 
 def tensor_power_coalgebra(h: HopfData, n: int) -> ModuleCoalgebraData:
@@ -405,13 +358,7 @@ def _tensor_power_maps(h: HopfData, n: int):
 
     s = braid_cross(1, n, h)
 
-    HC = h.space.tensor(C)
-
-    def rho_col(lab):
-        x = Element.basis_vector(HC, lab)
-        return apply_at(h.mul, x, 0)
-
-    rho = LinMap.from_function(HC, C, rho_col)
+    rho = chain(h.space.tensor(C), C, [(h.mul, 0)])
 
     graded = any(s_.degrees for s_ in h.space.slots)
     kind = "graded_connected" if graded else "grouplike"
@@ -607,21 +554,15 @@ def verify_entwining(e_data: EntwiningData, budget=None) -> Report:
 
 
 def power_transposition(mad: ModuleAlgebraData, n: int) -> LinMap:
-    """s^n: H^n (x) A -> A (x) H^n, s^n = (s^{n-1} (x) H) o (H^{n-1} (x) s)."""
+    """s^n: H^n (x) A -> A (x) H^n, s^n = (s^{n-1} (x) H) o (H^{n-1} (x) s),
+    unrolled into s at slots n - 1, ..., 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mad.s
-    prev = power_transposition(mad, n - 1)
     dom = mad.hopf.power(n).tensor(mad.algebra.space)
-
-    def col(lab):
-        x = Element.basis_vector(dom, lab)
-        x = apply_at(mad.s, x, n - 1)
-        return apply_at(prev, x, 0)
-
-    return LinMap.from_function(dom, dom.permuted(
-        (n,) + tuple(range(n))), col)
+    return chain(dom, dom.permuted((n,) + tuple(range(n))),
+                 [(mad.s, i) for i in reversed(range(n))])
 
 
 def example_entwining(mad: ModuleAlgebraData, n: int) -> EntwiningData:

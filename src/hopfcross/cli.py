@@ -24,8 +24,8 @@ from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
 from .workbench import (InputError, NotJordanForm, WorkbenchSpec, XiComplex,
                         build_group_instance, build_lie_instance,
                         build_poly2_instance, classify_crossed_products,
-                        cocycle_from_doc, presentation_relations,
-                        transport_cochain)
+                        cocycle_from_doc, exact_h2_and_commutator,
+                        presentation_relations, transport_cochain)
 
 OK, FAIL, BADINPUT, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -115,7 +115,8 @@ def cmd_crossed_product(spec, args, out):
     with open(args.cocycle) as fh:
         cdoc = json.load(fh)
     mad = build_poly2_instance(spec)
-    relations = presentation_relations(mad.poly_spec)
+    relations = presentation_relations(
+        mad.poly_spec, exact_h2_and_commutator(mad.poly_spec)[1])
     ctx = SweedlerContext(mad)
     coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, cdoc))
     lines = ["cocycle flags: %r" % coc]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import (Element, KSPACE, LinMap, NotInvertible,
-                    TruncationOverflow, _Columns, add_into, apply_at,
+                    TruncationOverflow, _Columns, add_into, apply_at, chain,
                     nullspace, tensor)
 from .actions import (AlgebraData, EntwiningData, ModuleAlgebraData,
                       ModuleCoalgebraData, coproduct_preserves_degree)
@@ -301,14 +301,7 @@ def transfer_TAC(f: ConvMap) -> LinMap:
     C, A = f.coalgebra, f.algebra
     nc = C.space.arity
     CA = C.space.tensor(A.space)
-
-    def column(lab):
-        x = Element.basis_vector(CA, lab)
-        x = apply_at(C.comul, x, 0)
-        x = apply_at(f.values, x, nc)
-        return apply_at(A.mul, x, nc)
-
-    return LinMap.from_function(CA, CA, column)
+    return chain(CA, CA, [(C.comul, 0), (f.values, nc), (A.mul, nc)])
 
 
 def transfer_TAC_inverse(G: LinMap, coalgebra, algebra) -> ConvMap:

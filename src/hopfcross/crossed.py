@@ -10,7 +10,7 @@ convolution identity between the Sweedler cofaces of u.
 
 from __future__ import annotations
 
-from .exact import Element, LinMap, apply_at, tensor
+from .exact import Element, LinMap, apply_at, chain, tensor
 from .actions import AlgebraData, ModuleAlgebraData
 from .convolution import (ConvMap, NotConvolutionInvertible, conv_inverse,
                           convolve, is_psi_central, is_s_compatible,
@@ -23,15 +23,8 @@ def chi_map(mad: ModuleAlgebraData) -> LinMap:
     """chi = (rho (x) H) o (H (x) s) o (Delta (x) A)."""
     h, A = mad.hopf, mad.algebra
     HA = h.space.tensor(A.space)
-    AH = HA.permuted((1, 0))
-
-    def col(lab):
-        x = Element.basis_vector(HA, lab)
-        x = apply_at(h.comul, x, 0)
-        x = apply_at(mad.s, x, 1)
-        return apply_at(mad.rho, x, 0)
-
-    return LinMap.from_function(HA, AH, col, partial=True)
+    return chain(HA, HA.permuted((1, 0)),
+                 [(h.comul, 0), (mad.s, 1), (mad.rho, 0)], partial=True)
 
 
 def _chi(ctx: SweedlerContext) -> LinMap:
@@ -140,16 +133,8 @@ class CrossedProductAlgebra(AlgebraData):
         chi = _chi(ctx)
         Ff = script_F(ctx, f)
         space = A.space.tensor(h.space)
-        sq = space.tensor(space)
-
-        def mul_col(lab):
-            x = Element.basis_vector(sq, lab)
-            x = apply_at(chi, x, 1)
-            x = apply_at(Ff, x, 2)
-            x = apply_at(A.mul, x, 1)
-            return apply_at(A.mul, x, 0)
-
-        mul = LinMap.from_function(sq, space, mul_col, partial=True)
+        mul = chain(space.tensor(space), space,
+                    [(chi, 1), (Ff, 2), (A.mul, 1), (A.mul, 0)], partial=True)
         super().__init__("A#_f H", space, mul, tensor(A.unit, h.unit))
         self._s_hat = None
 
@@ -178,14 +163,9 @@ class CrossedProductAlgebra(AlgebraData):
             return self._s_hat
         mad = self.mad
         h = mad.hopf
-        dom = h.space.tensor(self.space)
-        cod = self.space.tensor(h.space)
-
-        def col(lab):
-            x = apply_at(mad.s, Element.basis_vector(dom, lab), 0)
-            return apply_at(h.braid, x, mad.algebra.space.arity)
-
-        self._s_hat = LinMap.from_function(dom, cod, col)
+        self._s_hat = chain(h.space.tensor(self.space),
+                            self.space.tensor(h.space),
+                            [(mad.s, 0), (h.braid, mad.algebra.space.arity)])
         return self._s_hat
 
 
@@ -288,13 +268,8 @@ def equivalence_isomorphism(ctx: SweedlerContext, f: ConvMap, f2: ConvMap,
     cp_g = CrossedProductAlgebra(ctx, f2)
 
     na, n = A.space.arity, cp_f.space.arity
-
-    def g_col(lab):
-        x = apply_at(h.comul, Element.basis_vector(cp_f.space, lab), na)
-        x = apply_at(u.values, x, na)
-        return apply_at(A.mul, x, 0)
-
-    g = LinMap.from_function(cp_f.space, cp_g.space, g_col, partial=True)
+    g = chain(cp_f.space, cp_g.space,
+              [(h.comul, na), (u.values, na), (A.mul, 0)], partial=True)
 
     def g_of(t):
         return g.apply(Element.basis_vector(cp_f.space, t))

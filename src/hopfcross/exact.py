@@ -701,6 +701,19 @@ def apply_at(f: LinMap, elt: Element, at: int) -> Element:
     return _element(codomain, out)
 
 
+def chain(domain: Space, codomain: Space, steps, partial=False) -> LinMap:
+    """The composite of the (map, slot) steps, first step first: the map
+    whose column at a label is its basis vector taken through each step by
+    `apply_at`.  partial is that of `LinMap.from_function`."""
+    def column(lab):
+        x = Element.basis_vector(domain, lab)
+        for f, at in steps:
+            x = apply_at(f, x, at)
+        return x
+
+    return LinMap.from_function(domain, codomain, column, partial)
+
+
 # ---------------------------------------------------------------------------
 # sparse exact row reduction
 

@@ -64,9 +64,6 @@ class Report:
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def summary(self):
         lines = []
         if self.title:

@@ -436,7 +436,7 @@ class ClassificationReport:
 def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
     mad = build_poly2_instance(spec)
     aspec = mad.poly_spec
-    h2_exact, _ = exact_h2_and_commutator(aspec)
+    h2_exact, commutator = exact_h2_and_commutator(aspec)
     xi = XiComplex(mad)
     d1_rank, of1, dropped1 = xi.rank(1)
     d2_rank, of2, dropped2 = xi.rank(2)
@@ -464,7 +464,7 @@ def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
         "H2_dim": dims[2] - d2_rank,
         "H2_exact": h2_exact,
         "truncation_caveat": caveat,
-        "relations": presentation_relations(aspec),
+        "relations": presentation_relations(aspec, commutator),
     }
     if aspec.case in ("3a", "3b"):
         data["m"] = aspec.order
@@ -499,10 +499,10 @@ def exact_h2_and_commutator(aspec: PolyActionSpec):
     return "k (one free scalar)", "lambda, a free scalar"
 
 
-def presentation_relations(aspec: PolyActionSpec):
+def presentation_relations(aspec: PolyActionSpec, commutator):
     """The defining relations of the crossed-product family, generators
-    ordered Y < W1 < W2: the two W_i*Y relations of aspec and the
-    commutator of `exact_h2_and_commutator`."""
+    ordered Y < W1 < W2: the two W_i*Y relations of aspec and W1*W2 -
+    W2*W1 = commutator, the text `exact_h2_and_commutator` gives."""
     Q = aspec.Q
 
     def w_relation(i):
@@ -516,8 +516,7 @@ def presentation_relations(aspec: PolyActionSpec):
             parts.append(bi)
         return "W%d*Y = %s" % (i + 1, " + ".join(parts) if parts else "0")
 
-    comm = exact_h2_and_commutator(aspec)[1]
-    return [w_relation(0), w_relation(1), "W1*W2 - W2*W1 = " + comm]
+    return [w_relation(0), w_relation(1), "W1*W2 - W2*W1 = " + commutator]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -6,13 +7,13 @@ from fractions import Fraction
 from math import comb
 
 from hopfcross.exact import (ColumnOverflow, Element, LinMap, Slot, Space,
-                             TruncationOverflow, tensor)
+                             TruncationOverflow, chain, slot_permutation,
+                             tensor)
 from hopfcross.hopf import (GroupSpec, HopfData, build_group_algebra,
                             build_truncated_poly_hopf, flip_braid)
 from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
-                               braid_cross,
-                               braid_cross_recursive, braid_is_flip,
-                               braid_shuffle, braid_shuffle_recursive,
+                               braid_cross, braid_is_flip, braid_shuffle,
+                               braid_word,
                                build_graded_transposition,
                                build_poly_action, example_entwining,
                                graded_module_algebra, tensor_power_coalgebra,
@@ -81,7 +82,7 @@ def test_braid_cross_invertible(z2):
 
 
 # ---------------------------------------------------------------------------
-# the flip shortcut against the defining recursions
+# the braid words against the defining recursions (Notations 1.9)
 
 
 FLIP_INSTANCES = [
@@ -91,14 +92,52 @@ FLIP_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize("build", FLIP_INSTANCES)
-def test_flip_shortcut_matches_recursions(build):
+def _composite(space, steps):
+    """The composite on space of the (map, slot) steps, first step first,
+    each applied to the image of a basis vector by apply_at."""
+    def col(lab):
+        x = Element.basis_vector(space, lab)
+        for f, at in steps:
+            x = apply_at(f, x, at)
+        return x
+
+    return LinMap.from_function(space, space, col)
+
+
+@pytest.mark.parametrize("build", FLIP_INSTANCES + [
+    pytest.param(lambda: _scaled_flip_hopf(2, 3), id="kX-q2"),
+    pytest.param(lambda: _scaled_flip_hopf(-1, 3), id="kX-q-1"),
+])
+def test_braid_words_satisfy_the_recursions(build):
     h = build()
-    assert braid_is_flip(h)
-    for m, n in itertools.product((1, 2, 3), repeat=2):
-        assert braid_cross(m, n, h) == braid_cross_recursive(m, n, h), (m, n)
-    for n in (1, 2, 3):
-        assert braid_shuffle(n, h) == braid_shuffle_recursive(n, h), n
+    c = h.braid
+    assert braid_cross(1, 1, h) is c and braid_shuffle(1, h) is c
+    for n in (2, 3, 4):
+        # c^1_n = (H (x) c^1_{n-1}) o (c (x) H^{n-1})
+        assert braid_cross(1, n, h) == _composite(
+            h.power(n + 1), [(c, 0), (braid_cross(1, n - 1, h), 1)]), n
+    for m, n in itertools.product((2, 3), (1, 2, 3)):
+        # c^m_n = (c^{m-1}_n (x) H) o (H^{m-1} (x) c^1_n)
+        assert braid_cross(m, n, h) == _composite(
+            h.power(m + n), [(braid_cross(1, n, h), m - 1),
+                             (braid_cross(m - 1, n, h), 0)]), (m, n)
+    for n in (2, 3):
+        # sc_n = (H (x) sc_{n-1} (x) H) o (c (x) ... (x) c)
+        want = _composite(h.power(2 * n), [(c, 2 * i) for i in range(n)]
+                          + [(braid_shuffle(n - 1, h), 1)])
+        assert braid_shuffle(n, h) == want, n
+
+
+@pytest.mark.parametrize("build", FLIP_INSTANCES)
+def test_flip_braid_word_is_the_chain_of_its_crossings(build):
+    rng = random.Random(30)
+    h = build()
+    for _ in range(12):
+        slots = rng.randint(2, 4)
+        word = [rng.randrange(slots - 1) for _ in range(rng.randint(0, 6))]
+        space = h.power(slots)
+        assert braid_word(h, slots, word) == \
+            chain(space, space, [(h.braid, p) for p in word]), (slots, word)
 
 
 @pytest.mark.parametrize("build", FLIP_INSTANCES)
@@ -260,7 +299,7 @@ def test_tensor_powers_share_maps_but_not_attributes(poly24):
     assert tensor_power_coalgebra(poly24, 2).kind == "graded_connected"
     # varsigma is built on first read, once, and equals c^2_2
     assert a.varsigma is b.varsigma
-    assert a.varsigma == braid_cross_recursive(2, 2, poly24)
+    assert a.varsigma == slot_permutation(poly24.power(4), (2, 3, 0, 1))
 
 
 def test_varsigma_is_built_on_first_read(monkeypatch):
@@ -276,7 +315,7 @@ def test_varsigma_is_built_on_first_read(monkeypatch):
     h = build_truncated_poly_hopf(2, 3)
     C = tensor_power_coalgebra(h, 2)
     assert (2, 2) not in calls
-    assert C.varsigma == braid_cross_recursive(2, 2, h)
+    assert C.varsigma == slot_permutation(h.power(4), (2, 3, 0, 1))
     assert tensor_power_coalgebra(h, 2).varsigma is C.varsigma
     assert calls.count((2, 2)) == 1
 

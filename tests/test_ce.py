@@ -218,19 +218,20 @@ def trans_qneg():
     return CETransposition(CEAlgebra(AB2), mad, poly_alpha_maps(mad))
 
 
-_DEF52 = ("def52.1_algebra_compat", "def52.2_action_compat",
-          "def52.3_s_exchange", "def52.4_right_action", "def52.5_left_action")
+_DEF52 = ("def52.1_algebra_compat", "def52.1_unit_compat",
+          "def52.2_action_compat", "def52.3_s_exchange",
+          "def52.4_right_action", "def52.5_left_action")
 
 
 @pytest.mark.parametrize("instance, n, pbw, window, counts", [
-    ("trans1b", 0, 1, None, [(105, 75)] + [(50, 10)] * 4),
-    ("trans1b", 1, 1, None, [(210, 150)] + [(100, 20)] * 4),
-    ("trans1b", 2, 1, None, [(105, 75)] + [(50, 10)] * 4),
-    ("trans1b", 0, 2, 3, [(225, 15)] + [(120, 0)] * 4),
-    ("trans1b", 1, 2, 3, [(450, 30)] + [(240, 0)] * 4),
-    ("trans1b", 2, 2, 3, [(225, 15)] + [(120, 0)] * 4),
+    ("trans1b", 0, 1, None, [(105, 75), (5, 0)] + [(50, 10)] * 4),
+    ("trans1b", 1, 1, None, [(210, 150), (10, 0)] + [(100, 20)] * 4),
+    ("trans1b", 2, 1, None, [(105, 75), (5, 0)] + [(50, 10)] * 4),
+    ("trans1b", 0, 2, 3, [(225, 15), (15, 0)] + [(120, 0)] * 4),
+    ("trans1b", 1, 2, 3, [(450, 30), (30, 0)] + [(240, 0)] * 4),
+    ("trans1b", 2, 2, 3, [(225, 15), (15, 0)] + [(120, 0)] * 4),
     ("trans_qneg", 1, 2, None,
-     [(450, 300), (210, 90), (240, 60), (240, 60), (240, 60)]),
+     [(450, 300), (30, 0), (210, 90), (240, 60), (240, 60), (240, 60)]),
 ])
 def test_def52_checked_and_skipped_counts(request, instance, n, pbw, window,
                                           counts):
@@ -261,12 +262,37 @@ def test_def52_failures_keep_their_witnesses(mad1b):
     assert failures == {
         "def52.1_algebra_compat": [(bad, (1,), (1,)), (bad, (1,), (2,)),
                                    (bad, (2,), (1,))],
+        "def52.1_unit_compat": [],
         "def52.2_action_compat": [],
         "def52.3_s_exchange": [],
         "def52.4_right_action": [(((0, 0), (1,), (0, 0)), "Z", 1, (2,)),
                                  (bad, "Z", 0, (2,)), (bad, "Z", 1, (2,))],
         "def52.5_left_action": [(bad, "Y", 0, (2,)), (bad, "Y", 1, (2,))],
     }
+
+
+def test_def52_unit_condition_is_one_counted_check():
+    # s_D doubled on every monomial when A's argument is the unit: the unit
+    # condition is checked once per monomial and keeps MAX_WITNESS witnesses
+    mad = build_poly_action([[2, 0], [0, Fraction(1, 2)]], [0, 1], [0, 1], 4)
+    trans = CETransposition(CEAlgebra(AB2), mad, poly_alpha_maps(mad))
+    cross, unit = trans.cross, mad.algebra.unit
+
+    def doubled(mono, a_elt):
+        out = cross(mono, a_elt)
+        return {m: 2 * v for m, v in out.items()} if a_elt == unit else out
+
+    trans.cross = doubled
+    rep = verify_bimodule_transposition(trans.ce, trans, 1, pbw_budget=1)
+    checks = {c.name: c for c in rep.checks}
+    monos = trans.ce.monomials(1, 1)
+    unit_check = checks["def52.1_unit_compat"]
+    assert len(monos) == 10
+    assert (unit_check.checked, unit_check.skipped) == (10, 0)
+    assert unit_check.failures == [(m,) for m in monos[:MAX_WITNESS]]
+    algebra = checks["def52.1_algebra_compat"]
+    assert (algebra.checked, algebra.skipped) == (150, 100)
+    assert all(len(c.failures) <= MAX_WITNESS for c in rep.checks)
 
 
 def test_perturbed_transposition_breaks_a_relation(mad1b):

@@ -59,8 +59,6 @@ KEPT = {
     "compose": "oracle for convolve",
     "tensor_maps": "ROADMAP item 2: only bench/tracer.py names it; delete "
                    "it with its SPANS entry",
-    "braid_shuffle": "ROADMAP item 2: only bench/tracer.py names it; "
-                     "delete it with its SPANS entry",
     "kernel_image_quotient": "ROADMAP item 2: only bench/tracer.py names "
                              "it; delete it with its SPANS entry",
     "GroupSpec.cyclic": "example spec",

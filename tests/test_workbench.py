@@ -6,7 +6,7 @@ import re
 import pytest
 from fractions import Fraction
 
-from hopfcross import workbench
+from hopfcross import cli, workbench
 from hopfcross.ce import BarComparison, CEAlgebra
 from hopfcross.cli import main
 from hopfcross.exact import Element
@@ -81,6 +81,24 @@ def test_classification_matches_golden(name):
         assert rep.as_text() + "\n" == fh.read()
     with open(os.path.join(GOLDENS, name + ".json")) as fh:
         assert json.loads(rep.as_json()) == json.load(fh)
+
+
+@pytest.mark.parametrize("command", ["classify", "crossed-product"])
+def test_each_command_runs_the_h2_case_ladder_once(monkeypatch, command):
+    calls = []
+    real = workbench.exact_h2_and_commutator
+
+    def counting(aspec):
+        calls.append(aspec.case)
+        return real(aspec)
+
+    monkeypatch.setattr(workbench, "exact_h2_and_commutator", counting)
+    monkeypatch.setattr(cli, "exact_h2_and_commutator", counting)
+    argv = [command, fixture("case1a_q2.json")]
+    if command == "crossed-product":
+        argv += ["--cocycle", fixture("cocycle_trivial.json")]
+    main(argv, out=io.StringIO())
+    assert calls == ["1a"]
 
 
 def test_json_and_text_numeric_content_agree():
@@ -512,8 +530,6 @@ def test_classify_computes_the_center_of_invariants_once(monkeypatch, argv):
 
 def test_crossed_product_refuses_a_non_jordan_Q_before_building(
         tmp_path, monkeypatch):
-    import hopfcross.cli as cli
-
     def unreachable(*args, **kwargs):
         raise AssertionError("crossed-product went past the Jordan test")
 
