@@ -21,9 +21,8 @@ from .sweedler import (SweedlerContext, additive_coboundary, conv_exp,
 from .ce import CEAlgebra, verify_resolution_identities
 from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
                       verify_crossed_product)
-from .workbench import (InputError, NotJordanForm, WorkbenchSpec, XiComplex,
-                        build_group_instance, build_lie_instance,
-                        build_poly2_instance, classify_crossed_products,
+from .workbench import (InputError, NotJordanForm, WorkbenchSpec,
+                        build_instance, classify_crossed_products,
                         cocycle_from_doc, exact_h2_and_commutator,
                         presentation_relations, transport_cochain)
 
@@ -51,21 +50,14 @@ def _report_doc(reports):
 
 
 def cmd_verify(spec, args, out):
-    if spec.kind == "group":
-        hopf, mad = build_group_instance(spec)
-    elif spec.kind == "poly2":
-        mad = build_poly2_instance(spec)
-        hopf = mad.hopf
-    else:
-        lie, hopf = build_lie_instance(spec)
-        mad = None
+    inst = build_instance(spec)
     # a group's labels all have degree 0, so the budget filters nothing there
-    reports = [verify_braided_bialgebra(hopf, budget=spec.budget),
-               verify_antipode(hopf, budget=spec.budget)]
-    if mad is not None:
-        reports.append(verify_module_algebra(mad, budget=spec.budget))
-    if spec.kind == "lie":
-        reports.append(verify_resolution_identities(CEAlgebra(lie),
+    reports = [verify_braided_bialgebra(inst.hopf, budget=spec.budget),
+               verify_antipode(inst.hopf, budget=spec.budget)]
+    if inst.mad is not None:
+        reports.append(verify_module_algebra(inst.mad, budget=spec.budget))
+    if inst.lie is not None:
+        reports.append(verify_resolution_identities(CEAlgebra(inst.lie),
                                                     spec.budget))
     doc = _report_doc(reports)
     _emit(doc, args.format, out)
@@ -76,22 +68,20 @@ def cmd_cohomology(spec, args, out):
     lines = []
     data = {"degree": args.degree}
     code = OK
-    if spec.kind == "group":
-        hopf, mad = build_group_instance(spec)
-        if mad is None:
-            raise InputError("group spec has no coefficient algebra")
-        carrier, _ = h0(mad)
+    inst = build_instance(spec)
+    xi = inst.xi
+    if xi is None:
+        carrier, _ = h0(inst.need("mad", "coefficient algebra"))
         data["H0_carrier_dim"] = len(carrier)
         lines.append("H0 carrier dimension: %d (plus unit-group "
                      "invertibility test)" % len(carrier))
         if args.degree >= 1:
+            # only H^0 is computed here; a higher degree has no answer yet
             lines.append("degree %d: multiplicative complex; predicates "
                          "available, dimensions not linearizable" % args.degree)
             data["note"] = "predicates only"
-    elif spec.kind != "poly2":
-        raise InputError("cohomology dimensions: use poly2 or group kinds")
+            code = INCONCLUSIVE
     else:
-        xi = XiComplex(build_poly2_instance(spec))
         if args.degree > xi.length:
             lines.append("degree %d: the resolution has length %d; H^n = 0"
                          % (args.degree, xi.length))
@@ -110,11 +100,9 @@ def cmd_cohomology(spec, args, out):
 
 
 def cmd_crossed_product(spec, args, out):
-    if spec.kind != "poly2":
-        raise InputError("crossed-product builds need a poly2 spec")
+    mad = build_instance(spec).need("xi", "k[X1,X2] action").mad
     with open(args.cocycle) as fh:
         cdoc = json.load(fh)
-    mad = build_poly2_instance(spec)
     relations = presentation_relations(
         mad.poly_spec, exact_h2_and_commutator(mad.poly_spec)[1])
     ctx = SweedlerContext(mad)
@@ -146,8 +134,9 @@ def cmd_compare(spec, args, out):
     rng = random.Random(args.seed)
     lines = []
     ok = True
-    if spec.kind == "poly2":
-        ctx = SweedlerContext(build_poly2_instance(spec))
+    inst = build_instance(spec)
+    if inst.xi is not None:
+        ctx = SweedlerContext(inst.mad)
         carrier = ctx.carrier(1)
         # exp/log roundtrips on random degree-bounded normalized cochains
         for trial in range(args.samples):
@@ -174,13 +163,10 @@ def cmd_compare(spec, args, out):
                          % (trials, " [skipped (budget): %d]" % skipped
                             if skipped else ""))
         # bar-side vs resolution-side verdicts
-        agree = _bar_vs_resolution(ctx, lines)
+        agree = _bar_vs_resolution(ctx, inst.xi, lines)
         ok = ok and agree
-    elif spec.kind == "group":
-        hopf, mad = build_group_instance(spec)
-        if mad is None or not hasattr(mad, "grading"):
-            raise InputError("compare on group specs needs a graded instance")
-        ctx = SweedlerContext(mad)
+    elif hasattr(inst.mad, "grading"):
+        ctx = SweedlerContext(inst.mad)
         for n in (0, 1, 2):
             for trial in range(3):
                 phi = _random_group_cochain(rng, ctx, n)
@@ -197,7 +183,7 @@ def cmd_compare(spec, args, out):
             lines.append("homogenized differential agrees for n <= 2 "
                          "(exhaustive over tuples)")
     else:
-        raise InputError("compare supports poly2 and group kinds")
+        raise inst.missing("graded coefficient algebra")
     doc = {"ok": ok, "lines": lines}
     _emit(doc, args.format, out)
     return OK if ok else FAIL
@@ -242,9 +228,8 @@ def _random_group_cochain(rng, ctx, n):
     return ConvMap(C, A, LinMap(C.space, A.space, cols))
 
 
-def _bar_vs_resolution(ctx, lines):
+def _bar_vs_resolution(ctx, xi, lines):
     """Transported cocycle/coboundary verdicts agree between the two sides."""
-    xi = XiComplex(ctx.mad)
     imgs, _ = xi.d(2)
     # every d2-image class transports to an additive coboundary on the bar side
     agree = True

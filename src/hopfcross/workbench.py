@@ -8,7 +8,8 @@ import json
 from fractions import Fraction
 
 from .exact import (Element, LinMap, SpaceMismatch, TruncationOverflow,
-                    add_into, rat, rat_str, rref, span_coefficients, tensor)
+                    add_into, nullspace, rat, rat_str, rref,
+                    span_coefficients, tensor)
 from .hopf import (GroupSpec, InvalidGroup, InvalidLieAlgebra, LieSpec,
                    build_group_algebra, build_truncated_enveloping, check_item)
 from .actions import (AlgebraData, InvalidGradation,
@@ -183,6 +184,41 @@ def _spec_table(raw, left, right, values, where):
     return out
 
 
+class Instance:
+    """The parts of a workbench spec that the commands read.
+
+    `hopf` is always given; the module algebra `mad`, the Lie algebra
+    `lie` and the Section-7 complex `xi` (an `XiComplex`, for a poly2
+    action) are each None where the spec gives none.
+    """
+
+    def __init__(self, kind, hopf, mad=None, lie=None, xi=None):
+        self.kind = kind
+        self.hopf = hopf
+        self.mad = mad
+        self.lie = lie
+        self.xi = xi
+
+    def need(self, part, name):
+        """The part, or the refusal "<kind> spec has no <name>"."""
+        value = getattr(self, part)
+        if value is None:
+            raise self.missing(name)
+        return value
+
+    def missing(self, name):
+        """The refusal of a command that reads a part this spec lacks."""
+        return InputError("%s spec has no %s" % (self.kind, name))
+
+
+def build_instance(spec: WorkbenchSpec) -> Instance:
+    """The one place that reads the kind of a spec."""
+    # a literal built per call, so a rebound builder name takes effect
+    build = {"group": build_group_instance, "lie": build_lie_instance,
+             "poly2": build_poly2_instance}[spec.kind]
+    return build(spec)
+
+
 def build_group_instance(spec: WorkbenchSpec):
     p = _spec_object(spec.payload, "group payload")
     elements = _spec_labels(_spec_field(p, "elements", "group payload"),
@@ -212,8 +248,7 @@ def build_group_instance(spec: WorkbenchSpec):
 
     alg = p.get("algebra")
     if alg is None:
-        hopf = build_group_algebra(group)
-        return hopf, None
+        return Instance("group", build_group_algebra(group))
     alg = _spec_object(alg, "algebra")
     basis = _spec_labels(_spec_field(alg, "basis", "algebra"), "algebra basis")
     unit = _spec_field(alg, "unit", "algebra")
@@ -249,16 +284,15 @@ def build_group_instance(spec: WorkbenchSpec):
     else:
         hopf = build_group_algebra(group)
         mad = trivial_module_algebra(hopf, algebra)
-    return mad.hopf, mad
+    return Instance("group", mad.hopf, mad=mad)
 
 
 def build_poly2_instance(spec: WorkbenchSpec):
-    """The module algebra of a poly2 spec at its budget."""
-    if spec.kind != "poly2":
-        raise InputError("this needs a poly2 spec, not %r" % spec.kind)
+    """The module algebra of a poly2 spec at its budget, with its Xi side."""
     if spec.budget is None:
         raise InputError("poly2 spec needs a budget")
-    return build_poly_action(*spec.poly2, spec.budget)
+    mad = build_poly_action(*spec.poly2, spec.budget)
+    return Instance("poly2", mad.hopf, mad=mad, xi=XiComplex(mad))
 
 
 def build_lie_instance(spec: WorkbenchSpec):
@@ -275,9 +309,8 @@ def build_lie_instance(spec: WorkbenchSpec):
         lie = LieSpec(dim, brackets)
     except InvalidLieAlgebra as exc:
         raise InputError("not a Lie algebra: %s" % exc)
-    N = spec.budget or 4
-    hopf = build_truncated_enveloping(lie, N)
-    return lie, hopf
+    return Instance("lie", build_truncated_enveloping(lie, spec.budget or 4),
+                    lie=lie)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +467,9 @@ class ClassificationReport:
 
 
 def classify_crossed_products(spec: WorkbenchSpec) -> ClassificationReport:
-    mad = build_poly2_instance(spec)
-    aspec = mad.poly_spec
+    xi = build_instance(spec).need("xi", "k[X1,X2] action")
+    aspec = xi.mad.poly_spec
     h2_exact, commutator = exact_h2_and_commutator(aspec)
-    xi = XiComplex(mad)
     d1_rank, of1, dropped1 = xi.rank(1)
     d2_rank, of2, dropped2 = xi.rank(2)
     caveat = ""
@@ -680,14 +712,38 @@ def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
         S: Element(A.space, val, validate=False) for S, val in f1.items()})
 
 
+def _is_local_over_k(A: AlgebraData):
+    """Whether A = k.1 + rad A, that is, A is local with residue field k.
+
+    In characteristic 0, rad A is the radical of the trace form
+    (x, y) -> tr(L_{xy}), so A is local over k iff that radical has
+    codimension 1."""
+    labels = list(A.space.basis())
+    vecs = [Element.basis_vector(A.space, lab) for lab in labels]
+    products = [[A.multiply(x, y).coeffs for y in vecs] for x in vecs]
+    # tr(L_z) on each basis vector z; it is linear in z
+    trace = {lab: sum((xy.get(l, 0) for xy, l in zip(row, labels)),
+                      Fraction(0))
+             for lab, row in zip(labels, products)}
+    gram = [{j: sum((c * trace[l] for l, c in xy.items()), Fraction(0))
+             for j, xy in enumerate(row)} for row in products]
+    return len(nullspace(gram, len(labels))) == len(labels) - 1
+
+
 def _h2_group(ctx, q):
     """Cyclic-group pointwise reduction over the scalar line plus
-    nilpotents: the witness u to check, or the verdict if there is none."""
+    nilpotents: the witness u to check, or the verdict if there is none.
+
+    The reduction reads only the unit coefficient of q, so it answers only
+    when A = k.1 + rad A; the rest of q is then nilpotent."""
     mad = ctx.mad
     A = mad.algebra
     group = getattr(mad.hopf, "group", None)
     if group is None:
         return H2Verdict("inconclusive", detail="no group data on the instance")
+    if not _is_local_over_k(A):
+        return H2Verdict("inconclusive",
+                         detail="A is not local with residue field k")
     # cyclicity check: some element generates
     gen = None
     for g in group.elements:
@@ -832,13 +888,13 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
                                   assoc_budget=None):
     """Instantiate the commutator parameter, rebuild A #_f H and verify the
     emitted relations inside the constructed algebra."""
-    mad = build_poly2_instance(spec)
+    xi = build_instance(spec).need("xi", "k[X1,X2] action")
+    mad = xi.mad
     ctx = SweedlerContext(mad)
     A = mad.algebra
 
     b = _y_polynomial(A, b_coeffs, "b")
     # membership of b in Xi(D_2) is a precondition of the construction
-    xi = XiComplex(mad)
     top = [xi.vector(base) for base in xi.space(xi.length).basis]
     if span_coefficients(top, xi.vector({xi.top: b})) is None:
         raise InputError("b is not in Xi(D_2) at this budget")

@@ -733,14 +733,13 @@ def test_structure_maps_read_lazily_match_an_eager_build(monkeypatch, build):
 def test_section7_path_builds_no_hopf_multiplication_or_braid(monkeypatch):
     import os
     from hopfcross.ce import xi_space
-    from hopfcross.workbench import (WorkbenchSpec, XiComplex,
-                                     build_poly2_instance)
+    from hopfcross.workbench import WorkbenchSpec, build_instance
     rec = _Recorder(monkeypatch)
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                         "case3b.json")
     spec = WorkbenchSpec.load(path)
-    mad = build_poly2_instance(spec)
-    xi = XiComplex(mad)
+    xi = build_instance(spec).xi
+    mad = xi.mad
     ce, trans = xi.ce, xi.trans
     for n in (0, 1, 2):
         xi_space(ce, n, trans, window=spec.budget - 1)

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from hopfcross.cli import main
+from hopfcross.workbench import WorkbenchSpec, build_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 COCYCLES = ["cocycle_b1.json", "cocycle_trivial.json"]
@@ -146,3 +147,51 @@ def test_an_unreadable_input_file_is_bad_input(tmp_path, role, which):
         out = io.StringIO()
         assert main(["verify", spec], out=out) == 2
         assert out.getvalue().startswith("input error: ")
+
+
+@pytest.mark.parametrize("spec", ["z2_sign.json", "z3_inversion_graded.json"])
+def test_group_cohomology_above_degree_0_is_inconclusive(spec):
+    # only H^0 is computed on a group spec; a higher degree prints the
+    # predicates note and is no computed answer
+    path = os.path.join(FIXTURES, spec)
+    out = io.StringIO()
+    assert main(["cohomology", path, "--degree", "0"], out=out) == 0
+    assert out.getvalue().startswith("H0 carrier dimension: ")
+    out = io.StringIO()
+    assert main(["cohomology", path, "--degree", "1"], out=out) == 3
+    assert out.getvalue().splitlines()[1] == (
+        "degree 1: multiplicative complex; predicates available, dimensions "
+        "not linearizable")
+
+
+@pytest.mark.parametrize("command,spec,says", [
+    (["classify"], "z2_sign.json", "group spec has no k[X1,X2] action"),
+    (["classify"], "heisenberg.json", "lie spec has no k[X1,X2] action"),
+    (["crossed-product", "--cocycle", os.path.join(FIXTURES, COCYCLES[0])],
+     "z2_sign.json", "group spec has no k[X1,X2] action"),
+    (["crossed-product", "--cocycle", os.path.join(FIXTURES, COCYCLES[0])],
+     "heisenberg.json", "lie spec has no k[X1,X2] action"),
+    (["cohomology"], "heisenberg.json", "lie spec has no coefficient algebra"),
+    (["compare"], "heisenberg.json",
+     "lie spec has no graded coefficient algebra"),
+], ids=["classify-group", "classify-lie", "crossed-product-group",
+        "crossed-product-lie", "cohomology-lie", "compare-lie"])
+def test_a_command_refuses_a_kind_without_its_part(command, spec, says):
+    out = io.StringIO()
+    argv = [command[0], os.path.join(FIXTURES, spec), *command[1:]]
+    assert main(argv, out=out) == 2, argv
+    assert out.getvalue() == "input error: %s\n" % says
+
+
+@pytest.mark.parametrize("spec,parts", [
+    ("z2_sign.json", {"hopf", "mad"}),
+    ("heisenberg.json", {"hopf", "lie"}),
+    ("case2_beta1_Y.json", {"hopf", "mad", "xi"}),
+])
+def test_build_instance_gives_the_parts_of_each_kind(spec, parts):
+    inst = build_instance(WorkbenchSpec.load(os.path.join(FIXTURES, spec)))
+    assert inst.kind == _kind(spec)
+    assert {p for p in ("hopf", "mad", "lie", "xi")
+            if getattr(inst, p) is not None} == parts
+    if inst.xi is not None:
+        assert inst.xi.mad is inst.mad

@@ -18,7 +18,7 @@ from hopfcross.convolution import (ConvMap, NotConvolutionInvertible,
                                    support_profile, transfer_TAC,
                                    transfer_TAC_inverse)
 from hopfcross.sweedler import SweedlerContext, codegeneracy, coface
-from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
+from hopfcross.workbench import WorkbenchSpec, build_instance
 
 from sampling import random_combination
 from test_actions import _degree_raising_hopf, _scaled_flip_hopf
@@ -186,7 +186,7 @@ def _fixture_ctx(name, budget):
     spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
                                            "fixtures", name + ".json"))
     spec.set_budget(budget)
-    return SweedlerContext(build_poly2_instance(spec))
+    return SweedlerContext(build_instance(spec).mad)
 
 
 def _fixture_domain(name, budget, n):

@@ -9,10 +9,11 @@ from fractions import Fraction
 from hopfcross.exact import (Element, LinMap, Slot, Space, TruncationOverflow,
                              add_basis_term, apply_at)
 from hopfcross.hopf import compare_on
-from hopfcross.actions import (build_poly_action, example_entwining,
+from hopfcross.actions import (AlgebraData, action_module_algebra,
+                               build_poly_action, example_entwining,
                                tensor_power_coalgebra, trivial_module_algebra)
-from hopfcross.convolution import (ConvMap, conv_inverse, convolve,
-                                   is_psi_central)
+from hopfcross.convolution import (ConvMap, conv_equal, conv_inverse,
+                                   convolve, is_psi_central)
 from hopfcross.sweedler import (SweedlerContext, additive_coboundary,
                                 conv_exp, differential)
 from hopfcross.crossed import (CrossedProductAlgebra, check_cocycle_conditions,
@@ -340,6 +341,33 @@ def test_h2_group_twist_found(sctx, sign_action):
     assert iso is not None
 
 
+@pytest.mark.parametrize("b,x,y", [(2, 2, 1), (-1, 1, 1), (7, 3, 1),
+                                   (-7, 1, 2)])
+def test_h2_group_is_inconclusive_on_a_non_local_algebra(z2, b, x, y):
+    # Z/2 acting on A = Q[t]/(t^2 - 2) by t -> -t: A is a field, not
+    # k.1 + rad A, so the unit coefficient of f is no class invariant.  Each
+    # b is the norm x^2 - 2y^2 of u(g) = x + y t, so f = D(u) is a
+    # coboundary, and a scalar-class `inequivalent` would be false.
+    A = AlgebraData.from_table(
+        "A", ["1", "t"], {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+                          ("t", "1"): {"t": 1}, ("t", "t"): {"1": 2}}, "1")
+    mad = action_module_algebra(z2, A, {
+        ("e", "1"): {"1": 1}, ("e", "t"): {"t": 1},
+        ("g1", "1"): {"1": 1}, ("g1", "t"): {"t": -1}})
+    ctx = SweedlerContext(mad)
+    e2 = ctx.unit_cochain(2)
+    f = ConvMap.from_function(
+        ctx.domain(2), A,
+        lambda lab: b * A.unit if lab == ("g1", "g1") else e2(lab))
+    t = Element.basis_vector(A.space, ("t",))
+    u = ConvMap.from_table(ctx.domain(1), A,
+                           {("e",): A.unit, ("g1",): x * A.unit + y * t})
+    assert conv_equal(differential(ctx, u), f).passed
+    v = h2_correspondence(ctx, f, trivial_cocycle(ctx))
+    assert v.status == "inconclusive"
+    assert v.detail == "A is not local with residue field k"
+
+
 def test_equivalence_relation_properties(sctx, sign_action):
     # reflexive / symmetric-ish behavior of the witnesses on a sampled pair
     A = sign_action.algebra
@@ -358,10 +386,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _fixture_ctx(name, budget):
-    from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
+    from hopfcross.workbench import WorkbenchSpec, build_instance
     spec = WorkbenchSpec.load(os.path.join(FIXTURES, name + ".json"))
     spec.set_budget(budget)
-    return SweedlerContext(build_poly2_instance(spec))
+    return SweedlerContext(build_instance(spec).mad)
 
 
 def _fixture_cocycle(name, cocycle, budget):

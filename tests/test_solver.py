@@ -21,8 +21,7 @@ from hopfcross.exact import (Element, LinMap, NotInvertible, Slot, Space,
 from hopfcross.sweedler import (SweedlerContext, differential, h0,
                                 invariant_subspace, is_inner,
                                 _scalar_cochain)
-from hopfcross.workbench import (WorkbenchSpec, build_group_instance,
-                                 build_poly2_instance)
+from hopfcross.workbench import WorkbenchSpec, build_instance
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -48,7 +47,7 @@ def _basis(elements):
 def _poly2_pins(name):
     out = {}
     for N in (4, 6, 8):
-        mad = build_poly2_instance(_load(name, N))
+        mad = build_instance(_load(name, N)).mad
         for w in (N - 1, N - 2):
             key = "%s/N=%d/w=%d" % (name, N, w)
             out[key + "/sA"] = _basis(invariant_subspace(mad, window=w))
@@ -57,7 +56,7 @@ def _poly2_pins(name):
 
 
 def _group_pins(name):
-    _, mad = build_group_instance(_load(name))
+    mad = build_instance(_load(name)).mad
     A = mad.algebra
     t = Element.basis_vector(A.space, ("t",))
     out = {name + "/h0": _basis(h0(mad)[0])}

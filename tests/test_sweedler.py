@@ -20,7 +20,7 @@ from hopfcross.sweedler import (SeriesPreconditionViolated,
                                 digamma_membership, gimel, gimel_inverse, h0,
                                 invariant_subspace, is_crossed_homomorphism,
                                 is_inner, is_normalized, _scalar_cochain)
-from hopfcross.workbench import WorkbenchSpec, build_poly2_instance
+from hopfcross.workbench import WorkbenchSpec, build_instance
 
 
 @pytest.fixture(scope="module")
@@ -583,7 +583,7 @@ def _poly2(name, budget):
     spec = WorkbenchSpec.load(os.path.join(os.path.dirname(__file__), "..",
                                            "fixtures", name + ".json"))
     spec.set_budget(budget)
-    return build_poly2_instance(spec)
+    return build_instance(spec).mad
 
 
 @pytest.mark.parametrize("budget", [4, 5])

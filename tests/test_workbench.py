@@ -15,7 +15,7 @@ from hopfcross.sweedler import SweedlerContext
 from hopfcross.actions import InvalidAction, PolyActionSpec
 from hopfcross.workbench import (InputError, NotJordanForm, WorkbenchSpec,
                                  build_and_verify_presentation,
-                                 build_poly2_instance,
+                                 build_instance,
                                  classify_crossed_products, cocycle_from_doc,
                                  exact_h2_and_commutator,
                                  transport_cochain, xi2_cocycle)
@@ -475,7 +475,7 @@ def test_cocycle_values_agree_on_both_Phi_paths(monkeypatch):
     # cochains and xi2 cocycles are the same whichever path Phi takes
     spec = WorkbenchSpec.load(fixture("case2_beta1_Y.json"))
     spec.set_budget(6)
-    ctx = SweedlerContext(build_poly2_instance(spec))
+    ctx = SweedlerContext(build_instance(spec).mad)
     A = ctx.mad.algebra.space
     with open(fixture("cocycle_b1.json")) as fh:
         doc = json.load(fh)
