@@ -1,23 +1,24 @@
 """Command-line surface.
 
-Exit codes: 0 = all checks pass, 1 = a verification failed, 2 = input error,
-3 = inconclusive at the explored budget.
+Each command returns (verdict, doc) and writes nothing; `main` alone emits
+the doc and turns the verdict, or bad input, into the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 
 from .exact import LinMap, add_into
-from .hopf import verify_antipode, verify_braided_bialgebra
+from .hopf import verify_antipode, verify_braided_bialgebra, worst_verdict
 from .actions import InvalidAction, verify_module_algebra
 from .convolution import ConvMap, conv_equal
-from .sweedler import (SweedlerContext, additive_coboundary, conv_exp,
-                       conv_log, differential, gimel, barr_differential, h0)
+from .sweedler import (additive_coboundary, conv_exp, conv_log, differential,
+                       gimel, barr_differential, h0)
 from .ce import CEAlgebra, verify_resolution_identities
 from .crossed import (check_cocycle_conditions, CrossedProductAlgebra,
                       verify_crossed_product)
@@ -26,30 +27,23 @@ from .workbench import (InputError, NotJordanForm, WorkbenchSpec,
                         cocycle_from_doc, exact_h2_and_commutator,
                         presentation_relations, transport_cochain)
 
-OK, FAIL, BADINPUT, INCONCLUSIVE = 0, 1, 2, 3
-
-
-def _emit(doc, fmt, out):
-    if fmt == "json":
-        out.write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
-    else:
-        for line in doc.get("lines", []):
-            out.write(line + "\n")
+#: fail is a mathematical failure, inconclusive an answer the budget left open
+EXIT_CODE = {"pass": 0, "fail": 1, "bad input": 2, "inconclusive": 3}
 
 
 def _report_doc(reports):
+    """(the reports' verdict, their lines and checks)."""
     lines, checks = [], {}
-    ok = True
     for rep in reports:
         lines.extend(rep.summary().splitlines())
         for c in rep.checks:
             checks[c.name] = {"passed": c.passed, "checked": c.checked,
                               "skipped": c.skipped}
-        ok = ok and rep.ok
-    return {"ok": ok, "lines": lines, "checks": checks}
+    verdict = worst_verdict(rep.verdict for rep in reports)
+    return verdict, {"lines": lines, "checks": checks}
 
 
-def cmd_verify(spec, args, out):
+def cmd_verify(spec, args):
     inst = build_instance(spec)
     # a group's labels all have degree 0, so the budget filters nothing there
     reports = [verify_braided_bialgebra(inst.hopf, budget=spec.budget),
@@ -59,84 +53,72 @@ def cmd_verify(spec, args, out):
     if inst.lie is not None:
         reports.append(verify_resolution_identities(CEAlgebra(inst.lie),
                                                     spec.budget))
-    doc = _report_doc(reports)
-    _emit(doc, args.format, out)
-    return OK if doc["ok"] else FAIL
+    return _report_doc(reports)
 
 
-def cmd_cohomology(spec, args, out):
-    lines = []
-    data = {"degree": args.degree}
-    code = OK
+def cmd_cohomology(spec, args):
+    doc, verdict = {"degree": args.degree, "lines": []}, "pass"
+    lines = doc["lines"]
     inst = build_instance(spec)
     xi = inst.xi
     if xi is None:
         carrier, _ = h0(inst.need("mad", "coefficient algebra"))
-        data["H0_carrier_dim"] = len(carrier)
+        doc["H0_carrier_dim"] = len(carrier)
         lines.append("H0 carrier dimension: %d (plus unit-group "
                      "invertibility test)" % len(carrier))
         if args.degree >= 1:
             # only H^0 is computed here; a higher degree has no answer yet
             lines.append("degree %d: multiplicative complex; predicates "
                          "available, dimensions not linearizable" % args.degree)
-            data["note"] = "predicates only"
-            code = INCONCLUSIVE
+            doc["note"] = "predicates only"
+            verdict = "inconclusive"
     else:
         if args.degree > xi.length:
             lines.append("degree %d: the resolution has length %d; H^n = 0"
                          % (args.degree, xi.length))
-            data["H_dim"] = 0
+            doc["H_dim"] = 0
         else:
-            data["H_dim"], overflow = xi.cohomology_dim(args.degree)
-            data["window"] = xi.window
+            doc["H_dim"], overflow = xi.cohomology_dim(args.degree)
+            doc["window"] = xi.window
             lines.append("H^%d dimension at window %d: %d"
-                         % (args.degree, xi.window, data["H_dim"]))
+                         % (args.degree, xi.window, doc["H_dim"]))
             if overflow:
                 lines.append("caveat: differential met the truncation boundary")
-                code = INCONCLUSIVE
-    doc = {"ok": True, "lines": lines, **data}
-    _emit(doc, args.format, out)
-    return code
+                verdict = "inconclusive"
+    return verdict, doc
 
 
-def cmd_crossed_product(spec, args, out):
-    mad = build_instance(spec).need("xi", "k[X1,X2] action").mad
+def cmd_crossed_product(spec, args):
+    inst = build_instance(spec)
+    mad, ctx = inst.need("xi", "k[X1,X2] action").mad, inst.ctx
     with open(args.cocycle) as fh:
         cdoc = json.load(fh)
     relations = presentation_relations(
         mad.poly_spec, exact_h2_and_commutator(mad.poly_spec)[1])
-    ctx = SweedlerContext(mad)
     coc = check_cocycle_conditions(ctx, cocycle_from_doc(ctx, cdoc))
     lines = ["cocycle flags: %r" % coc]
     if not coc.all_flags:
-        _emit({"ok": False, "lines": lines, "flags": repr(coc)}, args.format, out)
-        return FAIL
+        return "fail", {"lines": lines, "flags": repr(coc)}
     cp = CrossedProductAlgebra(ctx, coc.f)
     rep = verify_crossed_product(cp, budget=args.budget)
     lines.extend(rep.summary().splitlines())
     lines.append("presentation:")
     lines.extend("  " + r for r in relations)
-    doc = {"ok": rep.ok, "lines": lines, "relations": relations}
-    _emit(doc, args.format, out)
-    return OK if rep.ok else FAIL
+    return rep.verdict, {"lines": lines, "relations": relations}
 
 
-def cmd_classify(spec, args, out):
+def cmd_classify(spec, args):
     report = classify_crossed_products(spec)
-    if args.format == "json":
-        out.write(report.as_json() + "\n")
-    else:
-        out.write(report.as_text() + "\n")
-    return OK
+    return "pass", {"lines": report.as_text().splitlines(), **report.data}
 
 
-def cmd_compare(spec, args, out):
+def cmd_compare(spec, args):
     rng = random.Random(args.seed)
     lines = []
     ok = True
     inst = build_instance(spec)
+    ctx = inst.ctx
     if inst.xi is not None:
-        ctx = SweedlerContext(inst.mad)
         carrier = ctx.carrier(1)
         # exp/log roundtrips on random degree-bounded normalized cochains
         for trial in range(args.samples):
@@ -163,30 +145,23 @@ def cmd_compare(spec, args, out):
                          % (trials, " [skipped (budget): %d]" % skipped
                             if skipped else ""))
         # bar-side vs resolution-side verdicts
-        agree = _bar_vs_resolution(ctx, inst.xi, lines)
-        ok = ok and agree
+        ok = _bar_vs_resolution(ctx, inst.xi, lines) and ok
     elif hasattr(inst.mad, "grading"):
-        ctx = SweedlerContext(inst.mad)
-        for n in (0, 1, 2):
-            for trial in range(3):
-                phi = _random_group_cochain(rng, ctx, n)
-                lhs = gimel(ctx, differential(ctx, phi))
-                rhs = barr_differential(ctx, gimel(ctx, phi), n)
-                if any(lhs[k] != rhs[k] for k in lhs):
-                    ok = False
-                    lines.append("homogenization does not transport D at n=%d" % n)
-                    break
-            else:
-                continue
-            break
-        if ok:
+        # three random cochains in each degree n <= 2
+        for n, _ in itertools.product((0, 1, 2), range(3)):
+            phi = _random_group_cochain(rng, ctx, n)
+            lhs = gimel(ctx, differential(ctx, phi))
+            rhs = barr_differential(ctx, gimel(ctx, phi), n)
+            if any(lhs[k] != rhs[k] for k in lhs):
+                ok = False
+                lines.append("homogenization does not transport D at n=%d" % n)
+                break
+        else:
             lines.append("homogenized differential agrees for n <= 2 "
                          "(exhaustive over tuples)")
     else:
         raise inst.missing("graded coefficient algebra")
-    doc = {"ok": ok, "lines": lines}
-    _emit(doc, args.format, out)
-    return OK if ok else FAIL
+    return ("pass" if ok else "fail"), {"lines": lines}
 
 
 def _random_additive(rng, ctx, n, basis=None):
@@ -295,13 +270,19 @@ def main(argv=None, out=None):
         spec = WorkbenchSpec.load(args.spec)
         if args.budget is not None:
             spec.set_budget(args.budget)
-        return handler(spec, args, out)
+        verdict, doc = handler(spec, args)
     # OSError covers a missing file and a directory; UnicodeDecodeError a
     # file that is not text
     except (InputError, NotJordanForm, InvalidAction, OSError,
             UnicodeDecodeError, json.JSONDecodeError) as exc:
         out.write("input error: %s\n" % exc)
-        return BADINPUT
+        return EXIT_CODE["bad input"]
+    doc["ok"] = verdict == "pass"
+    if args.format == "json":
+        out.write(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    else:
+        out.writelines(line + "\n" for line in doc["lines"])
+    return EXIT_CODE[verdict]
 
 
 if __name__ == "__main__":

@@ -133,6 +133,9 @@ class Space:
 
     def __init__(self, slots, budget=None):
         self.slots = tuple(slots)
+        # no label of ungraded slots can exceed a budget, so they keep none
+        if all(s.degrees is None for s in self.slots):
+            budget = None
         self.budget = budget
         self.arity = len(self.slots)
         self._degrees = tuple(_UNGRADED if s.degrees is None else s.degrees

@@ -26,6 +26,12 @@ class InvalidLieAlgebra(Exception):
     pass
 
 
+def worst_verdict(verdicts):
+    """fail if any is fail, else inconclusive if any is, else pass."""
+    return max(verdicts, key=("pass", "inconclusive", "fail").index,
+               default="pass")
+
+
 class CheckResult:
     def __init__(self, name, checked=0, skipped=0, failures=None):
         self.name = name
@@ -37,12 +43,19 @@ class CheckResult:
     def passed(self):
         return not self.failures
 
+    @property
+    def verdict(self):
+        """fail, or inconclusive when no tuple was checked and some skipped."""
+        if self.failures:
+            return "fail"
+        return "inconclusive" if self.skipped and not self.checked else "pass"
+
     def __bool__(self):
         # a result read as a bool would pass every `assert` and `if`
         raise TypeError("read CheckResult.passed, not the result itself")
 
     def line(self):
-        status = "PASS" if self.passed else "FAIL"
+        status = self.verdict.upper()
         extra = ""
         if self.skipped:
             extra = " [skipped (budget): %d]" % self.skipped
@@ -64,12 +77,16 @@ class Report:
     def ok(self):
         return all(c.passed for c in self.checks)
 
+    @property
+    def verdict(self):
+        return worst_verdict(c.verdict for c in self.checks)
+
     def summary(self):
         lines = []
         if self.title:
             lines.append(self.title)
         lines.extend(c.line() for c in self.checks)
-        lines.append("OVERALL: %s" % ("PASS" if self.ok else "FAIL"))
+        lines.append("OVERALL: %s" % self.verdict.upper())
         return "\n".join(lines)
 
     def __repr__(self):

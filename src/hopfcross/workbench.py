@@ -187,17 +187,19 @@ def _spec_table(raw, left, right, values, where):
 class Instance:
     """The parts of a workbench spec that the commands read.
 
-    `hopf` is always given; the module algebra `mad`, the Lie algebra
-    `lie` and the Section-7 complex `xi` (an `XiComplex`, for a poly2
-    action) are each None where the spec gives none.
+    `hopf` is always given; the module algebra `mad` with its one Sweedler
+    context `ctx`, the Lie algebra `lie` and the Section-7 complex `xi`
+    (the `xi_complex` of ctx, for a k[X1,X2] action) are each None where
+    the spec gives none.
     """
 
-    def __init__(self, kind, hopf, mad=None, lie=None, xi=None):
+    def __init__(self, kind, hopf, mad=None, lie=None):
         self.kind = kind
         self.hopf = hopf
         self.mad = mad
+        self.ctx = None if mad is None else SweedlerContext(mad)
         self.lie = lie
-        self.xi = xi
+        self.xi = None if mad is None else xi_complex(self.ctx)
 
     def need(self, part, name):
         """The part, or the refusal "<kind> spec has no <name>"."""
@@ -292,7 +294,7 @@ def build_poly2_instance(spec: WorkbenchSpec):
     if spec.budget is None:
         raise InputError("poly2 spec needs a budget")
     mad = build_poly_action(*spec.poly2, spec.budget)
-    return Instance("poly2", mad.hopf, mad=mad, xi=XiComplex(mad))
+    return Instance("poly2", mad.hopf, mad=mad)
 
 
 def build_lie_instance(spec: WorkbenchSpec):
@@ -412,6 +414,14 @@ class XiComplex:
         return dim, overflow
 
 
+def xi_complex(ctx: SweedlerContext):
+    """The Section-7 complex of ctx's k[X1,X2] action, built once per ctx;
+    None when the module algebra of ctx is no such action."""
+    if getattr(ctx.mad, "poly_spec", None) is None:
+        return None
+    return ctx.derived("xi", lambda: XiComplex(ctx.mad))
+
+
 # ---------------------------------------------------------------------------
 # the classification report
 
@@ -435,9 +445,6 @@ def _poly_str(coeffs):
 class ClassificationReport:
     def __init__(self, data):
         self.data = data
-
-    def as_json(self):
-        return json.dumps(self.data, indent=2, sort_keys=True)
 
     def as_text(self):
         d = self.data
@@ -578,7 +585,7 @@ def xi2_cocycle(ctx: SweedlerContext, b: Element) -> ConvMap:
     the bar side through the comparison map, so that the resulting cocycle
     satisfies f(X1 (x) X2) = -f(X2 (x) X1) = b/2.
     """
-    xi = XiComplex(ctx.mad)
+    xi = xi_complex(ctx)
     return conv_exp(transport_cochain(ctx, xi.bar, {xi.top: b}))
 
 
@@ -657,11 +664,11 @@ def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
     A nonzero residue w - delta(t) is solved over the n = 1 carrier, and is
     inconclusive when that grid holds no solution.
     """
-    mad = ctx.mad
-    if getattr(mad, "poly_spec", None) is None:
+    xi = xi_complex(ctx)
+    if xi is None:
         t = 0 * ctx.unit_cochain(1)
     else:
-        t = _lie_class_preimage(ctx, w)
+        t = _lie_class_preimage(ctx, xi, w)
         if isinstance(t, H2Verdict):
             return t
     residue = w - additive_coboundary(ctx, t)
@@ -674,13 +681,12 @@ def xi_h2_witness(ctx: SweedlerContext, w: ConvMap):
     return conv_exp(t)
 
 
-def _lie_class_preimage(ctx: SweedlerContext, w: ConvMap):
+def _lie_class_preimage(ctx: SweedlerContext, xi: XiComplex, w: ConvMap):
     """transport(f1) for an f1 in Xi(D_1) whose d2 image is the Lie class
     b of w, or failing that agrees with b on the value window; or the
     H2Verdict if there is none (see `xi_h2_witness`)."""
     mad = ctx.mad
     A = mad.algebra
-    xi = XiComplex(mad)
     acc = {}
     for (_, mid, _), c in xi.bar.phi_closed(xi.top).items():
         add_into(acc, w(mid).coeffs, c)
@@ -888,9 +894,9 @@ def build_and_verify_presentation(spec: WorkbenchSpec, b_coeffs,
                                   assoc_budget=None):
     """Instantiate the commutator parameter, rebuild A #_f H and verify the
     emitted relations inside the constructed algebra."""
-    xi = build_instance(spec).need("xi", "k[X1,X2] action")
+    inst = build_instance(spec)
+    xi, ctx = inst.need("xi", "k[X1,X2] action"), inst.ctx
     mad = xi.mad
-    ctx = SweedlerContext(mad)
     A = mad.algebra
 
     b = _y_polynomial(A, b_coeffs, "b")

@@ -20,8 +20,11 @@ from hopfcross.actions import (AlgebraData, InvalidAction, InvalidGradation,
                                tensor_power_comul_shuffled,
                                trivial_module_algebra, verify_entwining,
                                verify_module_algebra, verify_module_coalgebra,
+                               verify_transposition,
                                PolyActionSpec, check_poly_action_validity)
+from hopfcross.convolution import convolve
 from hopfcross.exact import apply_at
+from hopfcross.sweedler import SweedlerContext
 
 
 def test_braid_cross_base_case(z2):
@@ -364,6 +367,21 @@ def test_example_closing_identity(z2):
 def test_trivial_action_passes(z2, dual_numbers):
     rep = verify_module_algebra(trivial_module_algebra(z2, dual_numbers))
     assert rep.ok, rep.summary()
+
+
+def test_a_truncated_h_meets_an_unbudgeted_algebra_in_one_space(dual_numbers):
+    # H (x) A takes H's budget, but no label of the ungraded A can exceed
+    # it: A and what the maps into A return must be one space, or equal
+    # sides differ in their budget alone
+    mad = trivial_module_algebra(build_truncated_poly_hopf(2, 3), dual_numbers)
+    counit = next(c for c in verify_transposition(
+        mad.hopf, dual_numbers, mad.s).checks
+        if c.name == "transposition.hopf_counit_compat")
+    assert counit.passed and counit.checked == 20, counit.line()
+    rep = verify_module_algebra(mad)
+    assert rep.ok, rep.summary()
+    e = SweedlerContext(mad).unit_cochain(1)
+    assert convolve(e, e) == e
 
 
 def test_sign_action_passes(sign_action):

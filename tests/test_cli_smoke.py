@@ -12,7 +12,10 @@ import os
 
 import pytest
 
+from hopfcross import cli
 from hopfcross.cli import main
+from hopfcross.exact import TruncationOverflow
+from hopfcross.hopf import Report, check_equal_on
 from hopfcross.workbench import WorkbenchSpec, build_instance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -31,16 +34,33 @@ def _kind(spec):
         return json.load(fh)["kind"]
 
 
+def _argv(command, spec, budget, *extra):
+    return [command[0], os.path.join(FIXTURES, spec), "--budget", budget,
+            *command[1:], *extra]
+
+
 @pytest.mark.parametrize("budget", ["2", "3"])
 @pytest.mark.parametrize("spec", SPECS)
 def test_every_command_ends_in_an_exit_code(spec, budget):
     for command in COMMANDS:
-        argv = [command[0], os.path.join(FIXTURES, spec), "--budget", budget,
-                *command[1:]]
+        argv = _argv(command, spec, budget)
         code = main(argv, out=io.StringIO())
         assert code in (0, 1, 2, 3), argv
         if command[0] == "compare" and _kind(spec) == "poly2":
             assert code == 0, argv
+
+
+@pytest.mark.parametrize("budget", ["2", "3"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_json_ok_means_exit_0(spec, budget):
+    # an inconclusive or failed run must not read as ok in its JSON; bad
+    # input (2) prints its one error line instead of a document
+    for command in COMMANDS:
+        argv = _argv(command, spec, budget, "--format", "json")
+        out = io.StringIO()
+        code = main(argv, out=out)
+        if code != 2:
+            assert json.loads(out.getvalue())["ok"] == (code == 0), argv
 
 
 # every poly2 fixture with Q != ide, at its own budget with the default
@@ -195,3 +215,29 @@ def test_build_instance_gives_the_parts_of_each_kind(spec, parts):
             if getattr(inst, p) is not None} == parts
     if inst.xi is not None:
         assert inst.xi.mad is inst.mad
+
+
+def test_a_check_with_every_tuple_skipped_makes_the_command_inconclusive(
+        monkeypatch):
+    # the antipode suite with every tuple leaving the budget: 0 checked is
+    # no pass, so the command exits 3 and its JSON is not ok
+    def overflow(x, t):
+        raise TruncationOverflow("every tuple leaves the budget")
+
+    def vacuous_antipode(h, budget=None):
+        report = Report("antipode")
+        check_equal_on(report, "antipode.vacuous", h.space, overflow, overflow,
+                       budget)
+        return report
+
+    monkeypatch.setattr(cli, "verify_antipode", vacuous_antipode)
+    path = os.path.join(FIXTURES, "z2_sign.json")
+    out = io.StringIO()
+    assert main(["verify", path], out=out) == 3
+    line = next(line for line in out.getvalue().splitlines()
+                if line.startswith("antipode.vacuous"))
+    assert line.endswith("INCONCLUSIVE (0 checked) [skipped (budget): 2]")
+    assert "OVERALL: INCONCLUSIVE" in out.getvalue()
+    out = io.StringIO()
+    assert main(["verify", path, "--format", "json"], out=out) == 3
+    assert json.loads(out.getvalue())["ok"] is False

@@ -8,8 +8,9 @@ from hopfcross.exact import Element, TruncationOverflow, tensor
 from hopfcross.hopf import (CheckResult, GroupSpec, InvalidGroup,
                             InvalidLieAlgebra, LieSpec, Report,
                             build_group_algebra, build_truncated_enveloping,
-                            build_truncated_poly_hopf, check_item,
-                            verify_antipode, verify_braided_bialgebra)
+                            build_truncated_poly_hopf, check_equal_on,
+                            check_item, verify_antipode,
+                            verify_braided_bialgebra)
 
 
 def test_group_spec_rejects_broken_table():
@@ -231,3 +232,23 @@ def test_check_item_prints_the_line_of_a_hand_built_result():
     assert "PASS (1 checked)" in ok.line()
     assert "FAIL (1 checked) witness='u(1) != 1'" in bad.line()
     assert not report.ok
+
+
+def _overflow(x, t):
+    raise TruncationOverflow("every tuple leaves the budget")
+
+
+def test_a_check_with_every_tuple_skipped_is_inconclusive(z2):
+    # 0 checked and some skipped is no evidence: neither PASS nor FAIL
+    report = Report("vacuous")
+    res = check_equal_on(report, "vacuous.identity", z2.space, _overflow,
+                         _overflow)
+    assert (res.checked, res.skipped) == (0, 2)
+    assert res.passed and res.verdict == "inconclusive"
+    assert "INCONCLUSIVE (0 checked) [skipped (budget): 2]" in res.line()
+    check_item(report, "single.ok")
+    assert report.ok and report.verdict == "inconclusive"
+    assert report.summary().endswith("OVERALL: INCONCLUSIVE")
+    check_item(report, "single.bad", "witness")
+    assert report.verdict == "fail"
+    assert CheckResult("empty").verdict == "pass"

@@ -80,7 +80,7 @@ def test_classification_matches_golden(name):
     with open(os.path.join(GOLDENS, name + ".txt")) as fh:
         assert rep.as_text() + "\n" == fh.read()
     with open(os.path.join(GOLDENS, name + ".json")) as fh:
-        assert json.loads(rep.as_json()) == json.load(fh)
+        assert rep.data == json.load(fh)
 
 
 @pytest.mark.parametrize("command", ["classify", "crossed-product"])
@@ -104,7 +104,7 @@ def test_each_command_runs_the_h2_case_ladder_once(monkeypatch, command):
 def test_json_and_text_numeric_content_agree():
     spec = WorkbenchSpec.load(fixture("case2_beta1_Y.json"))
     rep = classify_crossed_products(spec)
-    doc = json.loads(rep.as_json())
+    doc = rep.data
     text = rep.as_text()
     assert "H2_dim: %s" % doc["H2_dim"] in text
     assert "d1_rank: %s" % doc["d1_rank"] in text
@@ -533,7 +533,8 @@ def test_crossed_product_refuses_a_non_jordan_Q_before_building(
     def unreachable(*args, **kwargs):
         raise AssertionError("crossed-product went past the Jordan test")
 
-    monkeypatch.setattr(cli, "SweedlerContext", unreachable)
+    # the instance's context is built with the spec; no cochain on it is
+    monkeypatch.setattr(cli, "cocycle_from_doc", unreachable)
     monkeypatch.setattr(cli, "check_cocycle_conditions", unreachable)
     spec = _poly2_spec_file(tmp_path, Q=(("1", "1"), ("0", "2")), beta1=(),
                             budget=7)
